@@ -43,53 +43,27 @@ from .eisenstein import (
     format_eisenstein,
     format_k,
 )
-from .factorization import factor
+from .factorization import Factorization, cube_split
 from .search import SearchBudget, relation_search, search_eisenstein, search_rational
 
 LUCAS_SEARCH_BOUND = 100  # integer triple scan radius for the 3p construction
 
 Pair = tuple[KElement, KElement]
 
-
-@dataclass(frozen=True)
-class CanonicalM:
-    """M up to cube factors: unit in {1, w, v} and exponents mod 3.
-
-    M and its canonical value differ by a nonzero cube of K times ±1, so
-    solvability over K (and over Q, for the theorem-backed verdicts) is a
-    property of this form alone.  Canonicalisation is idempotent.
-    """
-
-    unit: EisensteinInt
-    factors: tuple[tuple[EisensteinInt, int], ...]
-
-    def value(self) -> EisensteinInt:
-        out = self.unit
-        for irr, e in self.factors:
-            out = out * irr**e
-        return out
-
-    def to_json_dict(self) -> dict:
-        return {
-            "unit": format_eisenstein(self.unit),
-            "factors": [[format_eisenstein(irr), e] for irr, e in self.factors],
-        }
+# M up to cube factors: the rest of cube_split, with unit in {1, w, v} and
+# exponents 1 or 2.  M and its canonical value differ by a nonzero cube of K
+# times ±1, so solvability over K (and over Q, for the theorem-backed
+# verdicts) is a property of this form alone.  Canonicalisation is idempotent.
+CanonicalM = Factorization
 
 
 def canonicalize(m: "EisensteinInt | KElement | int") -> CanonicalM:
     """Cube-class reduction of a nonzero target.
 
-    A fractional target n/d is lifted to n·d² (the same cube class); then
-    exponents are reduced mod 3, zero exponents dropped, and the leftover
-    unit folded into {1, w, v} by absorbing ±1 (a cube).
+    A fractional target n/d is lifted to n·d² (the same cube class), whose
+    cube_split rest is the canonical form.
     """
-    m = _integral_target(m)
-    f = factor(m)
-    factors = tuple((irr, e % 3) for irr, e in f.factors if e % 3)
-    unit = f.unit
-    if unit in (-ONE, -W, -V):
-        unit = -unit
-    return CanonicalM(unit, factors)
+    return cube_split(_integral_target(m))[1]
 
 
 def _integral_target(m: "EisensteinInt | KElement | int") -> EisensteinInt:
@@ -130,7 +104,10 @@ class Verdict:
         doc.update(
             {
                 "scope": self.scope,
-                "canonical": self.canonical.to_json_dict(),
+                "canonical": {
+                    "unit": format_eisenstein(self.canonical.unit),
+                    "factors": [[format_eisenstein(i), e] for i, e in self.canonical.factors],
+                },
                 "status": self.status,
                 "rule": self.rule,
                 "reason": self.reason,
@@ -188,75 +165,199 @@ def _analyse(canon: CanonicalM) -> _Shape:
     return _Shape(canon.unit, beta_exp, tuple(inert), tuple(split))
 
 
+def _beta_power(s: _Shape) -> int | None:
+    """beta's exponent when the form is a unit times a power of beta."""
+    return None if s.inert or s.split else s.beta_exp
+
+
+def _lone_inert(s: _Shape, beta_exp: int) -> int | None:
+    """p mod 9 when the form is a unit times beta^beta_exp times p^e, p inert."""
+    if s.beta_exp == beta_exp and len(s.inert) == 1 and not s.split:
+        return s.inert[0][0] % 9
+    return None
+
+
+def _lone_split(s: _Shape) -> int | None:
+    """N(pi) mod 9 when the form is a unit times pi^e, pi split."""
+    if s.beta_exp == 0 and not s.inert and len(s.split) == 1:
+        return s.split[0][1] % 9
+    return None
+
+
+def _conj_pair(s: _Shape, beta_exp: int) -> int | None:
+    """p mod 9 when the form is a unit times beta^beta_exp times p^e, p split."""
+    pair = s.split_conjugate_pair() if s.beta_exp == beta_exp and not s.inert else None
+    return None if pair is None else pair[0] % 9
+
+
 # -- the ordered rule table --------------------------------------------------
 
-# Each entry: (name, predicate).  The predicates are mutually exclusive by
-# construction, and classify() hard-asserts that exactly one fires per
-# canonical form; the handlers live in _decide below.
 
-_RULES: tuple[tuple[str, Callable[[_Shape], bool]], ...] = (
-    ("trivial-cube", lambda s: _is_empty(s) and s.unit_is_one),
-    ("unit-target", lambda s: _is_empty(s) and not s.unit_is_one),
-    ("beta-solvable", lambda s: _is_beta_only(s) and s.beta_exp == 1 and s.unit_is_one),
-    ("beta-blocked", lambda s: _is_beta_only(s) and not (s.beta_exp == 1 and s.unit_is_one)),
-    ("inert-25", lambda s: _is_single_inert(s) and s.inert[0][0] % 9 in (2, 5)),
-    ("inert-8", lambda s: _is_single_inert(s) and s.inert[0][0] % 9 == 8 and s.unit_is_one),
-    ("inert-8-twist", lambda s: _is_single_inert(s) and s.inert[0][0] % 9 == 8 and not s.unit_is_one),
-    ("split-47", lambda s: _is_single_split(s) and s.split[0][1] % 9 in (4, 7)),
-    ("split-1mod9-primary", lambda s: _is_single_split(s) and s.split[0][1] % 9 == 1 and s.unit_is_one),
-    ("split-1mod9-twist", lambda s: _is_single_split(s) and s.split[0][1] % 9 == 1 and not s.unit_is_one),
-    ("rational-split-47", lambda s: _is_conj_pair(s, (4, 7)) and s.unit_is_one),
-    ("rational-split-47-twist", lambda s: _is_conj_pair(s, (4, 7)) and not s.unit_is_one),
-    ("rational-split-1mod9", lambda s: _is_conj_pair(s, (1,))),
-    ("beta-inert-25", lambda s: _is_beta_inert(s) and s.inert[0][0] % 9 in (2, 5) and s.unit_is_one),
-    ("beta-inert-other", lambda s: _is_beta_inert(s) and not (s.inert[0][0] % 9 in (2, 5) and s.unit_is_one)),
-    ("three-p", lambda s: _is_beta2_conj_pair(s) and s.unit_is_one),
-    ("three-p-twist", lambda s: _is_beta2_conj_pair(s) and not s.unit_is_one),
-    ("no-theorem", lambda s: _is_unmatched(s)),
+@dataclass(frozen=True)
+class _Case:
+    """What a rule handler decides on: the oriented target and its form."""
+
+    rep: EisensteinInt
+    canon: CanonicalM
+    shape: _Shape
+    scope: str
+    budget: SearchBudget | None
+
+    def verdict(self, status: str, tag: str, reason: str, **data) -> Verdict:
+        return Verdict(status, tag, reason, self.canon, self.scope, **data)
+
+    def search(self, reason: str, **prefer: bool) -> Verdict:
+        """Unknown with this reason, upgraded if a bounded search hits."""
+        return _searched_unknown(self.rep, self.canon, self.scope, self.budget, reason, **prefer)
+
+
+def _inert_25(c: _Case) -> Verdict:
+    p, e = c.shape.inert[0]
+    if p == 2 and e == 1 and c.shape.unit_is_one:
+        return c.verdict(
+            "OnlyTrivial", "Theorem 1.3",
+            "targets in the cube class of 2 admit only the solutions with x³ = y³",
+            trivial_solutions=_trivial_diagonal_pairs(c.rep),
+        )
+    return c.verdict(
+        "NoSolutions", "Theorem 1.3",
+        f"associate of {p}^{e} with p = {p % 9} mod 9 (Pépin/Sylvester/Lucas class)",
+    )
+
+
+def _split_47(c: _Case) -> Verdict:
+    n = c.shape.split[0][1]
+    return c.verdict(
+        "NoSolutions", "Theorem 1.4",
+        f"irreducible of norm {n} = {n % 9} mod 9 (all associates blocked)",
+    )
+
+
+def _split_primary(c: _Case) -> Verdict:
+    n = c.shape.split[0][1]
+    if not exceptional_A(n)[0]:
+        return c.verdict(
+            "NoSolutions", "Theorem 2.4",
+            f"primary irreducible of norm {n} = 1 mod 9, {n} not Exceptional A",
+        )
+    return c.search(f"norm {n} is Exceptional A; no theorem applies", prefer_relation=True)
+
+
+def _rational_split_47(c: _Case) -> Verdict:
+    p = c.shape.split_conjugate_pair()[0]
+    return c.verdict(
+        "LiteratureSolvable", "literature",
+        f"p = {p} = {p % 9} mod 9: infinitely many rational representations "
+        "of p and p² (Sylvester's conjecture, now established)",
+        citation="Elkies (announced); Dasgupta-Voight (under conditions)",
+    )
+
+
+def _rational_split_47_twist(c: _Case) -> Verdict:
+    p = c.shape.split_conjugate_pair()[0]
+    assert condition_I(p), "condition (I) must hold (cubic reciprocity)"
+    return c.verdict(
+        "NoSolutions", "Theorem 2.2",
+        f"u·{p} and u·{p}² are not sums of two cubes (condition (I) verified)",
+    )
+
+
+def _beta_inert_25(c: _Case) -> Verdict:
+    p, e = c.shape.inert[0]
+    return c.verdict(
+        "NoSolutions", "Theorem 2.1",
+        f"beta·{p}^{e} with p = {p % 9} mod 9 (covers 9·{p}^{e} via 9 = beta·beta³)",
+    )
+
+
+def _three_p(c: _Case) -> Verdict:
+    p, e = c.shape.split_conjugate_pair()
+    cond, exc_a, exc_b = condition_I(p), exceptional_A(p)[0], exceptional_B(p)
+    if cond and not exc_a and not exc_b:
+        return c.verdict(
+            "NoSolutions", "Theorem 2.3",
+            f"3·{p}^{e}: condition (I) holds and {p} is neither "
+            "Exceptional A nor Exceptional B",
+        )
+    return c.search(
+        f"3·{p}^{e} with {p} Exceptional (A={exc_a}, B={exc_b}); "
+        "theorem blocked, trying the Lucas construction",
+        prefer_lucas=True,
+    )
+
+
+def _no_theorem(c: _Case) -> Verdict:
+    return c.search("no theorem covers this canonical form")
+
+
+# One row per case of the decision procedure: (name, predicate on the shape
+# of the canonical form, handler).  The handler returns the verdict citing
+# the deciding theorem, or runs the bounded searches where no theorem
+# decides.  The predicates are mutually exclusive by construction and
+# match_rule() hard-asserts it; the last row, no-theorem, has no predicate
+# and fires exactly when no other row does.
+_Rule = tuple[str, Callable[[_Shape], bool] | None, Callable[[_Case], Verdict]]
+_RULES: tuple[_Rule, ...] = (
+    ("trivial-cube", lambda s: _beta_power(s) == 0 and s.unit_is_one,
+     lambda c: c.verdict(
+         "OnlyTrivial", "Corollary 2 to Theorem 1.5",
+         "the target is a nonzero cube; only the axis solutions exist (FLT(3))",
+         trivial_solutions=_trivial_axis_pairs(c.rep))),
+    ("unit-target", lambda s: _beta_power(s) == 0 and not s.unit_is_one,
+     lambda c: c.verdict("NoSolutions", "Theorem 1.6",
+                         "a unit other than ±1 is not a sum of two cubes in K")),
+    ("beta-solvable", lambda s: _beta_power(s) == 1 and s.unit_is_one,
+     lambda c: c.verdict(
+         "HasSolutions", "beta-construction",
+         "targets in the cube class of beta are sums of two cubes "
+         "(x³ + y³ = 9 has infinitely many rational solutions)",
+         witness=_beta_witness(c.rep))),
+    ("beta-blocked",
+     lambda s: _beta_power(s) in (1, 2) and not (s.beta_exp == 1 and s.unit_is_one),
+     lambda c: c.verdict(
+         "NoSolutions", "Theorem 1.7",
+         "an associate of beta or beta² other than ±beta is not a sum of two cubes")),
+    ("inert-25", lambda s: _lone_inert(s, 0) in (2, 5), _inert_25),
+    ("inert-8", lambda s: _lone_inert(s, 0) == 8 and s.unit_is_one,
+     lambda c: c.verdict(
+         "LiteratureSolvable", "literature",
+         f"p = {c.shape.inert[0][0]} = 8 mod 9: "
+         "infinitely many rational representations of p and p²",
+         citation="Kriz (arXiv): Sylvester's conjecture for p = 8 mod 9")),
+    ("inert-8-twist", lambda s: _lone_inert(s, 0) == 8 and not s.unit_is_one, _no_theorem),
+    ("split-47", lambda s: _lone_split(s) in (4, 7), _split_47),
+    ("split-1mod9-primary", lambda s: _lone_split(s) == 1 and s.unit_is_one, _split_primary),
+    ("split-1mod9-twist", lambda s: _lone_split(s) == 1 and not s.unit_is_one,
+     lambda c: c.search(
+         f"unit twist of an irreducible of norm {c.shape.split[0][1]} = 1 mod 9; "
+         "no theorem covers this form", prefer_relation=True)),
+    ("rational-split-47", lambda s: _conj_pair(s, 0) in (4, 7) and s.unit_is_one,
+     _rational_split_47),
+    ("rational-split-47-twist", lambda s: _conj_pair(s, 0) in (4, 7) and not s.unit_is_one,
+     _rational_split_47_twist),
+    ("rational-split-1mod9", lambda s: _conj_pair(s, 0) == 1,
+     lambda c: c.search(f"rational class of p = {c.shape.split_conjugate_pair()[0]} = 1 mod 9: "
+                        "known results are conjectural")),
+    ("beta-inert-25", lambda s: _lone_inert(s, 1) in (2, 5) and s.unit_is_one, _beta_inert_25),
+    ("beta-inert-other",
+     lambda s: (_lone_inert(s, 1) is not None
+                and not (_lone_inert(s, 1) in (2, 5) and s.unit_is_one)),
+     lambda c: c.search(
+         "beta times an inert prime outside the Theorem 2.1 pattern "
+         "(unit twists of beta·p are not addressed by any theorem)")),
+    ("three-p", lambda s: _conj_pair(s, 2) is not None and s.unit_is_one, _three_p),
+    ("three-p-twist", lambda s: _conj_pair(s, 2) is not None and not s.unit_is_one, _no_theorem),
+    ("no-theorem", None, _no_theorem),
 )
-
-
-def _is_empty(s: _Shape) -> bool:
-    return s.beta_exp == 0 and not s.inert and not s.split
-
-
-def _is_beta_only(s: _Shape) -> bool:
-    return s.beta_exp > 0 and not s.inert and not s.split
-
-
-def _is_single_inert(s: _Shape) -> bool:
-    return s.beta_exp == 0 and len(s.inert) == 1 and not s.split
-
-
-def _is_single_split(s: _Shape) -> bool:
-    return s.beta_exp == 0 and not s.inert and len(s.split) == 1
-
-
-def _is_conj_pair(s: _Shape, residues: tuple[int, ...]) -> bool:
-    if s.beta_exp != 0 or s.inert:
-        return False
-    pair = s.split_conjugate_pair()
-    return pair is not None and pair[0] % 9 in residues
-
-
-def _is_beta_inert(s: _Shape) -> bool:
-    return s.beta_exp == 1 and len(s.inert) == 1 and not s.split
-
-
-def _is_beta2_conj_pair(s: _Shape) -> bool:
-    return s.beta_exp == 2 and not s.inert and s.split_conjugate_pair() is not None
-
-
-def _is_unmatched(s: _Shape) -> bool:
-    return not any(pred(s) for _, pred in _RULES[:-1])
+_HANDLERS = {name: handler for name, _, handler in _RULES}
 
 
 def match_rule(canon: CanonicalM) -> str:
     """Name of the unique rule whose pattern matches; asserts uniqueness."""
     shape = _analyse(canon)
-    hits = [name for name, pred in _RULES if pred(shape)]
-    assert len(hits) == 1, f"rule table not a partition: {hits} for {canon}"
-    return hits[0]
+    hits = [name for name, pred, _ in _RULES[:-1] if pred(shape)]
+    assert len(hits) <= 1, f"rule table not a partition: {hits} for {canon}"
+    return hits[0] if hits else _RULES[-1][0]
 
 
 # -- orientation: sign and conjugation normalisation -------------------------
@@ -300,17 +401,10 @@ def _orient(m: EisensteinInt) -> tuple[EisensteinInt, Callable[[Pair], Pair]]:
 
 def _exact_cube_root(x: EisensteinInt) -> EisensteinInt:
     """The cube root of x in Z[w]; raises if x is not a cube."""
-    f = factor(x)
-    root = ONE
-    for irr, e in f.factors:
-        if e % 3:
-            raise ValueError(f"{x} is not a cube")
-        root = root * irr ** (e // 3)
-    if f.unit == ONE:
-        return root
-    if f.unit == -ONE:
-        return -root
-    raise ValueError(f"{x} is not a cube (unit {f.unit})")
+    root, rest = cube_split(x)
+    if rest != Factorization(ONE, ()):
+        raise ValueError(f"{x} is not a cube (cube class {rest})")
+    return root
 
 
 def _beta_witness(rep: EisensteinInt) -> Pair:
@@ -327,18 +421,14 @@ def _beta_witness(rep: EisensteinInt) -> Pair:
     return x, y
 
 
-def _unit_cube_roots() -> tuple[EisensteinInt, ...]:
-    return (ONE, W, V)
-
-
 def _trivial_axis_pairs(rep: EisensteinInt) -> tuple[Pair, ...]:
     """The six axis solutions of x³ + y³ = rep when rep is a cube."""
     g = _exact_cube_root(rep)
     zero = KElement(0)
     pairs: list[Pair] = []
-    for zeta in _unit_cube_roots():
+    for zeta in (ONE, W, V):
         pairs.append((KElement(g * zeta), zero))
-    for zeta in _unit_cube_roots():
+    for zeta in (ONE, W, V):
         pairs.append((zero, KElement(g * zeta)))
     return tuple(pairs)
 
@@ -348,8 +438,8 @@ def _trivial_diagonal_pairs(rep: EisensteinInt) -> tuple[Pair, ...]:
     g = _exact_cube_root(rep / EisensteinInt(2, 0))
     return tuple(
         (KElement(g * z1), KElement(g * z2))
-        for z1 in _unit_cube_roots()
-        for z2 in _unit_cube_roots()
+        for z1 in (ONE, W, V)
+        for z2 in (ONE, W, V)
     )
 
 
@@ -384,7 +474,7 @@ def classify(
     rep, transport = _orient(m_int)
     canon_rep = canonicalize(rep)
     rule = match_rule(canon_rep)
-    verdict = _decide(rule, rep, canon_rep, scope, budget)
+    verdict = _HANDLERS[rule](_Case(rep, canon_rep, _analyse(canon_rep), scope, budget))
 
     # transport witnesses back to the original target and clear the
     # fractional rescale (solutions of n·d² are d times those of n/d)
@@ -425,196 +515,6 @@ def _rescale(pair: Pair, denominator: int) -> Pair:
 def _verify_pair(pair: Pair, m) -> None:
     target = m if isinstance(m, KElement) else KElement(m)
     assert pair[0] ** 3 + pair[1] ** 3 == target, "witness failed exact verification"
-
-
-def _decide(
-    rule: str,
-    rep: EisensteinInt,
-    canon: CanonicalM,
-    scope: str,
-    budget: SearchBudget | None,
-) -> Verdict:
-    shape = _analyse(canon)
-
-    if rule == "trivial-cube":
-        return Verdict(
-            "OnlyTrivial",
-            "Corollary 2 to Theorem 1.5",
-            "the target is a nonzero cube; only the axis solutions exist (FLT(3))",
-            canon,
-            scope,
-            trivial_solutions=_trivial_axis_pairs(rep),
-        )
-
-    if rule == "unit-target":
-        return Verdict(
-            "NoSolutions",
-            "Theorem 1.6",
-            "a unit other than ±1 is not a sum of two cubes in K",
-            canon,
-            scope,
-        )
-
-    if rule == "beta-solvable":
-        return Verdict(
-            "HasSolutions",
-            "beta-construction",
-            "targets in the cube class of beta are sums of two cubes "
-            "(x³ + y³ = 9 has infinitely many rational solutions)",
-            canon,
-            scope,
-            witness=_beta_witness(rep),
-        )
-
-    if rule == "beta-blocked":
-        return Verdict(
-            "NoSolutions",
-            "Theorem 1.7",
-            "an associate of beta or beta² other than ±beta is not a sum of two cubes",
-            canon,
-            scope,
-        )
-
-    if rule == "inert-25":
-        p, e = shape.inert[0]
-        if p == 2 and e == 1 and shape.unit_is_one:
-            return Verdict(
-                "OnlyTrivial",
-                "Theorem 1.3",
-                "targets in the cube class of 2 admit only the solutions with x³ = y³",
-                canon,
-                scope,
-                trivial_solutions=_trivial_diagonal_pairs(rep),
-            )
-        return Verdict(
-            "NoSolutions",
-            "Theorem 1.3",
-            f"associate of {p}^{e} with p = {p % 9} mod 9 (Pépin/Sylvester/Lucas class)",
-            canon,
-            scope,
-        )
-
-    if rule == "inert-8":
-        p, e = shape.inert[0]
-        return Verdict(
-            "LiteratureSolvable",
-            "literature",
-            f"p = {p} = 8 mod 9: infinitely many rational representations of p and p²",
-            canon,
-            scope,
-            citation="Kriz (arXiv): Sylvester's conjecture for p = 8 mod 9",
-        )
-
-    if rule == "split-47":
-        pi, n, e = shape.split[0]
-        return Verdict(
-            "NoSolutions",
-            "Theorem 1.4",
-            f"irreducible of norm {n} = {n % 9} mod 9 (all associates blocked)",
-            canon,
-            scope,
-        )
-
-    if rule == "split-1mod9-primary":
-        pi, n, e = shape.split[0]
-        exc_a, _ = exceptional_A(n)
-        if not exc_a:
-            return Verdict(
-                "NoSolutions",
-                "Theorem 2.4",
-                f"primary irreducible of norm {n} = 1 mod 9, {n} not Exceptional A",
-                canon,
-                scope,
-            )
-        return _searched_unknown(
-            rep, canon, scope, budget,
-            f"norm {n} is Exceptional A; no theorem applies",
-            prefer_relation=True,
-        )
-
-    if rule == "split-1mod9-twist":
-        pi, n, e = shape.split[0]
-        return _searched_unknown(
-            rep, canon, scope, budget,
-            f"unit twist of an irreducible of norm {n} = 1 mod 9; "
-            "no theorem covers this form",
-            prefer_relation=True,
-        )
-
-    if rule == "rational-split-47":
-        p = shape.split_conjugate_pair()[0]
-        return Verdict(
-            "LiteratureSolvable",
-            "literature",
-            f"p = {p} = {p % 9} mod 9: infinitely many rational representations "
-            "of p and p² (Sylvester's conjecture, now established)",
-            canon,
-            scope,
-            citation="Elkies (announced); Dasgupta-Voight (under conditions)",
-        )
-
-    if rule == "rational-split-47-twist":
-        p = shape.split_conjugate_pair()[0]
-        assert condition_I(p), "condition (I) must hold (cubic reciprocity)"
-        return Verdict(
-            "NoSolutions",
-            "Theorem 2.2",
-            f"u·{p} and u·{p}² are not sums of two cubes (condition (I) verified)",
-            canon,
-            scope,
-        )
-
-    if rule == "rational-split-1mod9":
-        p = shape.split_conjugate_pair()[0]
-        return _searched_unknown(
-            rep, canon, scope, budget,
-            f"rational class of p = {p} = 1 mod 9: known results are conjectural",
-        )
-
-    if rule == "beta-inert-25":
-        p, e = shape.inert[0]
-        return Verdict(
-            "NoSolutions",
-            "Theorem 2.1",
-            f"beta·{p}^{e} with p = {p % 9} mod 9 (covers 9·{p}^{e} via 9 = beta·beta³)",
-            canon,
-            scope,
-        )
-
-    if rule == "beta-inert-other":
-        return _searched_unknown(
-            rep, canon, scope, budget,
-            "beta times an inert prime outside the Theorem 2.1 pattern "
-            "(unit twists of beta·p are not addressed by any theorem)",
-        )
-
-    if rule == "three-p":
-        p, e = shape.split_conjugate_pair()
-        cond = condition_I(p)
-        exc_a, _ = exceptional_A(p)
-        exc_b = exceptional_B(p)
-        if cond and not exc_a and not exc_b:
-            return Verdict(
-                "NoSolutions",
-                "Theorem 2.3",
-                f"3·{p}^{e}: condition (I) holds and {p} is neither "
-                "Exceptional A nor Exceptional B",
-                canon,
-                scope,
-            )
-        return _searched_unknown(
-            rep, canon, scope, budget,
-            f"3·{p}^{e} with {p} Exceptional (A={exc_a}, B={exc_b}); "
-            "theorem blocked, trying the Lucas construction",
-            prefer_lucas=True,
-        )
-
-    if rule in ("inert-8-twist", "three-p-twist", "no-theorem"):
-        return _searched_unknown(
-            rep, canon, scope, budget, "no theorem covers this canonical form"
-        )
-
-    raise AssertionError(f"unhandled rule {rule}")  # unreachable
 
 
 def _searched_unknown(

@@ -31,7 +31,7 @@ from .eisenstein import (
     eis_gcd,
     unit_inverse,
 )
-from .factorization import factor
+from .factorization import Factorization, cube_split
 from .search import is_rational_cube, rational_cbrt
 
 
@@ -49,11 +49,9 @@ class DescentTerminal(Exception):
 
 def is_cube(x: EisensteinInt) -> bool:
     """Whether x is a cube in Z[w]: all exponents divisible by 3 and the
-    leftover unit equal to 1 or -1 (the only unit cubes)."""
-    if x.is_zero():
-        return False
-    f = factor(x)
-    return all(e % 3 == 0 for _, e in f.factors) and f.unit in (ONE, -ONE)
+    leftover unit equal to 1 or -1 (the only unit cubes), i.e. the rest of
+    cube_split is trivial."""
+    return not x.is_zero() and cube_split(x)[1] == Factorization(ONE, ())
 
 
 def is_cube_in_K(x: KElement) -> bool:
@@ -260,19 +258,14 @@ def reduce_triple(t: Triple) -> Triple:
 
 def _unit_cube_parts(x: EisensteinInt, label: str) -> tuple[EisensteinInt, EisensteinInt]:
     """Write x = i·r³ with i in {1, w, v}; raise naming the obstruction."""
-    f = factor(x)
-    r = ONE
-    for irr, e in f.factors:
-        if e % 3 != 0:
-            raise TripleStructureError(
-                f"triple not in descent form: {label} carries ({irr})^{e} "
-                f"(exponent not divisible by 3)"
-            )
-        r = r * irr ** (e // 3)
-    i = f.unit
-    if i in (-ONE, -W, -V):
-        i, r = -i, -r
-    return i, r
+    r, rest = cube_split(x)
+    if rest.factors:
+        irr, e = rest.factors[0]
+        raise TripleStructureError(
+            f"triple not in descent form: {label} carries ({irr})^{e} "
+            f"(exponent not divisible by 3)"
+        )
+    return rest.unit, r
 
 
 def descent_step(t: Triple) -> Triple:
@@ -311,7 +304,8 @@ def descent_step(t: Triple) -> Triple:
             f"triple not in descent form: unit mismatch i != j (j/i = {j})"
         )
 
-    m_core = _non_cube_part(c)
+    c_root, c_rest = cube_split(c)
+    m_core = c_rest.value()  # the non-cube part of C, up to a unit
     for cand in (s, W * s, V * s):
         if m_core.divides(r + cand):
             s = cand
@@ -325,12 +319,7 @@ def descent_step(t: Triple) -> Triple:
     # beta-variant: all three entries are cubes and beta divides the third
     # root; then r, s can be normalised to 1, -1 mod 3 and the new entries
     # are all divisible by beta.
-    try:
-        k, tt = _unit_cube_parts(c, "C")
-        beta_case = k == ONE and BETA.divides(tt)
-    except TripleStructureError:
-        beta_case = False
-    if beta_case:
+    if c_rest == Factorization(ONE, ()) and BETA.divides(c_root):
         pair = _arrange_plus_minus(r, s)
         if pair is None:
             pair = _arrange_plus_minus(s, r)
@@ -360,14 +349,6 @@ def _primary_twist(x: EisensteinInt) -> EisensteinInt | None:
         if y.a % 3 == 1 and y.b % 3 == 0:
             return y
     return None
-
-
-def _non_cube_part(c: EisensteinInt) -> EisensteinInt:
-    """Product of the irreducibles of c to their exponents mod 3."""
-    out = ONE
-    for irr, e in factor(c).factors:
-        out = out * irr ** (e % 3)
-    return out
 
 
 @dataclass(frozen=True)

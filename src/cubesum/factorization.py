@@ -22,7 +22,9 @@ from math import gcd, isqrt
 from .eisenstein import (
     BETA,
     EisensteinInt,
-    UNITS,
+    ONE,
+    V,
+    W,
     canonical_associate,
     format_eisenstein,
     is_primary,
@@ -247,6 +249,25 @@ def factor(x: EisensteinInt) -> Factorization:
     f = Factorization(rest, tuple(factors))
     assert f.value() == x
     return f
+
+
+def cube_split(x: EisensteinInt) -> tuple[EisensteinInt, Factorization]:
+    """Write a nonzero x as root³ · rest.value(), with the unit of rest in
+    {1, w, v} and every exponent of rest 1 or 2.
+
+    rest is the cube class of x: -1 is a cube, so a unit -1, -w or -v moves
+    its sign into the root.  x is a cube of Z[w] exactly when rest is
+    Factorization(1, ()).
+    """
+    f = factor(x)
+    root = ONE
+    for irr, e in f.factors:
+        if e >= 3:
+            root = root * irr ** (e // 3)
+    unit = f.unit
+    if unit in (-ONE, -W, -V):
+        unit, root = -unit, -root
+    return root, Factorization(unit, tuple((irr, e % 3) for irr, e in f.factors if e % 3))
 
 
 def residue_split(x: EisensteinInt, pi: EisensteinInt, p: int) -> int:

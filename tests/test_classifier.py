@@ -52,6 +52,50 @@ class TestCanonicalize:
             canonicalize(0)
 
 
+# (status, tag, reason) of classify(target, "K", None) for the test_shapes
+# targets of each rule; pinned so the text of every row is covered.
+NO_THEOREM = ("Unknown", "none", "no theorem covers this canonical form")
+SHAPE_VERDICTS = {
+    "trivial-cube": ("OnlyTrivial", "Corollary 2 to Theorem 1.5",
+                     "the target is a nonzero cube; only the axis solutions exist (FLT(3))"),
+    "unit-target": ("NoSolutions", "Theorem 1.6",
+                    "a unit other than ±1 is not a sum of two cubes in K"),
+    "beta-solvable": ("HasSolutions", "beta-construction",
+                      "targets in the cube class of beta are sums of two cubes "
+                      "(x³ + y³ = 9 has infinitely many rational solutions)"),
+    "beta-blocked": ("NoSolutions", "Theorem 1.7",
+                     "an associate of beta or beta² other than ±beta is not a sum of two cubes"),
+    "inert-25": ("NoSolutions", "Theorem 1.3",
+                 "associate of 5^1 with p = 5 mod 9 (Pépin/Sylvester/Lucas class)"),
+    "inert-8": ("LiteratureSolvable", "literature",
+                "p = 17 = 8 mod 9: infinitely many rational representations of p and p²"),
+    "inert-8-twist": NO_THEOREM,
+    "split-47": ("NoSolutions", "Theorem 1.4",
+                 "irreducible of norm 7 = 7 mod 9 (all associates blocked)"),
+    "split-1mod9-primary": ("Unknown", "none", "norm 73 is Exceptional A; no theorem applies"),
+    "split-1mod9-twist": ("Unknown", "none",
+                          "unit twist of an irreducible of norm 19 = 1 mod 9; "
+                          "no theorem covers this form"),
+    "rational-split-47": ("LiteratureSolvable", "literature",
+                          "p = 7 = 7 mod 9: infinitely many rational representations of p "
+                          "and p² (Sylvester's conjecture, now established)"),
+    "rational-split-47-twist": ("NoSolutions", "Theorem 2.2",
+                                "u·7 and u·7² are not sums of two cubes "
+                                "(condition (I) verified)"),
+    "rational-split-1mod9": ("Unknown", "none",
+                             "rational class of p = 73 = 1 mod 9: known results are conjectural"),
+    "beta-inert-25": ("NoSolutions", "Theorem 2.1",
+                      "beta·5^1 with p = 5 mod 9 (covers 9·5^1 via 9 = beta·beta³)"),
+    "beta-inert-other": ("Unknown", "none",
+                         "beta times an inert prime outside the Theorem 2.1 pattern "
+                         "(unit twists of beta·p are not addressed by any theorem)"),
+    "three-p": ("NoSolutions", "Theorem 2.3",
+                "3·7^1: condition (I) holds and 7 is neither Exceptional A nor Exceptional B"),
+    "three-p-twist": NO_THEOREM,
+    "no-theorem": NO_THEOREM,
+}
+
+
 class TestRuleTable:
     def test_exactly_one_rule_fires(self):
         rng = random.Random(23)
@@ -87,6 +131,8 @@ class TestRuleTable:
     )
     def test_shapes(self, target, rule):
         assert match_rule(canonicalize(target)) == rule
+        v = classify(target, "K", None)
+        assert (v.status, v.rule, v.reason) == SHAPE_VERDICTS[rule]
 
 
 class TestVerdicts:
