@@ -127,28 +127,35 @@ class EisensteinInt:
         the nearest integer (ties away from zero); coordinate rounding alone
         only guarantees N(r) < N(m), so the 3x3 offset neighbourhood of the
         rounded point is scanned and the candidate minimising N(r) wins,
-        ties broken by lexicographic (q.a, q.b).
+        ties broken by lexicographic (q.a, q.b).  The scan runs on plain
+        integers: offset (da, db) turns the remainder r0 of the rounded
+        quotient into r0 - da·m - db·(w·m), with w·m = -mb + (ma - mb)·w.
         """
         m = _coerce(other)
         if m is NotImplemented:
             return NotImplemented
-        n = m.norm()
+        a, b, ma, mb = self.a, self.b, m.a, m.b
+        n = ma * ma - ma * mb + mb * mb
         if n == 0:
             raise ZeroDivisionError("division by zero")
-        num = self * m.conj()
-        qa0 = _round_nearest(num.a, n)
-        qb0 = _round_nearest(num.b, n)
-        best_q = best_r = None
-        best_key = None
+        # self·conj(m) with conj(m) = (ma - mb) - mb·w
+        qa0 = _round_nearest(a * (ma - mb) + b * mb, n)
+        qb0 = _round_nearest(b * ma - a * mb, n)
+        ra0 = a - qa0 * ma + qb0 * mb
+        rb0 = b - qa0 * mb - qb0 * (ma - mb)
+        # offsets in lexicographic order, so on equal norms the first
+        # candidate seen has the least (q.a, q.b)
+        best = None
         for da in (-1, 0, 1):
+            xa, xb = ra0 - da * ma, rb0 - da * mb
             for db in (-1, 0, 1):
-                q = EisensteinInt(qa0 + da, qb0 + db)
-                r = self - q * m
-                key = (r.norm(), q.a, q.b)
-                if best_key is None or key < best_key:
-                    best_key, best_q, best_r = key, q, r
-        assert 3 * best_r.norm() <= n, "Euclidean bound violated"
-        return best_q, best_r
+                ra, rb = xa + db * mb, xb - db * (ma - mb)
+                nr = ra * ra - ra * rb + rb * rb
+                if best is None or nr < best[0]:
+                    best = (nr, da, db, ra, rb)
+        nr, da, db, ra, rb = best
+        assert 3 * nr <= n, "Euclidean bound violated"
+        return EisensteinInt(qa0 + da, qb0 + db), EisensteinInt(ra, rb)
 
     def __floordiv__(self, other: "EisensteinInt | int") -> "EisensteinInt":
         return divmod(self, other)[0]

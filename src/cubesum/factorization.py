@@ -125,34 +125,39 @@ class PrimeClass:
     pi_bar: EisensteinInt | None = None
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def split_prime(p: int) -> tuple[EisensteinInt, EisensteinInt]:
     """The distinguished factor pair (pi, pi_bar) of a split prime p.
 
-    Solves a² - ab + b² = p by enumerating b up to 2·sqrt(p/3) and testing
-    the discriminant 4p - 3b² for squareness (a Cornacchia-style upgrade is
-    a straightforward extension point).  The result is cached; the cache is
-    a pure memo and safe under concurrent use.
+    Cornacchia's algorithm (Cohen, A Course in Computational Algebraic
+    Number Theory, §1.5) for p = r² + 3y²:  c = g^((p-1)/3) mod p is a
+    primitive cube root of unity for the first g = 2, 3, ... that makes it
+    differ from 1, so 2c + 1 is a square root of -3 mod p; the Euclidean
+    algorithm on (p, 2c + 1) stops at the first remainder r with r² < p.
+    Then (r + y) + 2y·w has norm r² + 3y² = p, and its distinguished
+    associate and that of its conjugate are the pair.  The result is cached
+    (at most 4096 primes); the cache is a pure memo and safe under
+    concurrent use.
     """
     if p % 3 != 1 or not is_prime(p):
         raise ValueError(f"{p} is not a split prime")
-    for b in range(1, isqrt(4 * p // 3) + 2):
-        d = 4 * p - 3 * b * b
-        if d < 0:
-            break
-        s = isqrt(d)
-        if s * s != d or (b + s) % 2:
-            continue
-        a = (b + s) // 2
-        cand = EisensteinInt(a, b)
-        assert cand.norm() == p
-        _, pi = canonical_associate(cand)
-        _, pi_conj = canonical_associate(cand.conj())
-        if pi.b < 0:
-            pi, pi_conj = pi_conj, pi
-        assert pi.b > 0 and is_primary(pi) and is_primary(pi_conj)
-        return pi, pi_conj
-    raise ArithmeticError(f"no norm representation found for {p}")  # unreachable
+    e = (p - 1) // 3
+    g = 2
+    while (c := pow(g, e, p)) == 1:
+        g += 1
+    r0, r = p, (2 * c + 1) % p
+    while r * r >= p:
+        r0, r = r, r0 % r
+    y = isqrt((p - r * r) // 3)
+    assert r * r + 3 * y * y == p, "Cornacchia found no representation"
+    cand = EisensteinInt(r + y, 2 * y)
+    assert cand.norm() == p
+    _, pi = canonical_associate(cand)
+    _, pi_conj = canonical_associate(cand.conj())
+    if pi.b < 0:
+        pi, pi_conj = pi_conj, pi
+    assert pi.b > 0 and is_primary(pi) and is_primary(pi_conj)
+    return pi, pi_conj
 
 
 def classify_rational_prime(p: int) -> PrimeClass:

@@ -56,17 +56,30 @@ class SearchBudget:
 
 
 def _icbrt(n: int) -> int:
-    """Largest-magnitude integer k with |k|³ <= |n|, carrying n's sign."""
+    """Largest-magnitude integer k with |k|³ <= |n|, carrying n's sign.
+
+    Below 2⁵³ a rounded float guess is within one of the root and is
+    corrected by single steps; above it, integer Newton steps descend to
+    the root from the power of two above it, so no float is involved and
+    the cost grows with the length of n, not its size.
+    """
     if n == 0:
         return 0
     sign = -1 if n < 0 else 1
     a = abs(n)
-    k = round(a ** (1.0 / 3.0))
-    while k > 0 and k**3 > a:
-        k -= 1
-    while (k + 1) ** 3 <= a:
-        k += 1
-    return sign * k
+    if a < 1 << 53:
+        k = round(a ** (1.0 / 3.0))
+        while k > 0 and k**3 > a:
+            k -= 1
+        while (k + 1) ** 3 <= a:
+            k += 1
+        return sign * k
+    k = 1 << -(-a.bit_length() // 3)
+    while True:
+        k1 = (2 * k + a // (k * k)) // 3
+        if k1 >= k:
+            return sign * k
+        k = k1
 
 
 def _roots_by_rounding(z: EisensteinInt, power: int) -> list[EisensteinInt]:
@@ -280,28 +293,41 @@ def relation_search(
 def flt3_exhaust(bound: int) -> list[tuple[EisensteinInt, EisensteinInt, EisensteinInt]]:
     """Scan for nonzero x, y, z in the box with x³ + y³ + z³ = 0.
 
-    Returns the (necessarily empty) list of counterexamples.  The scan
-    restricts to pairs with index(x) <= index(y); the equation is symmetric
-    in x and y, so any counterexample has a representative of that shape.
+    Returns the (necessarily empty) list of counterexamples.  Units times
+    z share z's cube, so the scan runs over the distinct cube values, each
+    pair once (the equation is symmetric in x and y); a hit lists every
+    triple of box points with those three cubes.
     """
-    cubes: list[tuple[tuple[int, int], tuple[int, int]]] = []
-    cube_index: dict[tuple[int, int], tuple[int, int]] = {}
-    for z in coordinate_box(bound):
-        if z.is_zero():
-            continue
+    # A box point is a + b·w with |a| <= bound and |b| <= 2·bound, so both
+    # coordinates of its cube are below 21·bound³ in size.  Packing c as
+    # c.a·s + c.b with s > 3·21·bound³ is linear and injective on sums of
+    # three cubes: x³ + y³ + z³ = 0 exactly when key(z) = -key(x) - key(y).
+    s = 64 * bound**3 + 1
+
+    def key(z: EisensteinInt) -> int:
         c = z.cube()
-        cubes.append(((z.a, z.b), (c.a, c.b)))
-        cube_index[(c.a, c.b)] = (z.a, z.b)
-    bad = []
-    lookup = cube_index.get
-    for i, (x, (cxa, cxb)) in enumerate(cubes):
-        for y, (cya, cyb) in cubes[i:]:
-            z = lookup((-cxa - cya, -cxb - cyb))
-            if z is not None:
-                bad.append(
-                    (EisensteinInt(*x), EisensteinInt(*y), EisensteinInt(*z))
-                )
-    return bad
+        return c.a * s + c.b
+
+    cubes = {key(z) for z in coordinate_box(bound) if not z.is_zero()}
+    keys = list(cubes)
+    hits = []
+    for i, kx in enumerate(keys):
+        if cubes.isdisjoint(map((-kx).__sub__, keys[i:])):
+            continue
+        hits += [(kx, ky, -kx - ky) for ky in keys[i:] if -kx - ky in cubes]
+    if not hits:
+        return []
+    preimages: dict[int, list[EisensteinInt]] = {}
+    for z in coordinate_box(bound):
+        if not z.is_zero():
+            preimages.setdefault(key(z), []).append(z)
+    return [
+        (x, y, z)
+        for kx, ky, kz in hits
+        for x in preimages[kx]
+        for y in preimages[ky]
+        for z in preimages[kz]
+    ]
 
 
 def cube_ap_exhaust(bound: int) -> list[tuple[int, int, int]]:
@@ -309,20 +335,20 @@ def cube_ap_exhaust(bound: int) -> list[tuple[int, int, int]]:
 
     Looks for x³ < z³ < y³ with x³ + y³ = 2z³ and 0 < |x|,|y|,|z| <= bound;
     returns the (necessarily empty) list of counterexamples (x, z, y).
+    Only x + y even can give an even x³ + y³, and z is read off a table of
+    the 2·bound nonzero cubes.
     """
+    root_of = {z**3: z for z in range(-bound, bound + 1) if z}
     bad = []
     for x in range(-bound, bound + 1):
         if x == 0:
             continue
         x3 = x**3
-        for y in range(x + 1, bound + 1):
-            if y == 0 or (x + y) % 2:
+        for y in range(x + 2, bound + 1, 2):
+            if y == 0:
                 continue
-            s = x3 + y**3
-            z = _icbrt(s // 2)
-            if z == 0 or abs(z) > bound or 2 * z**3 != s:
-                continue
-            if x3 < z**3 < y**3:
+            z = root_of.get((x3 + y**3) // 2)
+            if z is not None and x3 < z**3 < y**3:
                 bad.append((x, z, y))
     return bad
 

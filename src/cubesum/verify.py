@@ -37,6 +37,7 @@ from .eisenstein import BETA, EisensteinInt, KElement, V, W, mod9_class, ord_bet
 from .factorization import factor
 from .search import (
     SearchBudget,
+    _icbrt,
     cube_ap_exhaust,
     flt3_exhaust,
     mordell_check,
@@ -305,8 +306,7 @@ def criterion_10_property_soak() -> str:
                         continue
                     prod = a * b * c
                     n = prod.norm()
-                    k = round(n ** (1 / 3))
-                    if k**3 != n or not is_cube(prod):
+                    if _icbrt(n) ** 3 != n or not is_cube(prod):
                         continue
                     cube_triple_structure(a, b, c)  # raises if not decomposable
                     structured += 1

@@ -154,6 +154,68 @@ class TestDivmod:
         assert E(7) / E(1, 3) == E(-2, -3)
 
 
+def divmod_by_objects(l, m):
+    """The EisensteinInt-based 3x3 divmod used before the integer kernel,
+    kept as an oracle: round l·conj(m)/N(m) coordinatewise (ties away from
+    zero), then take the least (N(r), q.a, q.b) over the 3x3 neighbourhood."""
+
+    def round_nearest(a, b):
+        return (2 * a + b) // (2 * b) if a >= 0 else -((-2 * a + b) // (2 * b))
+
+    n = m.norm()
+    num = l * m.conj()
+    qa0, qb0 = round_nearest(num.a, n), round_nearest(num.b, n)
+    best_key = best = None
+    for da in (-1, 0, 1):
+        for db in (-1, 0, 1):
+            q = E(qa0 + da, qb0 + db)
+            r = l - q * m
+            key = (r.norm(), q.a, q.b)
+            if best_key is None or key < best_key:
+                best_key, best = key, (q, r)
+    return best
+
+
+class TestDivmodKernel:
+    @pytest.mark.parametrize("scale", [1, 5, 100, 10**6, 10**30])
+    def test_matches_object_oracle(self, scale):
+        rng = random.Random(scale)
+        for _ in range(2000):
+            l = E(rng.randint(-scale, scale), rng.randint(-scale, scale))
+            m = E(rng.randint(-scale, scale), rng.randint(-scale, scale))
+            if m.is_zero():
+                continue
+            assert divmod(l, m) == divmod_by_objects(l, m), (l, m)
+
+    def test_matches_on_integer_divisors(self):
+        rng = random.Random(7)
+        for _ in range(2000):
+            l = E(rng.randint(-10**4, 10**4), rng.randint(-10**4, 10**4))
+            k = rng.choice([-1, 1]) * rng.randint(1, 99)
+            assert divmod(l, k) == divmod_by_objects(l, E(k)), (l, k)
+            assert divmod(l, E(k)) == divmod_by_objects(l, E(k)), (l, k)
+
+    def test_matches_on_exact_ties(self):
+        # l/m at the midpoint of two lattice points or at the centroid of a
+        # lattice triangle: several remainders share the least norm, so the
+        # (q.a, q.b) tie-break decides
+        rng = random.Random(11)
+        ties = 0
+        for _ in range(1000):
+            h = E(rng.randint(-50, 50), rng.randint(-50, 50))
+            if h.is_zero():
+                continue
+            q = E(rng.randint(-50, 50), rng.randint(-50, 50))
+            for m, offset in ((2 * h, h), (2 * h, W * h), (2 * h, (1 + W) * h),
+                              (3 * h, (2 + W) * h), (3 * h, (1 + 2 * W) * h)):
+                l = q * m + offset
+                got = divmod(l, m)
+                assert got == divmod_by_objects(l, m), (l, m)
+                assert got[1].norm() == offset.norm()
+                ties += 1
+        assert ties > 4000
+
+
 class TestGcd:
     def test_coprime_rational_integers(self):
         g, a, b = gcd_ext(E(2), E(3))

@@ -2,10 +2,12 @@
 
 import json
 import random
+import time
+from math import isqrt
 
 import pytest
 
-from cubesum.eisenstein import BETA, EisensteinInt, ONE, UNITS, W, is_primary
+from cubesum.eisenstein import BETA, EisensteinInt, ONE, UNITS, W, canonical_associate, is_primary
 from cubesum.factorization import (
     classify_rational_prime,
     factor,
@@ -98,6 +100,52 @@ class TestClassifyRationalPrime:
         warm = split_prime(151)
         split_prime.cache_clear()
         assert split_prime(151) == warm
+
+
+def split_prime_by_scan(p):
+    """The b-scan that split_prime ran before Cornacchia, kept as an oracle:
+    solve a² - ab + b² = p by testing 4p - 3b² for squareness."""
+    for b in range(1, isqrt(4 * p // 3) + 2):
+        d = 4 * p - 3 * b * b
+        if d < 0:
+            break
+        s = isqrt(d)
+        if s * s != d or (b + s) % 2:
+            continue
+        cand = E((b + s) // 2, b)
+        _, pi = canonical_associate(cand)
+        _, pi_conj = canonical_associate(cand.conj())
+        return (pi, pi_conj) if pi.b > 0 else (pi_conj, pi)
+    raise AssertionError(f"no representation of {p}")
+
+
+class TestSplitPrimeCornacchia:
+    def test_matches_scan_below_20000(self):
+        count = 0
+        for p in range(7, 20000, 6):
+            if is_prime(p):
+                assert split_prime.__wrapped__(p) == split_prime_by_scan(p), p
+                count += 1
+        assert count == 1124
+
+    @pytest.mark.parametrize("p", [10**12 + 39, 2 * 10**25 + 11])
+    def test_large_prime_is_fast(self, p):
+        assert p % 3 == 1 and is_prime(p)
+        start = time.perf_counter()
+        pi, pi_bar = split_prime.__wrapped__(p)
+        assert time.perf_counter() - start < 1.0
+        assert pi.norm() == pi_bar.norm() == p
+        assert is_primary(pi) and is_primary(pi_bar)
+        assert pi.b > 0
+        assert pi * pi_bar == E(p)
+
+    def test_rejects_non_split(self):
+        for n in (2, 3, 5, 25, 91):
+            with pytest.raises(ValueError):
+                split_prime(n)
+
+    def test_memo_is_bounded(self):
+        assert split_prime.cache_info().maxsize == 4096
 
 
 class TestFactor:

@@ -1,5 +1,7 @@
 """Witness searches and the exhaustive corollary scans."""
 
+import time
+from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
@@ -7,10 +9,13 @@ import pytest
 from cubesum.eisenstein import BETA, EisensteinInt, KElement, V, W, coordinate_box
 from cubesum.search import (
     SearchBudget,
+    _icbrt,
     cube_ap_exhaust,
     cube_roots,
     flt3_exhaust,
+    is_rational_cube,
     mordell_check,
+    rational_cbrt,
     relation_search,
     search_eisenstein,
     search_rational,
@@ -24,6 +29,34 @@ def E(a, b=0):
 
 def K(a, d=1):
     return KElement(E(a) if isinstance(a, int) else a, d)
+
+
+class TestIcbrt:
+    def test_exact_below_float_range(self):
+        for k in list(range(0, 300)) + [2**17 - 1, 2**17, 208063, 208064]:
+            for n in (k**3 - 1, k**3, k**3 + 1):
+                if n >= 0:
+                    assert _icbrt(n) ** 3 <= n < (_icbrt(n) + 1) ** 3, n
+                    assert _icbrt(-n) == -_icbrt(n)
+
+    def test_huge_cube_returns_fast(self):
+        start = time.perf_counter()
+        assert _icbrt(10**90) == 10**30
+        assert _icbrt(10**90 - 1) == 10**30 - 1
+        assert _icbrt(-(10**90)) == -(10**30)
+        assert time.perf_counter() - start < 1.0
+
+    def test_beyond_double_range(self):
+        start = time.perf_counter()
+        assert is_rational_cube(Fraction(10**402))
+        assert not is_rational_cube(Fraction(10**402 + 1))
+        assert rational_cbrt(Fraction(10**402, 27)) == Fraction(10**134, 3)
+        assert time.perf_counter() - start < 1.0
+
+    def test_around_two_to_the_53(self):
+        for k in (208063, 208064, 208065, 10**6, 3 * 10**6 + 1, 10**20 + 7):
+            for n in (k**3 - 1, k**3, k**3 + 1):
+                assert _icbrt(n) == (k if n >= k**3 else k - 1), n
 
 
 class TestCubeRoots:
@@ -168,6 +201,23 @@ class TestFlt3:
 
     def test_empty_at_ten(self):
         assert flt3_exhaust(10) == []
+
+    def test_scan_lists_planted_solutions(self, monkeypatch):
+        # with cube() replaced by the identity the scan solves x + y + z = 0,
+        # which has many solutions: every one must be listed, each unordered
+        # pair {x, y} once
+        monkeypatch.setattr(EisensteinInt, "cube", lambda self: self)
+        bound = 3
+        box = [z for z in coordinate_box(bound) if not z.is_zero()]
+        want = {
+            (frozenset((x, y)), -x - y)
+            for x in box
+            for y in box
+            if -x - y in box
+        }
+        got = flt3_exhaust(bound)
+        assert len(got) == len(want)
+        assert {(frozenset((x, y)), z) for x, y, z in got} == want
 
     def test_scanner_sanity_inverted(self):
         # x³ + y³ - z³ = 0 allowing x = z has the trivial y = 0 family;
