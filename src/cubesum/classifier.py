@@ -389,11 +389,8 @@ def _orient(m: EisensteinInt) -> tuple[EisensteinInt, Callable[[Pair], Pair]]:
         (-m.conj(), _NEGCONJ),
     ]
     positives = [(x, t) for x, t in candidates if _lex_positive(x)]
-    rep, transform = min(positives, key=lambda xt: (xt[0].a, xt[0].b))
-    for x, t in positives:  # prefer earlier transforms on exact ties
-        if x == rep:
-            return x, t
-    return rep, transform
+    # min keeps the first of equal candidates, i.e. the earliest transform
+    return min(positives, key=lambda xt: (xt[0].a, xt[0].b))
 
 
 # -- witness construction helpers --------------------------------------------
@@ -460,14 +457,8 @@ def classify(
     """
     if scope not in ("Q", "K"):
         raise ValueError("scope must be 'Q' or 'K'")
-    if isinstance(m, int):
-        m = EisensteinInt(m, 0)
-    if isinstance(m, KElement):
-        denominator = m.den
-        m_int = _integral_target(m)
-    else:
-        denominator = 1
-        m_int = _integral_target(m)
+    denominator = m.den if isinstance(m, KElement) else 1
+    m_int = _integral_target(m)
     if scope == "Q" and not m_int.is_rational():
         raise ValueError("scope Q requires a rational target")
 

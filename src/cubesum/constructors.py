@@ -29,6 +29,7 @@ from .eisenstein import (
     V,
     W,
     eis_gcd,
+    is_primary,
     unit_inverse,
 )
 from .factorization import Factorization, cube_split
@@ -346,7 +347,7 @@ def _primary_twist(x: EisensteinInt) -> EisensteinInt | None:
     Cube-root-of-unity twists leave x³ unchanged."""
     for zeta in (ONE, W, V):
         y = zeta * x
-        if y.a % 3 == 1 and y.b % 3 == 0:
+        if is_primary(y):
             return y
     return None
 

@@ -297,7 +297,7 @@ def canonical_associate(x: EisensteinInt) -> tuple[EisensteinInt, EisensteinInt]
     if w0 is None:
         for zeta in UNITS:
             t = zeta * w
-            if t.a % 3 == 1 and t.b % 3 == 0:
+            if is_primary(t):
                 w0 = t
                 break
     assert w0 is not None, "every class coprime to beta has a primary member"

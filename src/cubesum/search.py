@@ -20,12 +20,12 @@ the scan is scheduled.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
 from .eisenstein import (
+    BETA,
     EisensteinInt,
     KElement,
     V,
@@ -35,11 +35,6 @@ from .eisenstein import (
     in_coordinate_box,
     spiral,
 )
-
-_W_COMPLEX = complex(-0.5, 3**0.5 / 2)
-_ROTATIONS3 = (complex(1, 0), _W_COMPLEX, _W_COMPLEX * _W_COMPLEX)
-_ROTATIONS2 = (complex(1, 0),)
-
 
 @dataclass(frozen=True)
 class SearchBudget:
@@ -82,65 +77,58 @@ def _icbrt(n: int) -> int:
         k = k1
 
 
-def _roots_by_rounding(z: EisensteinInt, power: int) -> list[EisensteinInt]:
-    """Exact solutions y of y^power = z for power in {2, 3}.
+def cube_roots(z: EisensteinInt) -> list[EisensteinInt]:
+    """All y in Z[w] with y³ = z, exactly verified: [0] for z = 0, else
+    none or three, ordered by (a, b).
 
-    Cheap rejection first: N(y)^power = N(z), so N(z) must be a perfect
-    power.  Survivors are found by rounding the complex roots to the
-    lattice (the roots landing in Z[w] are unit rotations of each other)
-    and verified exactly; a 3x3 neighbourhood guards against rounding
-    error.  No false positives are possible (everything is verified), and
-    a root can only be missed when its magnitude exceeds the double-
-    precision rounding horizon (~1e15) -- far beyond any root the box
-    searches could accept, so the scans stay exactly equivalent to their
-    naive counterparts.
+    N(y)³ = N(z) rejects most z at once.  Otherwise, with k = N(y), the
+    traces t = Tr y = 2a - b of the three roots y, w·y, v·y are the roots
+    of t³ - 3k·t = Tr z.  The largest lies in [√k, 2√k], where the cubic
+    increases, so integer bisection finds it; then 3b² = 4k - t² and
+    a = (t + b)/2 give y up to conjugation.
     """
     if z.is_zero():
         return [EisensteinInt(0, 0)]
     n = z.norm()
-    if power == 3:
-        k = _icbrt(n)
-        if k**3 != n:
-            return []
-        rotations = _ROTATIONS3
-    else:
-        k = isqrt(n)
-        if k * k != n:
-            return []
-        rotations = _ROTATIONS2
-    zc = complex(z.a, 0) + z.b * _W_COMPLEX
-    r = abs(zc) ** (1.0 / power)
-    theta = cmath.phase(zc) / power
-    base = cmath.rect(r, theta)
-    roots: list[EisensteinInt] = []
-    for rot in rotations:
-        c = base * rot
-        b0 = c.imag / _W_COMPLEX.imag
-        a0 = c.real - b0 * _W_COMPLEX.real
-        a0, b0 = round(a0), round(b0)
-        for da in (-1, 0, 1):
-            for db in (-1, 0, 1):
-                cand = EisensteinInt(a0 + da, b0 + db)
-                if cand.norm() != k:
-                    continue
-                if cand**power == z and cand not in roots:
-                    roots.append(cand)
-    if power == 2 and roots:
-        r0 = roots[0]
-        if -r0 not in roots:
-            roots.append(-r0)
-    roots.sort(key=lambda c: (c.a, c.b))
-    return roots
-
-
-def cube_roots(z: EisensteinInt) -> list[EisensteinInt]:
-    """All y in Z[w] with y³ = z (zero or three of them, exactly verified)."""
-    return _roots_by_rounding(z, 3)
+    k = _icbrt(n)
+    if k**3 != n:
+        return []
+    tr = 2 * z.a - z.b
+    # every t tried exceeds isqrt(k), so is at least √k
+    lo = isqrt(k)
+    hi = 2 * lo + 2
+    while lo < hi:
+        t = (lo + hi + 1) // 2
+        if t * (t * t - 3 * k) <= tr:
+            lo = t
+        else:
+            hi = t - 1
+    b = isqrt((4 * k - lo * lo) // 3)
+    for y in (EisensteinInt((lo + b) // 2, b), EisensteinInt((lo - b) // 2, -b)):
+        if y.cube() == z:
+            return sorted((y, W * y, V * y), key=lambda c: (c.a, c.b))
+    return []
 
 
 def square_roots(z: EisensteinInt) -> list[EisensteinInt]:
-    """All y in Z[w] with y² = z (zero or two of them)."""
-    return _roots_by_rounding(z, 2)
+    """All y in Z[w] with y² = z, exactly verified: [0] for z = 0, else
+    none or two, ordered by (a, b).
+
+    With k = N(y) = √N(z), y² + k = y·Tr y and (Tr y)² = Tr z + 2k, so the
+    root of trace t = √(Tr z + 2k) > 0 is (z + k)/t; a root of trace 0 is
+    a multiple of beta, with z = -3a² for y = a·beta.
+    """
+    if z.is_zero():
+        return [EisensteinInt(0, 0)]
+    n = z.norm()
+    k = isqrt(n)
+    if k * k != n:
+        return []
+    t = isqrt(2 * z.a - z.b + 2 * k)
+    y = EisensteinInt((z.a + k) // t, z.b // t) if t else isqrt(k // 3) * BETA
+    if y * y != z:
+        return []
+    return sorted((y, -y), key=lambda c: (c.a, c.b))
 
 
 def is_rational_cube(q: Fraction) -> bool:

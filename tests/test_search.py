@@ -1,12 +1,17 @@
 """Witness searches and the exhaustive corollary scans."""
 
+import cmath
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
 
-from cubesum.eisenstein import BETA, EisensteinInt, KElement, V, W, coordinate_box
+from cubesum.eisenstein import BETA, UNITS, EisensteinInt, KElement, V, W, coordinate_box
+from cubesum.factorization import split_prime
 from cubesum.search import (
     SearchBudget,
     _icbrt,
@@ -59,9 +64,19 @@ class TestIcbrt:
                 assert _icbrt(n) == (k if n >= k**3 else k - 1), n
 
 
+# x = (10^e + 3) + 7w for e in HUGE_EXPONENTS: far past the double-precision
+# horizon of any rounding-based root finder
+HUGE_EXPONENTS = (15, 20, 30, 60)
+
+
+def by_coords(roots):
+    return sorted(roots, key=lambda c: (c.a, c.b))
+
+
 class TestCubeRoots:
     def test_rational_cube(self):
         assert set(cube_roots(E(8))) == {E(2), 2 * W, 2 * V}
+        assert cube_roots(E(0)) == [E(0)]
 
     def test_beta_cubed(self):
         roots = set(cube_roots(BETA**3))
@@ -70,23 +85,163 @@ class TestCubeRoots:
     def test_non_cube(self):
         assert cube_roots(E(2)) == []
         assert cube_roots(E(1, 1)) == []
+        # norm p³, a cube, but not a cube: the exponents of pi and conj(pi)
+        # are not multiples of three
+        pi, pi_bar = split_prime(7)
+        for u in UNITS:
+            assert (u * pi * pi_bar**2).norm() == 7**3
+            assert cube_roots(u * pi * pi_bar**2) == []
+            assert cube_roots(u * pi**2 * pi_bar) == []
 
     def test_soak(self):
         import random
 
         rng = random.Random(18)
-        for _ in range(500):
-            x = E(rng.randint(-50, 50), rng.randint(-50, 50))
+        xs = [E(rng.randint(-50, 50), rng.randint(-50, 50)) for _ in range(500)]
+        start = time.perf_counter()
+        for x in xs + [E(10**e + 3, 7) for e in HUGE_EXPONENTS]:
             roots = cube_roots(x**3)
             assert x in roots
             assert all(r**3 == x**3 for r in roots)
             if not x.is_zero():
-                assert len(roots) == 3
+                assert roots == by_coords({x, W * x, V * x})
+        assert time.perf_counter() - start < 1.0
 
     def test_square_roots(self):
         assert set(square_roots(E(9))) == {E(3), E(-3)}
         assert set(square_roots(BETA**2)) == {BETA, -BETA}
         assert square_roots(E(2)) == []
+        assert square_roots(E(0)) == [E(0)]
+        start = time.perf_counter()
+        for e in HUGE_EXPONENTS:
+            x = E(10**e + 3, 7)
+            assert square_roots(x * x) == by_coords({x, -x})
+            # square norm, but -1 is not a square in Z[w]
+            assert square_roots(-x * x) == []
+        # y = a·beta has trace 0 and y² = -3a²
+        for a in (1, 2, 5, 10**40 + 1):
+            assert square_roots(E(-3 * a * a)) == by_coords({a * BETA, -a * BETA})
+        assert time.perf_counter() - start < 1.0
+
+
+_W_COMPLEX = complex(-0.5, 3**0.5 / 2)
+_ROTATIONS3 = (complex(1, 0), _W_COMPLEX, _W_COMPLEX * _W_COMPLEX)
+_ROTATIONS2 = (complex(1, 0),)
+
+
+def _roots_by_rounding(z: EisensteinInt, power: int) -> list[EisensteinInt]:
+    """Exact solutions y of y^power = z for power in {2, 3}.
+
+    Cheap rejection first: N(y)^power = N(z), so N(z) must be a perfect
+    power.  Survivors are found by rounding the complex roots to the
+    lattice (the roots landing in Z[w] are unit rotations of each other)
+    and verified exactly; a 3x3 neighbourhood guards against rounding
+    error.  No false positives are possible (everything is verified), and
+    a root can only be missed when its magnitude exceeds the double-
+    precision rounding horizon (~1e15) -- far beyond any root the box
+    searches could accept, so the scans stay exactly equivalent to their
+    naive counterparts.
+    """
+    if z.is_zero():
+        return [EisensteinInt(0, 0)]
+    n = z.norm()
+    if power == 3:
+        k = _icbrt(n)
+        if k**3 != n:
+            return []
+        rotations = _ROTATIONS3
+    else:
+        k = isqrt(n)
+        if k * k != n:
+            return []
+        rotations = _ROTATIONS2
+    zc = complex(z.a, 0) + z.b * _W_COMPLEX
+    r = abs(zc) ** (1.0 / power)
+    theta = cmath.phase(zc) / power
+    base = cmath.rect(r, theta)
+    roots: list[EisensteinInt] = []
+    for rot in rotations:
+        c = base * rot
+        b0 = c.imag / _W_COMPLEX.imag
+        a0 = c.real - b0 * _W_COMPLEX.real
+        a0, b0 = round(a0), round(b0)
+        for da in (-1, 0, 1):
+            for db in (-1, 0, 1):
+                cand = EisensteinInt(a0 + da, b0 + db)
+                if cand.norm() != k:
+                    continue
+                if cand**power == z and cand not in roots:
+                    roots.append(cand)
+    if power == 2 and roots:
+        r0 = roots[0]
+        if -r0 not in roots:
+            roots.append(-r0)
+    roots.sort(key=lambda c: (c.a, c.b))
+    return roots
+
+
+class TestRootsAgainstRoundingOracle:
+    """The complex-double root finder that cube_roots and square_roots
+    replaced, kept as an oracle at magnitudes where it is exact: the lists
+    must agree, order included."""
+
+    def test_box_scan_inputs(self):
+        # every z = m·d³ - xi³ that search_eisenstein hands to cube_roots
+        box_cubes = [xi.cube() for xi in coordinate_box(10)]
+        roots_found = 0
+        for m in (E(2), E(9), E(0, 18), BETA, E(1, 9), W * E(-2, 3)):
+            for d in range(1, 10):
+                for c in box_cubes:
+                    z = m * d**3 - c
+                    got = cube_roots(z)
+                    assert got == _roots_by_rounding(z, 3), z
+                    roots_found += bool(got)
+        assert roots_found > 50
+
+    def test_small_grid(self):
+        for a in range(-40, 41):
+            for b in range(-40, 41):
+                z = E(a, b)
+                assert cube_roots(z) == _roots_by_rounding(z, 3), z
+                assert square_roots(z) == _roots_by_rounding(z, 2), z
+
+    def test_powers_and_neighbours(self):
+        import random
+
+        rng = random.Random(4)
+        for _ in range(1000):
+            x = E(rng.randint(-10**4, 10**4), rng.randint(-10**4, 10**4))
+            for z in (x.cube(), x * x):
+                for zz in (z, z + 1, z - 1, -z, BETA * z):
+                    assert cube_roots(zz) == _roots_by_rounding(zz, 3), zz
+                    assert square_roots(zz) == _roots_by_rounding(zz, 2), zz
+
+
+def test_roots_verified_without_assert():
+    """cube_roots and square_roots verify exactly under python -O, where
+    assert statements are stripped."""
+    code = (
+        "from cubesum.eisenstein import EisensteinInt as E\n"
+        "from cubesum.factorization import split_prime\n"
+        "from cubesum.search import cube_roots, square_roots\n"
+        "assert False, 'asserts must be stripped'\n"
+        "x = E(10**60 + 3, 7)\n"
+        "if x not in cube_roots(x**3) or len(cube_roots(x**3)) != 3:\n"
+        "    raise SystemExit('huge cube')\n"
+        "pi, pi_bar = split_prime(7)\n"
+        "if cube_roots(pi * pi_bar**2) != []:\n"
+        "    raise SystemExit('cube norm, not a cube')\n"
+        "if square_roots(-pi * pi) != []:\n"
+        "    raise SystemExit('square norm, not a square')\n"
+        "print('ok')\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr or out.stdout
+    assert out.stdout == "ok\n"
 
 
 def naive_rational_search(m: int, denom_bound: int):
