@@ -33,7 +33,7 @@ from .eisenstein import (
     unit_inverse,
 )
 from .factorization import Factorization, cube_split
-from .search import is_rational_cube, rational_cbrt
+from .search import _icbrt, is_rational_cube, rational_cbrt
 
 
 def _as_k(m) -> KElement:
@@ -152,6 +152,7 @@ def lucas_triple_search(m: int, bound: int) -> tuple[int, int] | None:
     a·b·(-a-b)/m a nonzero rational cube; None if the bound is exhausted.
 
     Within one magnitude class the negative candidate is scanned first.
+    abc/m = abc·m²/m³ is a rational cube exactly when abc·m² is an integer cube.
     """
     if m == 0:
         raise ValueError("target must be nonzero")
@@ -165,7 +166,8 @@ def lucas_triple_search(m: int, bound: int) -> tuple[int, int] | None:
                     c = -a - b
                     if c == 0:
                         continue
-                    if is_rational_cube(Fraction(a * b * c, m)):
+                    n = a * b * c * m * m
+                    if _icbrt(n) ** 3 == n:
                         return a, b
     return None
 

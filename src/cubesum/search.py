@@ -8,14 +8,14 @@ classical corollaries:
     the divisors of M·d³ and each divisor leaves one quadratic in a whose
     discriminant is tested for squareness.  No numerator box, so spread
     witnesses like 17 = (18/7)³ - (1/7)³ appear at tiny budgets.
-  * search_eisenstein: a box scan over numerators (documented incomplete:
-    absence of hits is never evidence of non-existence).
+  * search_eisenstein: the same divisor search in Z[w], complete inside a
+    coordinate box per denominator; an empty result proves nothing.
   * relation_search: first (r, s, t) with w·r³ + v·s³ + M·t³ = 0.
 
-Scan boxes are over the {w, v} coordinates; hit lists are ordered by
+Boxes are over the {w, v} coordinates; hit lists are ordered by
 denominator ascending, then numerators descending lexicographically, so
 identical budgets always yield identical ordered results regardless of how
-the scan is scheduled.
+the divisors are enumerated.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .eisenstein import (
     BETA,
     EisensteinInt,
     KElement,
+    UNITS,
     V,
     W,
     coordinate_box,
@@ -35,6 +36,7 @@ from .eisenstein import (
     in_coordinate_box,
     spiral,
 )
+from .factorization import factor, factor_int
 
 @dataclass(frozen=True)
 class SearchBudget:
@@ -156,6 +158,21 @@ def witness_sort_key(pair: tuple[KElement, KElement]):
     return (d, -x.num.a * sx, -x.num.b * sx, -y.num.a * sy, -y.num.b * sy)
 
 
+def _divisors(units, target, denom, cap=None):
+    """The divisors u·∏ q^k of target·denom³, u in units, each once by unique
+    factorization; target and denom are (prime, exponent) pairs over Z or
+    Z[w].  With a cap (Z[w] only), just those of norm at most cap."""
+    exponents = dict(target)
+    for q, k in denom:
+        exponents[q] = exponents.get(q, 0) + 3 * k
+    divs = [(1, 1)]
+    for q, top in exponents.items():
+        nq = q.norm() if cap else 1
+        divs = [(v * q**k, n * nq**k) for v, n in divs for k in range(top + 1)
+                if not cap or n * nq**k <= cap]
+    return [u * v for u in units for v, _ in divs]
+
+
 def search_rational(m: int, denom_bound: int) -> list[tuple[KElement, KElement]]:
     """All rational solutions of x³ + y³ = m with common denominator <= bound.
 
@@ -164,14 +181,14 @@ def search_rational(m: int, denom_bound: int) -> list[tuple[KElement, KElement]]
     """
     if m == 0:
         raise ValueError("target must be nonzero")
-    hits: set[tuple[int, int, int]] = set()
+    target = factor_int(m).items()
+    # a² - ab + b² > 0, so a + b carries the sign of m
+    sign = (1 if m > 0 else -1,)
+    hits: set[tuple[KElement, KElement]] = set()
     for d in range(1, denom_bound + 1):
         n = m * d**3
-        for e in _signed_divisors(n):
-            f = n // e
-            if f <= 0:
-                continue
-            disc = 12 * f - 3 * e * e
+        for e in _divisors(sign, target, factor_int(d).items()):
+            disc = 12 * (n // e) - 3 * e * e
             if disc < 0:
                 continue
             s = isqrt(disc)
@@ -182,31 +199,12 @@ def search_rational(m: int, denom_bound: int) -> list[tuple[KElement, KElement]]
                     continue
                 a = num // 6
                 b = e - a
-                if gcd(gcd(abs(a), abs(b)), d) == 1:
-                    hits.add((a, b, d))
-    pairs = [
-        (KElement.from_rational(a, d), KElement.from_rational(b, d))
-        for a, b, d in hits
-    ]
-    for x, y in pairs:
-        assert x**3 + y**3 == KElement(m)
-    pairs.sort(key=witness_sort_key)
-    return pairs
-
-
-def _signed_divisors(n: int) -> list[int]:
-    """Divisors of n carrying n's sign (so that n/e > 0)."""
-    sign = -1 if n < 0 else 1
-    n = abs(n)
-    small, large = [], []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            small.append(sign * i)
-            if i != n // i:
-                large.append(sign * (n // i))
-        i += 1
-    return small + large[::-1]
+                if gcd(a, b, d) == 1:
+                    hits.add((KElement.from_rational(a, d), KElement.from_rational(b, d)))
+    for x, y in hits:
+        if x**3 + y**3 != m:
+            raise ArithmeticError(f"search hit ({x}, {y}) does not sum to {m}")
+    return sorted(hits, key=witness_sort_key)
 
 
 def search_eisenstein(
@@ -217,39 +215,39 @@ def search_eisenstein(
 ) -> list[tuple[KElement, KElement]]:
     """Solutions of x³ + y³ = m with both numerators in the coordinate box.
 
-    Equivalent to the naive double box scan, but the inner loop recovers y
-    from y³ = m·d³ - x³ by exact cube-root extraction, so the cost is one
-    box per denominator instead of a box squared.
+    search_rational's divisor search in Z[w]: e = xi + eta runs over the
+    divisors of m·d³ of norm <= 12·bound² (box points have norm <= 3·bound²),
+    f = m·d³/e and xi = (3e ± √(12f - 3e²))/6; filtered to the box, this is
+    the naive double box scan, complete inside the box per denominator.
 
-    With stop_at_first_denominator the scan returns after the smallest
+    With stop_at_first_denominator the search returns after the smallest
     denominator that yields hits; since the result order is denominator-
     major, the leading hit is the same either way.
     """
     if m.is_zero():
         raise ValueError("target must be nonzero")
-    box_cubes = [(xi, xi.cube()) for xi in coordinate_box(coord_bound)]
+    target = factor(m).factors
+    cap = 12 * coord_bound**2
     hits: list[tuple[KElement, KElement]] = []
-    seen: set[tuple[int, int, int, int, int]] = set()
     for d in range(1, denom_bound + 1):
-        target = m * d**3
-        for xi, xi3 in box_cubes:
-            z = target - xi3
-            for eta in cube_roots(z):
-                if not in_coordinate_box(eta, coord_bound):
+        md3 = m * d**3
+        for e in _divisors(UNITS, target, factor(EisensteinInt(d, 0)).factors, cap):
+            for s in square_roots(12 * (md3 / e) - 3 * e * e):
+                num = 3 * e + s
+                if num.a % 6 or num.b % 6:
                     continue
-                if gcd(gcd(abs(xi.a), abs(xi.b)), gcd(gcd(abs(eta.a), abs(eta.b)), d)) != 1:
+                xi = EisensteinInt(num.a // 6, num.b // 6)
+                eta = e - xi
+                if not (in_coordinate_box(xi, coord_bound) and in_coordinate_box(eta, coord_bound)
+                        and gcd(xi.a, xi.b, eta.a, eta.b, d) == 1):
                     continue
-                key = (xi.a, xi.b, eta.a, eta.b, d)
-                if key in seen:
-                    continue
-                seen.add(key)
                 x, y = KElement(xi, d), KElement(eta, d)
-                assert x**3 + y**3 == KElement(m)
+                if x**3 + y**3 != m:
+                    raise ArithmeticError(f"search hit ({x}, {y}) does not sum to {m}")
                 hits.append((x, y))
         if hits and stop_at_first_denominator:
             break
-    hits.sort(key=witness_sort_key)
-    return hits
+    return sorted(hits, key=witness_sort_key)
 
 
 def relation_search(

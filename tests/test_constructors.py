@@ -23,6 +23,7 @@ from cubesum.constructors import (
     triple_from_solution,
 )
 from cubesum.eisenstein import BETA, EisensteinInt, KElement, ONE, V, W
+from cubesum.search import is_rational_cube
 
 
 def E(a, b=0):
@@ -144,6 +145,25 @@ class TestLucasTripleSearch:
     def test_absent_for_blocked_target(self):
         # 5 is not a sum of two rational cubes, so no triple can exist
         assert lucas_triple_search(5, 20) is None
+
+    def test_matches_fraction_scan(self):
+        # the Fraction test the integer-cube test replaced, kept as an oracle
+        def fraction_scan(m, bound):
+            for s in range(2, 2 * bound + 1):
+                for abs_a in range(1, min(s - 1, bound) + 1):
+                    abs_b = s - abs_a
+                    if abs_b > bound:
+                        continue
+                    for a in (-abs_a, abs_a):
+                        for b in (-abs_b, abs_b):
+                            c = -a - b
+                            if c and is_rational_cube(Fraction(a * b * c, m)):
+                                return a, b
+            return None
+
+        for m in range(-40, 41):
+            if m:
+                assert lucas_triple_search(m, 16) == fraction_scan(m, 16), m
 
 
 class TestTangentSecant:

@@ -10,7 +10,16 @@ from math import gcd, isqrt
 
 import pytest
 
-from cubesum.eisenstein import BETA, UNITS, EisensteinInt, KElement, V, W, coordinate_box
+from cubesum.eisenstein import (
+    BETA,
+    UNITS,
+    EisensteinInt,
+    KElement,
+    V,
+    W,
+    coordinate_box,
+    in_coordinate_box,
+)
 from cubesum.factorization import split_prime
 from cubesum.search import (
     SearchBudget,
@@ -25,6 +34,7 @@ from cubesum.search import (
     search_eisenstein,
     search_rational,
     square_roots,
+    witness_sort_key,
 )
 
 
@@ -244,6 +254,36 @@ def test_roots_verified_without_assert():
     assert out.stdout == "ok\n"
 
 
+def test_search_hits_verified_without_assert():
+    """A hit that does not sum to the target raises under python -O: a
+    wrong square root in the Eisenstein search, and a factorization with a
+    non-divisor in the rational search (e = 2 against 9 leaves f = 9 // 2
+    = 4, and the square 12·4 - 3·2² = 6² gives the pair (2, 0))."""
+    code = (
+        "from cubesum import search\n"
+        "from cubesum.eisenstein import EisensteinInt as E\n"
+        "assert False, 'asserts must be stripped'\n"
+        "search.square_roots = lambda z: [E(3)]\n"
+        "search.factor_int = lambda n: {2: 1}\n"
+        "for call in (lambda: search.search_eisenstein(E(2), 3, 1),\n"
+        "             lambda: search.search_rational(9, 1)):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ArithmeticError as err:\n"
+        "        if 'does not sum to' in str(err):\n"
+        "            continue\n"
+        "    raise SystemExit('unverified hit')\n"
+        "print('ok')\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr or out.stdout
+    assert out.stdout == "ok\n"
+
+
 def naive_rational_search(m: int, denom_bound: int):
     """Complete double-loop oracle for |numerators| within the provable
     bound |a| <= sqrt(4f/3) <= sqrt(4|m·d³|/3)."""
@@ -293,6 +333,42 @@ class TestSearchRational:
     def test_determinism(self):
         assert search_rational(91, 10) == search_rational(91, 10)
 
+    def test_huge_target_returns_fast(self):
+        # 6 = (37/21)³ + (17/21)³ scaled by (7¹⁰⁰)³: the divisors of
+        # 6·7³⁰⁰·d³ come from its factorization, not from trial division
+        start = time.perf_counter()
+        hits = search_rational(6 * 7**300, 3)
+        assert time.perf_counter() - start < 1.0
+        assert hits[0] == (K(37 * 7**99, 3), K(17 * 7**99, 3))
+
+
+def _box_scan(m, coord_bound, denom_bound, stop_at_first_denominator=False):
+    """The box scan that search_eisenstein replaced, kept as an oracle: for
+    each box point xi, eta comes from eta³ = m·d³ - xi³ by cube_roots."""
+    box_cubes = [(xi, xi.cube()) for xi in coordinate_box(coord_bound)]
+    hits = []
+    seen = set()
+    for d in range(1, denom_bound + 1):
+        target = m * d**3
+        for xi, xi3 in box_cubes:
+            z = target - xi3
+            for eta in cube_roots(z):
+                if not in_coordinate_box(eta, coord_bound):
+                    continue
+                if gcd(gcd(abs(xi.a), abs(xi.b)), gcd(gcd(abs(eta.a), abs(eta.b)), d)) != 1:
+                    continue
+                key = (xi.a, xi.b, eta.a, eta.b, d)
+                if key in seen:
+                    continue
+                seen.add(key)
+                x, y = KElement(xi, d), KElement(eta, d)
+                assert x**3 + y**3 == KElement(m)
+                hits.append((x, y))
+        if hits and stop_at_first_denominator:
+            break
+    hits.sort(key=witness_sort_key)
+    return hits
+
 
 class TestSearchEisenstein:
     def test_18w(self):
@@ -319,6 +395,21 @@ class TestSearchEisenstein:
                                    gcd(gcd(abs(y.a), abs(y.b)), d)) == 1:
                                 naive.add((KElement(x, d), KElement(y, d)))
             assert set(search_eisenstein(m, coord, denom)) == naive, str(m)
+
+    def test_matches_box_scan_oracle(self):
+        pi, _ = split_prime(19)
+        cases = [(E(a, b), 4, 3) for a in range(-8, 9) for b in range(-8, 9) if a or b]
+        cases += [(m, 30, 3) for m in (E(1, 9), E(0, 18), W * pi, E(7), BETA)]
+        # x = x at the box corner: x + x has the largest norm the cap lets in
+        corner = EisensteinInt.from_uv(4, -4)
+        cases.append((2 * corner.cube(), 4, 2))
+        found = 0
+        for m, coord, denom in cases:
+            for stop in (False, True):
+                got = search_eisenstein(m, coord, denom, stop)
+                assert got == _box_scan(m, coord, denom, stop), (m, stop)
+                found += bool(got)
+        assert found > 20
 
     def test_stop_at_first_denominator_keeps_leading_hit(self):
         full = search_eisenstein(E(9), 4, 3)
