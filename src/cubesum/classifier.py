@@ -527,24 +527,13 @@ def _searched_unknown(
     then descending numerators, so the result is deterministic.
     """
     if budget is not None:
-        attempts: list[Callable[[], tuple[str, Pair] | None]] = []
-        lucas_queued = relation_queued = False
-        if prefer_lucas and rep.is_rational():
-            attempts.append(lambda: _try_lucas(rep))
-            lucas_queued = True
-        if prefer_relation and scope == "K":
-            attempts.append(lambda: _try_relation(rep, budget))
-            relation_queued = True
-        if rep.is_rational():
-            attempts.append(lambda: _try_rational(rep, budget))
-            if not lucas_queued:
-                attempts.append(lambda: _try_lucas(rep))
-        if scope == "K":
-            attempts.append(lambda: _try_box(rep, budget))
-            if not relation_queued:
-                attempts.append(lambda: _try_relation(rep, budget))
-        for attempt in attempts:
-            hit = attempt()
+        preferred = [_try_lucas] * prefer_lucas + [_try_relation] * prefer_relation
+        rational, over_k = rep.is_rational(), scope == "K"
+        applies = {_try_lucas: rational, _try_rational: rational,
+                   _try_box: over_k, _try_relation: over_k}
+        ordered = preferred + [_try_rational, _try_lucas, _try_box, _try_relation]
+        for attempt in dict.fromkeys(a for a in ordered if applies[a]):
+            hit = attempt(rep, budget)
             if hit is not None:
                 rule, witness = hit
                 return Verdict(
@@ -565,7 +554,8 @@ def _try_rational(rep: EisensteinInt, budget: SearchBudget) -> tuple[str, Pair] 
     return None
 
 
-def _try_lucas(rep: EisensteinInt) -> tuple[str, Pair] | None:
+def _try_lucas(rep: EisensteinInt, budget: SearchBudget) -> tuple[str, Pair] | None:
+    # the Lucas scan has its own fixed bound, not a budget field
     pair = lucas_triple_search(rep.a, LUCAS_SEARCH_BOUND)
     if pair is not None:
         return "Lucas-construction", lucas_witness(pair[0], pair[1], rep.a)

@@ -33,7 +33,7 @@ from .eisenstein import (
     unit_inverse,
 )
 from .factorization import Factorization, cube_split
-from .search import _icbrt, is_rational_cube, rational_cbrt
+from .search import _icbrt, cube_roots, is_rational_cube, rational_cbrt
 
 
 def _as_k(m) -> KElement:
@@ -49,10 +49,9 @@ class DescentTerminal(Exception):
 
 
 def is_cube(x: EisensteinInt) -> bool:
-    """Whether x is a cube in Z[w]: all exponents divisible by 3 and the
-    leftover unit equal to 1 or -1 (the only unit cubes), i.e. the rest of
-    cube_split is trivial."""
-    return not x.is_zero() and cube_split(x)[1] == Factorization(ONE, ())
+    """Whether x is a nonzero cube in Z[w], by exact cube-root extraction
+    from the norm and the trace (no factoring)."""
+    return not x.is_zero() and bool(cube_roots(x))
 
 
 def is_cube_in_K(x: KElement) -> bool:

@@ -165,15 +165,18 @@ class EisensteinInt:
 
     def __truediv__(self, other: "EisensteinInt | int") -> "EisensteinInt":
         """Exact division; raises ValueError if other does not divide self."""
-        q, r = divmod(self, _coerce(other))
-        if not r.is_zero():
+        m = _coerce(other)
+        if m is NotImplemented:
+            return NotImplemented
+        q = _exact_quotient(self, m)
+        if q is None:
             raise ValueError(f"{other} does not divide {self}")
         return q
 
     def divides(self, other: "EisensteinInt") -> bool:
         if self.is_zero():
             return other.is_zero()
-        return (other % self).is_zero()
+        return _exact_quotient(other, self) is not None
 
     # -- comparisons / hashing / display ----------------------------------
 
@@ -200,6 +203,18 @@ def _coerce(x: "EisensteinInt | int"):
     if isinstance(x, int):
         return EisensteinInt(x, 0)
     return NotImplemented
+
+
+def _exact_quotient(x: EisensteinInt, m: EisensteinInt) -> EisensteinInt | None:
+    """x/m when m divides x, else None: x/m = x·conj(m)/N(m), so m | x exactly
+    when N(m) divides both coordinates of x·conj(m)."""
+    ma, mb = m.a, m.b
+    n = ma * ma - ma * mb + mb * mb  # zero only for m = 0: divmod raises
+    qa, ra = divmod(x.a * (ma - mb) + x.b * mb, n)
+    qb, rb = divmod(x.b * ma - x.a * mb, n)
+    if ra or rb:
+        return None
+    return EisensteinInt(qa, qb)
 
 
 def _round_nearest(a: int, b: int) -> int:
@@ -251,17 +266,20 @@ def eis_gcd(l: EisensteinInt, m: EisensteinInt) -> EisensteinInt:
     return gcd_ext(l, m)[0]
 
 
+def valuation(x: EisensteinInt, d: EisensteinInt) -> tuple[int, EisensteinInt]:
+    """(k, x/d^k) for the largest k with d^k dividing x; x must be nonzero
+    and d neither zero nor a unit."""
+    if x.is_zero() or d.norm() < 2:
+        raise ValueError(f"no valuation of {x} at {d}")
+    k = 0
+    while (q := _exact_quotient(x, d)) is not None:
+        x, k = q, k + 1
+    return k, x
+
+
 def ord_beta(d: EisensteinInt) -> int:
     """The largest n such that beta^n divides d.  d must be nonzero."""
-    if d.is_zero():
-        raise ValueError("ord of zero")
-    n = 0
-    while True:
-        q, r = divmod(d, BETA)
-        if not r.is_zero():
-            return n
-        d = q
-        n += 1
+    return valuation(d, BETA)[0]
 
 
 def canonical_associate(x: EisensteinInt) -> tuple[EisensteinInt, EisensteinInt]:
@@ -280,14 +298,7 @@ def canonical_associate(x: EisensteinInt) -> tuple[EisensteinInt, EisensteinInt]
     """
     if x.is_zero():
         raise ValueError("zero has no associates")
-    k = 0
-    w = x
-    while True:
-        q, r = divmod(w, BETA)
-        if not r.is_zero():
-            break
-        w = q
-        k += 1
+    k, w = valuation(x, BETA)
     w0 = None
     for zeta in UNITS:
         t = zeta * w

@@ -28,6 +28,7 @@ from .eisenstein import (
     canonical_associate,
     format_eisenstein,
     is_primary,
+    valuation,
 )
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -221,7 +222,8 @@ def factor(x: EisensteinInt) -> Factorization:
     Method: factor N(x) over Z; the exponent of 3 in the norm is the beta
     multiplicity, inert primes contribute half their (even) norm exponent,
     and split prime exponents are distributed between pi and conj(pi) by
-    exact division.  The unit left over at the end is recorded.
+    repeated exact division (valuation).  The unit left over at the end is
+    recorded.
     """
     if x.is_zero():
         raise ValueError("cannot factor zero")
@@ -229,8 +231,7 @@ def factor(x: EisensteinInt) -> Factorization:
     rest = x
     for p, e in factor_int(x.norm()).items():
         if p == 3:
-            for _ in range(e):
-                rest = rest / BETA
+            rest = rest / BETA**e
             factors.append((BETA, e))
         elif p % 3 == 2:
             assert e % 2 == 0, "inert primes enter the norm to even exponents"
@@ -240,13 +241,7 @@ def factor(x: EisensteinInt) -> Factorization:
         else:
             pi, pi_bar = split_prime(p)
             for irr in (pi, pi_bar):
-                k = 0
-                while True:
-                    q, r = divmod(rest, irr)
-                    if not r.is_zero():
-                        break
-                    rest = q
-                    k += 1
+                k, rest = valuation(rest, irr)
                 if k:
                     factors.append((irr, k))
     assert rest.is_unit(), f"leftover {rest} is not a unit"

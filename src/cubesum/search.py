@@ -378,7 +378,6 @@ def mordell_check(budget: SearchBudget) -> MordellReport:
                 rational.append((x, yy))
 
     field_hits: list[tuple[KElement, KElement]] = []
-    seen: set[tuple[KElement, KElement]] = set()
     for d in range(1, budget.denom + 1):
         for xi in coordinate_box(budget.coord):
             if gcd(gcd(abs(xi.a), abs(xi.b)), d) != 1:
@@ -390,9 +389,7 @@ def mordell_check(budget: SearchBudget) -> MordellReport:
                 if y**2 != w:
                     continue
                 _assert_mordell(x, y, allowed_x3, allowed_y2)
-                if (x, y) not in seen:
-                    seen.add((x, y))
-                    field_hits.append((x, y))
+                field_hits.append((x, y))
 
     rational.sort(key=witness_sort_key)
     field_hits.sort(key=witness_sort_key)

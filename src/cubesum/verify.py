@@ -37,7 +37,6 @@ from .eisenstein import BETA, EisensteinInt, KElement, V, W, mod9_class, ord_bet
 from .factorization import factor
 from .search import (
     SearchBudget,
-    _icbrt,
     cube_ap_exhaust,
     flt3_exhaust,
     mordell_check,
@@ -304,9 +303,7 @@ def criterion_10_property_soak() -> str:
                     c = -a - b
                     if b.is_zero() or c.is_zero():
                         continue
-                    prod = a * b * c
-                    n = prod.norm()
-                    if _icbrt(n) ** 3 != n or not is_cube(prod):
+                    if not is_cube(a * b * c):
                         continue
                     cube_triple_structure(a, b, c)  # raises if not decomposable
                     structured += 1

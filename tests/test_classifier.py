@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from cubesum import classifier
 from cubesum.classifier import canonicalize, classify, match_rule
 from cubesum.eisenstein import BETA, EisensteinInt, KElement, ONE, V, W
 from cubesum.search import SearchBudget
@@ -311,3 +312,45 @@ class TestJson:
         doc = json.loads(classify(21, "Q").to_json("21"))
         assert doc["status"] == "NoSolutions" and doc["rule"] == "Theorem 2.3"
         assert "witness" not in doc
+
+
+# Search attempts of _searched_unknown, in call order, for each target kind
+# and each (prefer_lucas, prefer_relation): a preferred attempt moves to the
+# front when it applies, and no attempt runs twice.
+ATTEMPT_ORDER = {
+    (7, "Q"): {
+        (False, False): ["rational", "lucas"],
+        (True, False): ["lucas", "rational"],
+        (False, True): ["rational", "lucas"],
+        (True, True): ["lucas", "rational"],
+    },
+    (7, "K"): {
+        (False, False): ["rational", "lucas", "box", "relation"],
+        (True, False): ["lucas", "rational", "box", "relation"],
+        (False, True): ["relation", "rational", "lucas", "box"],
+        (True, True): ["lucas", "relation", "rational", "box"],
+    },
+    (EisensteinInt(2, 5), "K"): {
+        (False, False): ["box", "relation"],
+        (True, False): ["box", "relation"],
+        (False, True): ["relation", "box"],
+        (True, True): ["relation", "box"],
+    },
+}
+
+
+@pytest.mark.parametrize("target, scope", list(ATTEMPT_ORDER), ids=str)
+def test_search_attempt_order(monkeypatch, target, scope):
+    calls = []
+    for name in ("rational", "lucas", "box", "relation"):
+        monkeypatch.setattr(classifier, f"_try_{name}",
+                            lambda *args, name=name: calls.append(name))
+    rep = EisensteinInt(target) if isinstance(target, int) else target
+    for (lucas, relation), expected in ATTEMPT_ORDER[(target, scope)].items():
+        calls.clear()
+        verdict = classifier._searched_unknown(
+            rep, canonicalize(rep), scope, SearchBudget(), "reason",
+            prefer_relation=relation, prefer_lucas=lucas,
+        )
+        assert verdict.status == "Unknown"
+        assert calls == expected, (lucas, relation)

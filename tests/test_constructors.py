@@ -1,6 +1,9 @@
 """Solution builders, the Lucas identity, and the executable descent."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -23,6 +26,7 @@ from cubesum.constructors import (
     triple_from_solution,
 )
 from cubesum.eisenstein import BETA, EisensteinInt, KElement, ONE, V, W
+from cubesum.factorization import Factorization, cube_split
 from cubesum.search import is_rational_cube
 
 
@@ -316,3 +320,39 @@ class TestCubeTripleStructure:
         assert is_cube(BETA**3)
         assert not is_cube(W)
         assert not is_cube(E(2))
+        assert not is_cube(E(0))
+
+    def test_is_cube_agrees_with_cube_split(self):
+        # the factoring route: x is a cube when its cube class is trivial
+        def via_cube_split(x):
+            return cube_split(x)[1] == Factorization(ONE, ())
+
+        for a in range(-30, 31):
+            for b in range(-30, 31):
+                x = E(a, b)
+                if x.is_zero():
+                    continue
+                c = x.cube()
+                for y in (x, c, W * c, V * c):
+                    assert is_cube(y) == via_cube_split(y), y
+
+
+def test_is_cube_of_large_cube_does_not_factor():
+    """N((10¹⁰+3+7w)³) is the cube of a 20-digit norm; factoring it hunts a
+    repeated large prime with Pollard rho.  Run apart so a hang fails."""
+    code = (
+        "import time\n"
+        "from cubesum.constructors import is_cube\n"
+        "from cubesum.eisenstein import EisensteinInt, W\n"
+        "x = EisensteinInt(10**10 + 3, 7) ** 3\n"
+        "start = time.perf_counter()\n"
+        "answers = (is_cube(x), is_cube(W * x))\n"
+        "print(answers, time.perf_counter() - start < 1.0)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=20
+    )
+    assert out.returncode == 0, out.stderr or out.stdout
+    assert out.stdout == "(True, False) True\n"

@@ -12,6 +12,7 @@ from cubesum.eisenstein import (
     UNITS,
     V,
     W,
+    ZERO,
     canonical_associate,
     eis_gcd,
     format_eisenstein,
@@ -23,7 +24,9 @@ from cubesum.eisenstein import (
     parse_eisenstein,
     parse_k,
     unit_inverse,
+    valuation,
 )
+from cubesum.factorization import factor, split_prime
 
 
 def E(a, b=0):
@@ -214,6 +217,138 @@ class TestDivmodKernel:
                 assert got[1].norm() == offset.norm()
                 ties += 1
         assert ties > 4000
+
+
+def euclid_truediv(x, m):
+    """Exact division through the Euclidean divmod, as it was done before
+    the integer kernel; kept as an oracle."""
+    q, r = divmod(x, m)
+    if not r.is_zero():
+        raise ValueError(f"{m} does not divide {x}")
+    return q
+
+
+def euclid_divides(m, x):
+    if m.is_zero():
+        return x.is_zero()
+    return (x % m).is_zero()
+
+
+def divmod_valuation(x, d):
+    """The repeated-divmod valuation loop kept as an oracle: (k, x/d^k)."""
+    k = 0
+    while True:
+        q, r = divmod(x, d)
+        if not r.is_zero():
+            return k, x
+        x, k = q, k + 1
+
+
+def outcome(f, *args):
+    """The value f returns, or the type of the exception it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:  # noqa: BLE001 - compared by type
+        return type(exc)
+
+
+class TestExactQuotient:
+    @pytest.mark.parametrize("scale", [10, 10**3, 10**9, 10**30])
+    def test_matches_euclidean_oracle(self, scale):
+        rng = random.Random(scale)
+
+        def rand():
+            return E(rng.randint(-scale, scale), rng.randint(-scale, scale))
+
+        divided = undivided = 0
+        for i in range(2000):
+            m = ZERO if i % 100 == 0 else rand()
+            # odd i: m | x by construction; even i: a random x
+            x = rand() * m if i % 2 else rand()
+            got = outcome(lambda: x / m)
+            assert got == outcome(euclid_truediv, x, m), (x, m)
+            assert outcome(m.divides, x) == outcome(euclid_divides, m, x), (x, m)
+            if isinstance(got, EisensteinInt):
+                divided += 1
+            elif got is ValueError:
+                undivided += 1
+            k = rng.randint(-scale, scale)  # a rational integer divisor
+            y = x * k if i % 2 else x
+            assert outcome(lambda: y / k) == outcome(euclid_truediv, y, k), (y, k)
+        assert divided > 900 and undivided > 500
+
+    def test_one_coordinate_remainder(self):
+        # N(3) = 9 divides one coordinate of x·conj(3) and not the other
+        for x in (E(6, 1), E(1, 6), E(9, 4), E(4, 9)):
+            assert not E(3).divides(x)
+            with pytest.raises(ValueError):
+                x / 3
+
+    def test_zero_divisor_and_bad_operand(self):
+        with pytest.raises(ZeroDivisionError):
+            E(5) / 0
+        with pytest.raises(ZeroDivisionError):
+            E(0) / E(0)
+        assert E(0).divides(E(0)) and not E(0).divides(E(1))
+        with pytest.raises(TypeError):
+            E(5) / "2"
+        with pytest.raises(TypeError):
+            E(5) / 2.0
+
+    def test_quotient_of_conjugate_divisor(self):
+        # x·conj(m)/N(m), not x·m/N(m): 7 = pi·conj(pi)
+        pi, pi_bar = split_prime(7)
+        assert E(7) / pi == pi_bar
+        assert E(7) / pi_bar == pi
+
+
+class TestValuation:
+    # beta, the split pairs of norms 7, 13 and 19, and the inert 2 and 5
+    DIVISORS = (BETA, E(1, 3), E(-2, -3), E(4, 3), E(1, -3), E(-2, 3), E(-5, -3), E(2), E(5))
+
+    @pytest.mark.parametrize("d", DIVISORS, ids=str)
+    def test_matches_divmod_loop(self, d):
+        rng = random.Random(d.norm())
+        for _ in range(200):
+            r = E(rng.randint(-500, 500), rng.randint(-500, 500))
+            if r.is_zero():
+                continue
+            k = rng.randint(0, 6)
+            x = d**k * rng.choice(UNITS) * r
+            got = valuation(x, d)
+            assert got == divmod_valuation(x, d), (x, d)
+            assert got[0] >= k and d ** got[0] * got[1] == x
+            assert not d.divides(got[1])
+
+    def test_rejects_zero_and_units(self):
+        for x, d in ((E(0), BETA), (E(3), W), (E(3), E(0))):
+            with pytest.raises(ValueError):
+                valuation(x, d)
+
+
+def test_exact_division_avoids_euclidean_divmod(monkeypatch):
+    """/, divides, ord_beta, canonical_associate and factor give the same
+    answers with EisensteinInt.__divmod__ (and so // and %) disabled."""
+    x, m = E(7 * 9 * 5, 7 * 9), E(7)
+    ops = (
+        lambda: x / m,
+        lambda: x / 7,
+        lambda: BETA.divides(x),
+        lambda: E(2).divides(x),
+        lambda: ord_beta(E(18) * E(1, 3) ** 2),
+        lambda: canonical_associate(W * BETA**3 * E(-2, 3)),
+        lambda: factor(E(4, -9) ** 3 * BETA**5 * E(10)),
+        lambda: factor(x),
+    )
+    expected = [op() for op in ops]
+
+    def no_divmod(self, other):
+        raise AssertionError("exact division reached the Euclidean divmod")
+
+    monkeypatch.setattr(EisensteinInt, "__divmod__", no_divmod)
+    with pytest.raises(AssertionError):
+        divmod(x, m)
+    assert [op() for op in ops] == expected
 
 
 class TestGcd:
