@@ -505,7 +505,8 @@ def _rescale(pair: Pair, denominator: int) -> Pair:
 
 def _verify_pair(pair: Pair, m) -> None:
     target = m if isinstance(m, KElement) else KElement(m)
-    assert pair[0] ** 3 + pair[1] ** 3 == target, "witness failed exact verification"
+    if pair[0] ** 3 + pair[1] ** 3 != target:
+        raise ArithmeticError(f"witness ({pair[0]}, {pair[1]}) does not sum to {target}")
 
 
 def _searched_unknown(

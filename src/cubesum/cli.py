@@ -25,7 +25,7 @@ import os
 import sys
 
 from . import verify as verify_mod
-from .classifier import classify
+from .classifier import LUCAS_SEARCH_BOUND, classify
 from .constructors import (
     descent_trace,
     lucas_triple_search,
@@ -56,11 +56,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _budget(args: argparse.Namespace) -> SearchBudget:
-    default_denom = int(os.environ.get("CUBESUM_BUDGET_DENOM", 50))
+    default = SearchBudget()
+    default_denom = int(os.environ.get("CUBESUM_BUDGET_DENOM", default.denom))
     return SearchBudget(
         denom=args.budget_denom if args.budget_denom is not None else default_denom,
-        coord=args.budget_coord if args.budget_coord is not None else 30,
-        relation=args.budget_relation if args.budget_relation is not None else 12,
+        coord=args.budget_coord if args.budget_coord is not None else default.coord,
+        relation=args.budget_relation if args.budget_relation is not None else default.relation,
     )
 
 
@@ -200,7 +201,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if args.method == "lucas":
         if not m.is_rational() or not m.is_integral():
             raise ValueError("--method lucas needs a rational integer target")
-        pair = lucas_triple_search(m.num.a, 100)
+        pair = lucas_triple_search(m.num.a, LUCAS_SEARCH_BOUND)
         if pair is None:
             print("no integer triple found within the bound", file=sys.stderr)
             return EXIT_UNKNOWN

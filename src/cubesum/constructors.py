@@ -18,7 +18,6 @@ from old ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .eisenstein import (
@@ -33,7 +32,7 @@ from .eisenstein import (
     unit_inverse,
 )
 from .factorization import Factorization, cube_split
-from .search import _icbrt, cube_roots, is_rational_cube, rational_cbrt
+from .search import _exact_icbrt, cube_roots
 
 
 def _as_k(m) -> KElement:
@@ -127,22 +126,21 @@ def lucas_pair(a: int, b: int) -> tuple[int, int]:
 def lucas_witness(a: int, b: int, m: int) -> tuple[KElement, KElement]:
     """Rational witness for x³ + y³ = m from an integer triple (a, b, -a-b).
 
-    Requires a·b·(-a-b) = m·(rational cube); then with (x, y) the Lucas pair
-    and d = -3·cbrt(abc/m)·(a² + ab + b²), the pair (x/d, y/d) lands on the
-    curve, is reduced, and re-verifies exactly.
+    Requires a·b·(-a-b)·m² = k³ for an integer k, so that abc/m = (k/m)³;
+    then with (x, y) the Lucas pair and d = -3k·(a² + ab + b²), the pair
+    (x·m/d, y·m/d) lands on the curve, is reduced, and re-verifies exactly.
     """
     c = -a - b
     if a == 0 or b == 0 or c == 0 or m == 0:
         raise ValueError("degenerate triple")
-    q = Fraction(a * b * c, m)
-    if q == 0 or not is_rational_cube(q):
+    k = _exact_icbrt(a * b * c * m * m)
+    if k is None:
         raise ValueError("triple does not match target: a·b·(-a-b)/m is not a cube")
-    root = rational_cbrt(q)
     x, y = lucas_pair(a, b)
-    d = -3 * root * (a * a + a * b + b * b)
-    wx = KElement.from_rational(x * d.denominator, d.numerator)
-    wy = KElement.from_rational(y * d.denominator, d.numerator)
-    assert wx**3 + wy**3 == KElement(m)
+    d = -3 * k * (a * a + a * b + b * b)
+    wx, wy = KElement.from_rational(x * m, d), KElement.from_rational(y * m, d)
+    if wx**3 + wy**3 != KElement(m):
+        raise ArithmeticError(f"Lucas witness ({wx}, {wy}) does not sum to {m}")
     return wx, wy
 
 
@@ -165,8 +163,7 @@ def lucas_triple_search(m: int, bound: int) -> tuple[int, int] | None:
                     c = -a - b
                     if c == 0:
                         continue
-                    n = a * b * c * m * m
-                    if _icbrt(n) ** 3 == n:
+                    if _exact_icbrt(a * b * c * m * m) is not None:
                         return a, b
     return None
 

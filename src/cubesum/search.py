@@ -1,7 +1,7 @@
 """Brute-force witness searches at desk scale.
 
-Three searches feed the classifier, and two exhaustive scans back the
-classical corollaries:
+Three searches feed the classifier, and three scans back the classical
+corollaries (flt3_exhaust, cube_ap_exhaust, mordell_check):
 
   * search_rational: complete per denominator.  For x = a/d, y = b/d the
     sum a³ + b³ = M·d³ factors as (a+b)(a² - ab + b²), so a + b runs over
@@ -12,6 +12,8 @@ classical corollaries:
     coordinate box per denominator; an empty result proves nothing.
   * relation_search: first (r, s, t) with w·r³ + v·s³ + M·t³ = 0.
 
+Every integer cube test (cube_roots' norm test, the Lucas scan) goes
+through one exact integer cube root, _exact_icbrt, and no float is used.
 Boxes are over the {w, v} coordinates; hit lists are ordered by
 denominator ascending, then numerators descending lexicographically, so
 identical budgets always yield identical ordered results regardless of how
@@ -21,7 +23,6 @@ the divisors are enumerated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, isqrt
 
 from .eisenstein import (
@@ -52,31 +53,29 @@ class SearchBudget:
             raise ValueError("budget bounds must be >= 1")
 
 
-def _icbrt(n: int) -> int:
-    """Largest-magnitude integer k with |k|³ <= |n|, carrying n's sign.
+# a cube is one of these 45 residues mod 819 = 7·9·13
+_CUBES_MOD_819 = frozenset(k**3 % 819 for k in range(819))
 
-    Below 2⁵³ a rounded float guess is within one of the root and is
-    corrected by single steps; above it, integer Newton steps descend to
-    the root from the power of two above it, so no float is involved and
-    the cost grows with the length of n, not its size.
+
+def _exact_icbrt(n: int) -> int | None:
+    """The integer k with k³ = n, or None when n is not a cube.
+
+    The residue test mod 819 turns most non-cubes away at once; for the
+    rest, integer Newton steps descend from the power of two above the
+    root to floor(∛|n|), whose cube is compared with |n|.  One path for
+    every size of n, and no float.
     """
-    if n == 0:
-        return 0
-    sign = -1 if n < 0 else 1
+    if n % 819 not in _CUBES_MOD_819:
+        return None
     a = abs(n)
-    if a < 1 << 53:
-        k = round(a ** (1.0 / 3.0))
-        while k > 0 and k**3 > a:
-            k -= 1
-        while (k + 1) ** 3 <= a:
-            k += 1
-        return sign * k
+    if a <= 1:
+        return n
     k = 1 << -(-a.bit_length() // 3)
-    while True:
-        k1 = (2 * k + a // (k * k)) // 3
-        if k1 >= k:
-            return sign * k
+    while (k1 := (2 * k + a // (k * k)) // 3) < k:
         k = k1
+    if k**3 != a:
+        return None
+    return k if n > 0 else -k
 
 
 def cube_roots(z: EisensteinInt) -> list[EisensteinInt]:
@@ -91,9 +90,8 @@ def cube_roots(z: EisensteinInt) -> list[EisensteinInt]:
     """
     if z.is_zero():
         return [EisensteinInt(0, 0)]
-    n = z.norm()
-    k = _icbrt(n)
-    if k**3 != n:
+    k = _exact_icbrt(z.norm())
+    if k is None:
         return []
     tr = 2 * z.a - z.b
     # every t tried exceeds isqrt(k), so is at least √k
@@ -131,19 +129,6 @@ def square_roots(z: EisensteinInt) -> list[EisensteinInt]:
     if y * y != z:
         return []
     return sorted((y, -y), key=lambda c: (c.a, c.b))
-
-
-def is_rational_cube(q: Fraction) -> bool:
-    if q == 0:
-        return True
-    cn, cd = _icbrt(q.numerator), _icbrt(q.denominator)
-    return cn**3 == q.numerator and cd**3 == q.denominator
-
-
-def rational_cbrt(q: Fraction) -> Fraction:
-    if not is_rational_cube(q):
-        raise ValueError(f"{q} is not a rational cube")
-    return Fraction(_icbrt(q.numerator), _icbrt(q.denominator))
 
 
 def witness_sort_key(pair: tuple[KElement, KElement]):
@@ -350,33 +335,15 @@ class MordellReport:
 def mordell_check(budget: SearchBudget) -> MordellReport:
     """Scan y² = x³ + 1 and assert every hit satisfies x³ in {-1, 0, 8}.
 
-    The rational scan runs numerators |a| <= budget.coord over denominators
-    d <= budget.denom; the field scan runs the coordinate box.  A hit with
-    x³ outside {-1, 0, 8} (equivalently y² outside {0, 1, 9}) raises
-    AssertionError, which no budget can trigger if the classification is
-    right.
+    The scan runs x over the coordinate box with denominators
+    d <= budget.denom; the box holds every rational numerator
+    |a| <= budget.coord, so the rational hits are the hits with both
+    coordinates rational.  A hit with x³ outside {-1, 0, 8} (equivalently
+    y² outside {0, 1, 9}) raises AssertionError, which no budget can
+    trigger if the classification is right.
     """
     allowed_x3 = {KElement(-1), KElement(0), KElement(8)}
     allowed_y2 = {KElement(0), KElement(1), KElement(9)}
-
-    rational: list[tuple[KElement, KElement]] = []
-    for d in range(1, budget.denom + 1):
-        for a in range(-budget.coord, budget.coord + 1):
-            if gcd(abs(a), d) != 1:
-                continue
-            x = KElement.from_rational(a, d)
-            w = x**3 + 1
-            n = w.num.a * w.den
-            if n < 0:
-                continue
-            s = isqrt(n)
-            if s * s != n:
-                continue
-            y = KElement.from_rational(s, w.den)
-            for yy in ((y,) if y.is_zero() else (y, -y)):
-                _assert_mordell(x, yy, allowed_x3, allowed_y2)
-                rational.append((x, yy))
-
     field_hits: list[tuple[KElement, KElement]] = []
     for d in range(1, budget.denom + 1):
         for xi in coordinate_box(budget.coord):
@@ -390,10 +357,9 @@ def mordell_check(budget: SearchBudget) -> MordellReport:
                     continue
                 _assert_mordell(x, y, allowed_x3, allowed_y2)
                 field_hits.append((x, y))
-
-    rational.sort(key=witness_sort_key)
     field_hits.sort(key=witness_sort_key)
-    return MordellReport(tuple(rational), tuple(field_hits))
+    rational = tuple(p for p in field_hits if p[0].is_rational() and p[1].is_rational())
+    return MordellReport(rational, tuple(field_hits))
 
 
 def _assert_mordell(x: KElement, y: KElement, allowed_x3, allowed_y2) -> None:

@@ -27,7 +27,6 @@ from cubesum.constructors import (
 )
 from cubesum.eisenstein import BETA, EisensteinInt, KElement, ONE, V, W
 from cubesum.factorization import Factorization, cube_split
-from cubesum.search import is_rational_cube
 
 
 def E(a, b=0):
@@ -36,6 +35,28 @@ def E(a, b=0):
 
 def KQ(p, q=1):
     return KElement.from_rational(p, q)
+
+
+def _float_cbrt(n: int) -> int | None:
+    """Integer cube root of a small n from a rounded float guess, or None."""
+    k = round(abs(n) ** (1 / 3))
+    for r in (k - 1, k, k + 1):
+        if r**3 == abs(n):
+            return r if n >= 0 else -r
+    return None
+
+
+def _fraction_lucas_witness(a: int, b: int, m: int):
+    """The Fraction construction lucas_witness replaced, kept as an oracle:
+    d = -3·cbrt(abc/m)·(a² + ab + b²) and the witness (x/d, y/d)."""
+    q = Fraction(a * b * (-a - b), m)
+    root = Fraction(_float_cbrt(q.numerator), _float_cbrt(q.denominator))
+    x, y = lucas_pair(a, b)
+    d = -3 * root * (a * a + a * b + b * b)
+    return (
+        KElement.from_rational(x * d.denominator, d.numerator),
+        KElement.from_rational(y * d.denominator, d.numerator),
+    )
 
 
 class TestSolutionFromRelation:
@@ -119,6 +140,15 @@ class TestLucasWitness:
         with pytest.raises(ValueError):
             lucas_witness(64, -3, 5)
 
+    def test_matches_fraction_construction(self):
+        hits = 0
+        for m in range(-60, 61):
+            pair = lucas_triple_search(m, 20) if m else None
+            if pair is not None:
+                assert lucas_witness(*pair, m) == _fraction_lucas_witness(*pair, m), m
+                hits += 1
+        assert hits > 20
+
 
 class TestLucasTripleSearch:
     def test_183(self):
@@ -152,6 +182,11 @@ class TestLucasTripleSearch:
 
     def test_matches_fraction_scan(self):
         # the Fraction test the integer-cube test replaced, kept as an oracle
+        def is_rational_cube(q: Fraction) -> bool:
+            if q == 0:
+                return True
+            return _float_cbrt(q.numerator) is not None and _float_cbrt(q.denominator) is not None
+
         def fraction_scan(m, bound):
             for s in range(2, 2 * bound + 1):
                 for abs_a in range(1, min(s - 1, bound) + 1):
@@ -356,3 +391,32 @@ def test_is_cube_of_large_cube_does_not_factor():
     )
     assert out.returncode == 0, out.stderr or out.stdout
     assert out.stdout == "(True, False) True\n"
+
+
+def test_witness_checks_survive_optimize():
+    """A wrong witness still raises under python -O, where assert statements
+    are stripped: a wrong rational-search hit in classify, and a wrong Lucas
+    pair in lucas_witness."""
+    code = (
+        "from cubesum import classifier, constructors\n"
+        "from cubesum.eisenstein import KElement\n"
+        "assert False, 'asserts must be stripped'\n"
+        "classifier.search_rational = lambda m, d: [(KElement(1), KElement(1))]\n"
+        "constructors.lucas_pair = lambda a, b: (1, 1)\n"
+        "for call in (lambda: classifier.classify(6, 'Q'),\n"
+        "             lambda: constructors.lucas_witness(-3, -61, 183)):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ArithmeticError as err:\n"
+        "        if 'does not sum to' in str(err):\n"
+        "            continue\n"
+        "    raise SystemExit('unverified witness')\n"
+        "print('ok')\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr or out.stdout
+    assert out.stdout == "ok\n"

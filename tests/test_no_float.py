@@ -1,0 +1,24 @@
+"""The program is integer-exact: no float literal and no float conversion
+anywhere in its source."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "cubesum"
+
+
+def _float_sites(path: Path) -> list[str]:
+    sites = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            sites.append(f"{path.name}:{node.lineno}: constant {node.value!r}")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("round", "float", "complex")):
+            sites.append(f"{path.name}:{node.lineno}: call to {node.func.id}")
+    return sites
+
+
+def test_no_float_in_source():
+    files = sorted(SRC.glob("*.py"))
+    assert len(files) >= 9
+    assert [site for path in files for site in _float_sites(path)] == []

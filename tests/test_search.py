@@ -2,10 +2,10 @@
 
 import cmath
 import os
+import random
 import subprocess
 import sys
 import time
-from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
@@ -23,13 +23,11 @@ from cubesum.eisenstein import (
 from cubesum.factorization import split_prime
 from cubesum.search import (
     SearchBudget,
-    _icbrt,
+    _exact_icbrt,
     cube_ap_exhaust,
     cube_roots,
     flt3_exhaust,
-    is_rational_cube,
     mordell_check,
-    rational_cbrt,
     relation_search,
     search_eisenstein,
     search_rational,
@@ -46,32 +44,78 @@ def K(a, d=1):
     return KElement(E(a) if isinstance(a, int) else a, d)
 
 
+def _float_icbrt(n: int) -> int:
+    """The floor cube root that _exact_icbrt replaced, kept as an oracle:
+    largest-magnitude k with |k|³ <= |n|, carrying n's sign, from a rounded
+    float guess below 2⁵³ and integer Newton above it."""
+    if n == 0:
+        return 0
+    sign = -1 if n < 0 else 1
+    a = abs(n)
+    if a < 1 << 53:
+        k = round(a ** (1.0 / 3.0))
+        while k > 0 and k**3 > a:
+            k -= 1
+        while (k + 1) ** 3 <= a:
+            k += 1
+        return sign * k
+    k = 1 << -(-a.bit_length() // 3)
+    while True:
+        k1 = (2 * k + a // (k * k)) // 3
+        if k1 >= k:
+            return sign * k
+        k = k1
+
+
+def _oracle_icbrt(n: int) -> int | None:
+    k = _float_icbrt(n)
+    return k if k**3 == n else None
+
+
+def _around_cubes(ks):
+    """k³ - 1, k³, k³ + 1 for each k, and their negatives."""
+    return [s * (k**3 + e) for k in ks for e in (-1, 0, 1) for s in (1, -1)]
+
+
 class TestIcbrt:
     def test_exact_below_float_range(self):
-        for k in list(range(0, 300)) + [2**17 - 1, 2**17, 208063, 208064]:
-            for n in (k**3 - 1, k**3, k**3 + 1):
-                if n >= 0:
-                    assert _icbrt(n) ** 3 <= n < (_icbrt(n) + 1) ** 3, n
-                    assert _icbrt(-n) == -_icbrt(n)
+        for n in _around_cubes(list(range(0, 300)) + [2**17 - 1, 2**17, 208063, 208064]):
+            assert _exact_icbrt(n) == _oracle_icbrt(n), n
 
     def test_huge_cube_returns_fast(self):
-        start = time.perf_counter()
-        assert _icbrt(10**90) == 10**30
-        assert _icbrt(10**90 - 1) == 10**30 - 1
-        assert _icbrt(-(10**90)) == -(10**30)
-        assert time.perf_counter() - start < 1.0
+        for n, want in ((10**90, 10**30), (10**90 - 1, None), (-(10**90), -(10**30))):
+            start = time.perf_counter()
+            assert _exact_icbrt(n) == want
+            assert time.perf_counter() - start < 1.0
 
     def test_beyond_double_range(self):
-        start = time.perf_counter()
-        assert is_rational_cube(Fraction(10**402))
-        assert not is_rational_cube(Fraction(10**402 + 1))
-        assert rational_cbrt(Fraction(10**402, 27)) == Fraction(10**134, 3)
-        assert time.perf_counter() - start < 1.0
+        for n, want in ((10**402, 10**134), (10**402 + 1, None), (-(10**402), -(10**134))):
+            start = time.perf_counter()
+            assert _exact_icbrt(n) == want
+            assert time.perf_counter() - start < 1.0
 
     def test_around_two_to_the_53(self):
-        for k in (208063, 208064, 208065, 10**6, 3 * 10**6 + 1, 10**20 + 7):
-            for n in (k**3 - 1, k**3, k**3 + 1):
-                assert _icbrt(n) == (k if n >= k**3 else k - 1), n
+        ns = _around_cubes((208063, 208064, 208065, 10**6, 3 * 10**6 + 1, 10**20 + 7))
+        ns += [s * (2**53 + e) for e in (-1, 0, 1) for s in (1, -1)]
+        for n in ns:
+            assert _exact_icbrt(n) == _oracle_icbrt(n), n
+
+    def test_every_small_cube(self):
+        # the residue test must never turn a cube away
+        for k in range(-3000, 3001):
+            assert _exact_icbrt(k**3) == k
+
+    def test_lucas_shaped(self):
+        # n = a·b·c·m² as lucas_triple_search builds it, nonzero cubes among them
+        rng = random.Random(7)
+        cubes = 0
+        for _ in range(20000):
+            a, b, m = (rng.choice((-1, 1)) * rng.randint(1, r) for r in (100, 100, 60))
+            n = a * b * (-a - b) * m * m
+            want = _oracle_icbrt(n)
+            assert _exact_icbrt(n) == want, n
+            cubes += bool(want)
+        assert cubes > 20
 
 
 # x = (10^e + 3) + 7w for e in HUGE_EXPONENTS: far past the double-precision
@@ -156,8 +200,8 @@ def _roots_by_rounding(z: EisensteinInt, power: int) -> list[EisensteinInt]:
         return [EisensteinInt(0, 0)]
     n = z.norm()
     if power == 3:
-        k = _icbrt(n)
-        if k**3 != n:
+        k = _exact_icbrt(n)
+        if k is None:
             return []
         rotations = _ROTATIONS3
     else:
@@ -498,7 +542,37 @@ class TestCubeAp:
         assert (1, 5, 7) in found
 
 
+def _mordell_rational_scan(budget: SearchBudget):
+    """The rational scan mordell_check ran beside its field scan, kept as an
+    oracle: numerators |a| <= coord over denominators d <= denom, y from
+    isqrt."""
+    rational = []
+    for d in range(1, budget.denom + 1):
+        for a in range(-budget.coord, budget.coord + 1):
+            if gcd(abs(a), d) != 1:
+                continue
+            x = KElement.from_rational(a, d)
+            w = x**3 + 1
+            n = w.num.a * w.den
+            if n < 0:
+                continue
+            s = isqrt(n)
+            if s * s != n:
+                continue
+            y = KElement.from_rational(s, w.den)
+            for yy in ((y,) if y.is_zero() else (y, -y)):
+                assert yy**2 == x**3 + 1
+                rational.append((x, yy))
+    rational.sort(key=witness_sort_key)
+    return tuple(rational)
+
+
 class TestMordell:
+    def test_rational_hits_match_rational_scan(self):
+        for denom, coord in ((6, 8), (1, 1), (3, 20), (12, 12), (10, 30)):
+            budget = SearchBudget(denom=denom, coord=coord, relation=1)
+            assert mordell_check(budget).rational_hits == _mordell_rational_scan(budget)
+
     def test_rational_hits(self):
         report = mordell_check(SearchBudget(denom=6, coord=8, relation=1))
         rational = {(str(x), str(y)) for x, y in report.rational_hits}
