@@ -2,10 +2,12 @@
 
 Solvability only depends on M up to nonzero cube factors (and -1 is a
 cube), so M is first reduced to a canonical form: a unit in {1, w, v}
-times squarefree-mod-cubes factor data (every exponent 1 or 2).  A fixed
-ordered rule table pattern-matches the canonical form; exactly one rule
-fires per form, and each verdict carries the tag of the theorem that
-decided it:
+times squarefree-mod-cubes factor data (every exponent 1 or 2).  Each rule
+is a row of a fixed table keyed by the shape of that form: its kind (unit,
+beta, beta², p, beta·p, pi, pair, 3·pair or other), n mod 9 for n = p or
+N(pi), and whether its unit is 1.  The key space is finite, and a test
+shows that exactly one row matches each key.  Each verdict carries the tag
+of the theorem that decided it:
 
   1.3  inert p = 2, 5 mod 9 (Pépin/Sylvester/Lucas; Euler/Legendre for 2, 4)
   1.4  split irreducible of norm = 4, 7 mod 9
@@ -39,7 +41,6 @@ from .eisenstein import (
     ONE,
     V,
     W,
-    canonical_associate,
     format_eisenstein,
     format_k,
 )
@@ -124,70 +125,32 @@ class Verdict:
         return json.dumps(doc)
 
 
-# -- shape analysis of a canonical form ------------------------------------
+# -- the shape of a canonical form -------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Shape:
-    unit: EisensteinInt
-    beta_exp: int                                   # 0, 1 or 2
-    inert: tuple[tuple[int, int], ...]              # (p, exp)
-    split: tuple[tuple[EisensteinInt, int, int], ...]  # (pi, norm, exp)
+def _shape(canon: CanonicalM) -> tuple[str, int, int]:
+    """(kind, n, e): the shape of the canonical form up to its unit.
 
-    @property
-    def unit_is_one(self) -> bool:
-        return self.unit == ONE
-
-    def split_conjugate_pair(self) -> tuple[int, int] | None:
-        """(p, e) when the split part is exactly {pi^e, conj(pi)^e}."""
-        if len(self.split) != 2:
-            return None
-        (p1, n1, e1), (p2, n2, e2) = self.split
-        if n1 != n2 or e1 != e2:
-            return None
-        _, conj1 = canonical_associate(p1.conj())
-        if conj1 != p2:
-            return None
-        return n1, e1
-
-
-def _analyse(canon: CanonicalM) -> _Shape:
-    beta_exp = 0
-    inert: list[tuple[int, int]] = []
-    split: list[tuple[EisensteinInt, int, int]] = []
-    for irr, e in canon.factors:
-        if irr == BETA:
-            beta_exp = e
-        elif irr.is_rational():
-            inert.append((irr.a, e))
-        else:
-            split.append((irr, irr.norm(), e))
-    return _Shape(canon.unit, beta_exp, tuple(inert), tuple(split))
-
-
-def _beta_power(s: _Shape) -> int | None:
-    """beta's exponent when the form is a unit times a power of beta."""
-    return None if s.inert or s.split else s.beta_exp
-
-
-def _lone_inert(s: _Shape, beta_exp: int) -> int | None:
-    """p mod 9 when the form is a unit times beta^beta_exp times p^e, p inert."""
-    if s.beta_exp == beta_exp and len(s.inert) == 1 and not s.split:
-        return s.inert[0][0] % 9
-    return None
-
-
-def _lone_split(s: _Shape) -> int | None:
-    """N(pi) mod 9 when the form is a unit times pi^e, pi split."""
-    if s.beta_exp == 0 and not s.inert and len(s.split) == 1:
-        return s.split[0][1] % 9
-    return None
-
-
-def _conj_pair(s: _Shape, beta_exp: int) -> int | None:
-    """p mod 9 when the form is a unit times beta^beta_exp times p^e, p split."""
-    pair = s.split_conjugate_pair() if s.beta_exp == beta_exp and not s.inert else None
-    return None if pair is None else pair[0] % 9
+    kind is unit, beta, beta², p (an inert prime), beta·p, pi (a split
+    irreducible), pair (pi^e·conj(pi)^e, the rational split prime p = N(pi)),
+    3·pair (beta²·pi^e·conj(pi)^e, which is 3p^e up to a unit) or other.
+    n is p or N(pi), e its exponent; both are 1 where the kind has neither.
+    The conjugate of a primary pi is primary, so a pair is exactly the
+    factors ((pi, e), (conj(pi), e)).
+    """
+    fs = canon.factors
+    beta = fs[0][1] if fs and fs[0][0] == BETA else 0
+    fs = fs[1:] if beta else fs
+    if not fs:
+        return ("unit", "beta", "beta²")[beta], 1, 1
+    (pi, e), rest = fs[0], fs[1:]
+    if not rest and pi.is_rational():
+        return ("p", "beta·p", "other")[beta], pi.a, e
+    if not rest:
+        return ("pi" if beta == 0 else "other"), pi.norm(), e
+    if rest == ((pi.conj(), e),):
+        return ("pair", "other", "3·pair")[beta], pi.norm(), e
+    return "other", 1, 1
 
 
 # -- the ordered rule table --------------------------------------------------
@@ -195,11 +158,12 @@ def _conj_pair(s: _Shape, beta_exp: int) -> int | None:
 
 @dataclass(frozen=True)
 class _Case:
-    """What a rule handler decides on: the oriented target and its form."""
+    """What a rule handler decides on: the oriented target, its form, n, e."""
 
     rep: EisensteinInt
     canon: CanonicalM
-    shape: _Shape
+    n: int
+    e: int
     scope: str
     budget: SearchBudget | None
 
@@ -211,9 +175,15 @@ class _Case:
         return _searched_unknown(self.rep, self.canon, self.scope, self.budget, reason, **prefer)
 
 
+def _beta_blocked(c: _Case) -> Verdict:
+    return c.verdict(
+        "NoSolutions", "Theorem 1.7",
+        "an associate of beta or beta² other than ±beta is not a sum of two cubes")
+
+
 def _inert_25(c: _Case) -> Verdict:
-    p, e = c.shape.inert[0]
-    if p == 2 and e == 1 and c.shape.unit_is_one:
+    p, e = c.n, c.e
+    if p == 2 and e == 1 and c.canon.unit == ONE:
         return c.verdict(
             "OnlyTrivial", "Theorem 1.3",
             "targets in the cube class of 2 admit only the solutions with x³ = y³",
@@ -226,15 +196,14 @@ def _inert_25(c: _Case) -> Verdict:
 
 
 def _split_47(c: _Case) -> Verdict:
-    n = c.shape.split[0][1]
     return c.verdict(
         "NoSolutions", "Theorem 1.4",
-        f"irreducible of norm {n} = {n % 9} mod 9 (all associates blocked)",
+        f"irreducible of norm {c.n} = {c.n % 9} mod 9 (all associates blocked)",
     )
 
 
 def _split_primary(c: _Case) -> Verdict:
-    n = c.shape.split[0][1]
+    n = c.n
     if not exceptional_A(n)[0]:
         return c.verdict(
             "NoSolutions", "Theorem 2.4",
@@ -244,18 +213,18 @@ def _split_primary(c: _Case) -> Verdict:
 
 
 def _rational_split_47(c: _Case) -> Verdict:
-    p = c.shape.split_conjugate_pair()[0]
     return c.verdict(
         "LiteratureSolvable", "literature",
-        f"p = {p} = {p % 9} mod 9: infinitely many rational representations "
+        f"p = {c.n} = {c.n % 9} mod 9: infinitely many rational representations "
         "of p and p² (Sylvester's conjecture, now established)",
         citation="Elkies (announced); Dasgupta-Voight (under conditions)",
     )
 
 
 def _rational_split_47_twist(c: _Case) -> Verdict:
-    p = c.shape.split_conjugate_pair()[0]
-    assert condition_I(p), "condition (I) must hold (cubic reciprocity)"
+    p = c.n
+    if not condition_I(p):  # cubic reciprocity says this cannot happen
+        raise ArithmeticError(f"condition (I) fails at {p}; Theorem 2.2 does not apply")
     return c.verdict(
         "NoSolutions", "Theorem 2.2",
         f"u·{p} and u·{p}² are not sums of two cubes (condition (I) verified)",
@@ -263,7 +232,7 @@ def _rational_split_47_twist(c: _Case) -> Verdict:
 
 
 def _beta_inert_25(c: _Case) -> Verdict:
-    p, e = c.shape.inert[0]
+    p, e = c.n, c.e
     return c.verdict(
         "NoSolutions", "Theorem 2.1",
         f"beta·{p}^{e} with p = {p % 9} mod 9 (covers 9·{p}^{e} via 9 = beta·beta³)",
@@ -271,7 +240,7 @@ def _beta_inert_25(c: _Case) -> Verdict:
 
 
 def _three_p(c: _Case) -> Verdict:
-    p, e = c.shape.split_conjugate_pair()
+    p, e = c.n, c.e
     cond, exc_a, exc_b = condition_I(p), exceptional_A(p)[0], exceptional_B(p)
     if cond and not exc_a and not exc_b:
         return c.verdict(
@@ -286,78 +255,78 @@ def _three_p(c: _Case) -> Verdict:
     )
 
 
+def _beta_inert_other(c: _Case) -> Verdict:
+    return c.search(
+        "beta times an inert prime outside the Theorem 2.1 pattern "
+        "(unit twists of beta·p are not addressed by any theorem)")
+
+
 def _no_theorem(c: _Case) -> Verdict:
     return c.search("no theorem covers this canonical form")
 
 
-# One row per case of the decision procedure: (name, predicate on the shape
-# of the canonical form, handler).  The handler returns the verdict citing
-# the deciding theorem, or runs the bounded searches where no theorem
-# decides.  The predicates are mutually exclusive by construction and
-# match_rule() hard-asserts it; the last row, no-theorem, has no predicate
-# and fires exactly when no other row does.
-_Rule = tuple[str, Callable[[_Shape], bool] | None, Callable[[_Case], Verdict]]
-_RULES: tuple[_Rule, ...] = (
-    ("trivial-cube", lambda s: _beta_power(s) == 0 and s.unit_is_one,
+_ANY_N = range(9)
+_UNIT_1, _TWISTED, _ANY_UNIT = (ONE,), (W, V), (ONE, W, V)
+
+# One row per case of the decision procedure: (name, kind of the shape,
+# allowed residues of n mod 9, allowed units of the canonical form,
+# handler).  The handler returns the verdict citing the deciding theorem,
+# or runs the bounded searches where no theorem decides.  A rule that
+# covers two keys of different kinds or residues takes two rows.  Exactly
+# one row matches each key that _shape and cube_split can produce;
+# tests/test_classifier.py checks that over the whole finite key space.
+_RULES = (
+    ("trivial-cube", "unit", _ANY_N, _UNIT_1,
      lambda c: c.verdict(
          "OnlyTrivial", "Corollary 2 to Theorem 1.5",
          "the target is a nonzero cube; only the axis solutions exist (FLT(3))",
          trivial_solutions=_trivial_axis_pairs(c.rep))),
-    ("unit-target", lambda s: _beta_power(s) == 0 and not s.unit_is_one,
+    ("unit-target", "unit", _ANY_N, _TWISTED,
      lambda c: c.verdict("NoSolutions", "Theorem 1.6",
                          "a unit other than ±1 is not a sum of two cubes in K")),
-    ("beta-solvable", lambda s: _beta_power(s) == 1 and s.unit_is_one,
+    ("beta-solvable", "beta", _ANY_N, _UNIT_1,
      lambda c: c.verdict(
          "HasSolutions", "beta-construction",
          "targets in the cube class of beta are sums of two cubes "
          "(x³ + y³ = 9 has infinitely many rational solutions)",
          witness=_beta_witness(c.rep))),
-    ("beta-blocked",
-     lambda s: _beta_power(s) in (1, 2) and not (s.beta_exp == 1 and s.unit_is_one),
-     lambda c: c.verdict(
-         "NoSolutions", "Theorem 1.7",
-         "an associate of beta or beta² other than ±beta is not a sum of two cubes")),
-    ("inert-25", lambda s: _lone_inert(s, 0) in (2, 5), _inert_25),
-    ("inert-8", lambda s: _lone_inert(s, 0) == 8 and s.unit_is_one,
+    ("beta-blocked", "beta", _ANY_N, _TWISTED, _beta_blocked),
+    ("beta-blocked", "beta²", _ANY_N, _ANY_UNIT, _beta_blocked),
+    ("inert-25", "p", (2, 5), _ANY_UNIT, _inert_25),
+    ("inert-8", "p", (8,), _UNIT_1,
      lambda c: c.verdict(
          "LiteratureSolvable", "literature",
-         f"p = {c.shape.inert[0][0]} = 8 mod 9: "
-         "infinitely many rational representations of p and p²",
+         f"p = {c.n} = 8 mod 9: infinitely many rational representations of p and p²",
          citation="Kriz (arXiv): Sylvester's conjecture for p = 8 mod 9")),
-    ("inert-8-twist", lambda s: _lone_inert(s, 0) == 8 and not s.unit_is_one, _no_theorem),
-    ("split-47", lambda s: _lone_split(s) in (4, 7), _split_47),
-    ("split-1mod9-primary", lambda s: _lone_split(s) == 1 and s.unit_is_one, _split_primary),
-    ("split-1mod9-twist", lambda s: _lone_split(s) == 1 and not s.unit_is_one,
+    ("inert-8-twist", "p", (8,), _TWISTED, _no_theorem),
+    ("split-47", "pi", (4, 7), _ANY_UNIT, _split_47),
+    ("split-1mod9-primary", "pi", (1,), _UNIT_1, _split_primary),
+    ("split-1mod9-twist", "pi", (1,), _TWISTED,
      lambda c: c.search(
-         f"unit twist of an irreducible of norm {c.shape.split[0][1]} = 1 mod 9; "
+         f"unit twist of an irreducible of norm {c.n} = 1 mod 9; "
          "no theorem covers this form", prefer_relation=True)),
-    ("rational-split-47", lambda s: _conj_pair(s, 0) in (4, 7) and s.unit_is_one,
-     _rational_split_47),
-    ("rational-split-47-twist", lambda s: _conj_pair(s, 0) in (4, 7) and not s.unit_is_one,
-     _rational_split_47_twist),
-    ("rational-split-1mod9", lambda s: _conj_pair(s, 0) == 1,
-     lambda c: c.search(f"rational class of p = {c.shape.split_conjugate_pair()[0]} = 1 mod 9: "
+    ("rational-split-47", "pair", (4, 7), _UNIT_1, _rational_split_47),
+    ("rational-split-47-twist", "pair", (4, 7), _TWISTED, _rational_split_47_twist),
+    ("rational-split-1mod9", "pair", (1,), _ANY_UNIT,
+     lambda c: c.search(f"rational class of p = {c.n} = 1 mod 9: "
                         "known results are conjectural")),
-    ("beta-inert-25", lambda s: _lone_inert(s, 1) in (2, 5) and s.unit_is_one, _beta_inert_25),
-    ("beta-inert-other",
-     lambda s: (_lone_inert(s, 1) is not None
-                and not (_lone_inert(s, 1) in (2, 5) and s.unit_is_one)),
-     lambda c: c.search(
-         "beta times an inert prime outside the Theorem 2.1 pattern "
-         "(unit twists of beta·p are not addressed by any theorem)")),
-    ("three-p", lambda s: _conj_pair(s, 2) is not None and s.unit_is_one, _three_p),
-    ("three-p-twist", lambda s: _conj_pair(s, 2) is not None and not s.unit_is_one, _no_theorem),
-    ("no-theorem", None, _no_theorem),
+    ("beta-inert-25", "beta·p", (2, 5), _UNIT_1, _beta_inert_25),
+    ("beta-inert-other", "beta·p", (2, 5), _TWISTED, _beta_inert_other),
+    ("beta-inert-other", "beta·p", (8,), _ANY_UNIT, _beta_inert_other),
+    ("three-p", "3·pair", _ANY_N, _UNIT_1, _three_p),
+    ("three-p-twist", "3·pair", _ANY_N, _TWISTED, _no_theorem),
+    ("no-theorem", "other", _ANY_N, _ANY_UNIT, _no_theorem),
 )
-_HANDLERS = {name: handler for name, _, handler in _RULES}
+
+
+def _rule(kind: str, n: int, unit: EisensteinInt) -> tuple:
+    """The first row of _RULES matching the key (kind, n mod 9, unit)."""
+    return next(row for row in _RULES if row[1] == kind and n % 9 in row[2] and unit in row[3])
 
 
 def match_rule(canon: CanonicalM) -> str:
-    """Name of the unique rule whose pattern matches; asserts uniqueness."""
-    shape = _analyse(canon)
-    hits = [name for name, pred, _ in _RULES[:-1] if pred(shape)]
-    assert len(hits) <= 1, f"rule table not a partition: {hits} for {canon}"
-    return hits[0] if hits else _RULES[-1][0]
+    """Name of the rule whose row matches the canonical form."""
+    return _rule(*_shape(canon)[:2], canon.unit)[0]
 
 
 # -- orientation: sign and conjugation normalisation -------------------------
@@ -414,7 +383,7 @@ def _beta_witness(rep: EisensteinInt) -> Pair:
     c = _exact_cube_root(rep / BETA)
     x = KElement(-2 * BETA * c, 3)
     y = KElement(-BETA * c, 3)
-    assert x**3 + y**3 == KElement(rep)
+    _verify_pair((x, y), rep)
     return x, y
 
 
@@ -464,8 +433,9 @@ def classify(
 
     rep, transport = _orient(m_int)
     canon_rep = canonicalize(rep)
-    rule = match_rule(canon_rep)
-    verdict = _HANDLERS[rule](_Case(rep, canon_rep, _analyse(canon_rep), scope, budget))
+    kind, n, e = _shape(canon_rep)
+    handler = _rule(kind, n, canon_rep.unit)[-1]
+    verdict = handler(_Case(rep, canon_rep, n, e, scope, budget))
 
     # transport witnesses back to the original target and clear the
     # fractional rescale (solutions of n·d² are d times those of n/d)

@@ -279,38 +279,25 @@ def _cmd_tables(args: argparse.Namespace) -> int:
     which = args.which
     if which == "conditionI":
         rows = condition_I_table(args.max)
-        expected = verify_mod.EXPECTED["condition_I_a_plus_b"]
-        mismatch = {
-            r["p"]: (r["a+b"], expected[r["p"]])
-            for r in rows
-            if r["p"] in expected and r["a+b"] != expected[r["p"]]
-        }
         if args.json:
             print(json.dumps(rows))
         else:
             for r in rows:
                 print(f"p={r['p']:<5} a={r['a']:<5} b={r['b']:<5} a+b={r['a+b']:<5} cube={r['cube']}")
-        if mismatch:
-            print(f"table mismatch against expected constants: {mismatch}", file=sys.stderr)
-            return EXIT_ERROR
-        return EXIT_OK
-
-    if which == "excA":
-        got = exceptional_A_set(args.max)
-        expected = [p for p in verify_mod.EXPECTED["excA_200"] if p <= args.max]
-        checkable = min(args.max, 200)
-        diff = sorted(set(p for p in got if p <= checkable) ^ set(expected))
-    elif which == "excB":
-        got = exceptional_B_set(args.max)
-        expected = [p for p in verify_mod.EXPECTED["excB_100"] if p <= args.max]
-        checkable = min(args.max, 100)
-        diff = sorted(set(p for p in got if p <= checkable) ^ set(expected))
-    else:  # excA-mod9-first5
-        got = first_exceptional_A_1mod9(5)
-        diff = sorted(set(got) ^ set(verify_mod.EXPECTED["excA_1mod9_first5"]))
-    print(json.dumps(got) if args.json else " ".join(map(str, got)))
-    if diff:
-        print(f"table mismatch against expected constants: {diff}", file=sys.stderr)
+        criterion = verify_mod.criterion_4_condition_I_table
+    else:
+        if which == "excA":
+            got = exceptional_A_set(args.max)
+        elif which == "excB":
+            got = exceptional_B_set(args.max)
+        else:  # excA-mod9-first5
+            got = first_exceptional_A_1mod9(5)
+        print(json.dumps(got) if args.json else " ".join(map(str, got)))
+        criterion = verify_mod.criterion_5_exceptional_sets
+    try:
+        criterion()
+    except verify_mod.VerificationError as err:
+        print(f"table mismatch against expected constants: {err}", file=sys.stderr)
         return EXIT_ERROR
     return EXIT_OK
 

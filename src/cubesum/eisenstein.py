@@ -485,16 +485,6 @@ class KElement:
     def is_integral(self) -> bool:
         return self.den == 1
 
-    def as_eisenstein(self) -> EisensteinInt:
-        if self.den != 1:
-            raise ValueError(f"{self} is not integral")
-        return self.num
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self} is not rational")
-        return Fraction(self.num.a, self.den)
-
     def __eq__(self, other: object) -> bool:
         other = _coerce_k(other)
         if other is NotImplemented:

@@ -190,12 +190,6 @@ class Factorization:
             out = out * irr**e
         return out
 
-    def exponent(self, irr: EisensteinInt) -> int:
-        for q, e in self.factors:
-            if q == irr:
-                return e
-        return 0
-
     def __str__(self) -> str:
         parts = [format_eisenstein(self.unit)]
         for irr, e in self.factors:

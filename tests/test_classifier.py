@@ -104,7 +104,23 @@ class TestRuleTable:
             m = E(rng.randint(-60, 60), rng.randint(-60, 60))
             if m.is_zero():
                 continue
-            match_rule(canonicalize(m))  # asserts uniqueness internally
+            match_rule(canonicalize(m))  # every form finds a row
+
+    def test_rows_partition_the_key_space(self):
+        # every key a canonical form can have: p and beta·p carry an inert
+        # prime (2, 5 or 8 mod 9), pi and pair a split norm (1, 4 or 7 mod 9),
+        # the other kinds any n; the unit is 1, w or v
+        residues = {"p": (2, 5, 8), "beta·p": (2, 5, 8), "pi": (1, 4, 7), "pair": (1, 4, 7)}
+        kinds = ("unit", "beta", "beta²", "p", "beta·p", "pi", "pair", "3·pair", "other")
+        matched = set()
+        for kind in kinds:
+            for n in residues.get(kind, range(9)):
+                for unit in (ONE, W, V):
+                    rows = [i for i, (_, k, ns, units, _) in enumerate(classifier._RULES)
+                            if k == kind and n in ns and unit in units]
+                    assert len(rows) == 1, (kind, n, unit, rows)
+                    matched.update(rows)
+        assert matched == set(range(len(classifier._RULES)))
 
     @pytest.mark.parametrize(
         "target,rule",

@@ -394,23 +394,28 @@ def test_is_cube_of_large_cube_does_not_factor():
 
 
 def test_witness_checks_survive_optimize():
-    """A wrong witness still raises under python -O, where assert statements
-    are stripped: a wrong rational-search hit in classify, and a wrong Lucas
-    pair in lucas_witness."""
+    """A wrong witness or a failed premise still raises under python -O,
+    where assert statements are stripped: a wrong rational-search hit in
+    classify, a wrong Lucas pair in lucas_witness, a wrong cube root in the
+    beta construction, and condition (I) failing under Theorem 2.2."""
     code = (
         "from cubesum import classifier, constructors\n"
-        "from cubesum.eisenstein import KElement\n"
+        "from cubesum.eisenstein import ONE, EisensteinInt, KElement\n"
         "assert False, 'asserts must be stripped'\n"
         "classifier.search_rational = lambda m, d: [(KElement(1), KElement(1))]\n"
         "constructors.lucas_pair = lambda a, b: (1, 1)\n"
-        "for call in (lambda: classifier.classify(6, 'Q'),\n"
-        "             lambda: constructors.lucas_witness(-3, -61, 183)):\n"
+        "classifier._exact_cube_root = lambda x: ONE\n"
+        "classifier.condition_I = lambda p: False\n"
+        "for call, message in ((lambda: classifier.classify(6, 'Q'), 'does not sum to'),\n"
+        "                      (lambda: constructors.lucas_witness(-3, -61, 183), 'does not sum to'),\n"
+        "                      (lambda: classifier._beta_witness(EisensteinInt(9, 0)), 'does not sum to'),\n"
+        "                      (lambda: classifier.classify(EisensteinInt(0, 7), 'K'), 'condition (I)')):\n"
         "    try:\n"
         "        call()\n"
         "    except ArithmeticError as err:\n"
-        "        if 'does not sum to' in str(err):\n"
+        "        if message in str(err):\n"
         "            continue\n"
-        "    raise SystemExit('unverified witness')\n"
+        "    raise SystemExit('unchecked premise or witness')\n"
         "print('ok')\n"
     )
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
