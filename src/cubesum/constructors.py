@@ -20,18 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .eisenstein import (
-    BETA,
-    EisensteinInt,
-    KElement,
-    ONE,
-    V,
-    W,
-    eis_gcd,
-    is_primary,
-    unit_inverse,
-)
-from .factorization import Factorization, cube_split
+from .eisenstein import BETA, EisensteinInt, KElement, V, W, eis_gcd, unit_inverse
+from .factorization import cube_split
 from .search import _exact_icbrt, cube_roots
 
 
@@ -112,14 +102,15 @@ def solution_from_relation(
 def lucas_pair(a: int, b: int) -> tuple[int, int]:
     """The Lucas polynomials x = a³ - b³ + 6a²b + 3ab², y = b³ - a³ + 3a²b + 6ab².
 
-    Both classical identities are asserted exactly:
+    Both classical identities are checked exactly (ArithmeticError otherwise):
         x + y = 9ab(a + b)     and     x² - xy + y² = 3(a² + ab + b²)³,
     whence x³ + y³ = -27·a·b·c·(a² + ab + b²)³ with c = -a - b.
     """
     x = a**3 - b**3 + 6 * a * a * b + 3 * a * b * b
     y = b**3 - a**3 + 3 * a * a * b + 6 * a * b * b
-    assert x + y == 9 * a * b * (a + b)
-    assert x * x - x * y + y * y == 3 * (a * a + a * b + b * b) ** 3
+    if (x + y != 9 * a * b * (a + b)
+            or x * x - x * y + y * y != 3 * (a * a + a * b + b * b) ** 3):
+        raise ArithmeticError(f"Lucas identities fail at (a, b) = ({a}, {b})")
     return x, y
 
 
@@ -239,20 +230,16 @@ def triple_from_solution(x: KElement, y: KElement, m: EisensteinInt) -> Triple:
 
 
 def reduce_triple(t: Triple) -> Triple:
-    """Divide out common factors until the entries are pairwise coprime.
+    """Divide the entries by g = gcd(A, B) to make them pairwise coprime.
 
-    A common factor of any two entries divides the third (the entries sum
-    to zero), so repeatedly dividing all three by their gcd changes the
-    product by a cube and lands on a pairwise coprime triple; the Triple
-    invariant is re-verified by construction.
+    g divides C = -A - B as well, so one division changes the product by
+    the cube g³.  Afterwards a factor shared by any two quotients divides
+    the third (they still sum to zero) and so divides gcd(A/g, B/g) = 1:
+    the entries are pairwise coprime, and the Triple invariant is
+    re-verified by construction.
     """
-    a, b, c = t.A, t.B, t.C
-    while True:
-        g = eis_gcd(eis_gcd(a, b), c)
-        if g.is_unit():
-            break
-        a, b, c = a / g, b / g, c / g
-    return Triple(a, b, c, t.target)
+    g = eis_gcd(t.A, t.B)
+    return Triple(t.A / g, t.B / g, t.C / g, t.target)
 
 
 def _unit_cube_parts(x: EisensteinInt, label: str) -> tuple[EisensteinInt, EisensteinInt]:
@@ -268,17 +255,21 @@ def _unit_cube_parts(x: EisensteinInt, label: str) -> tuple[EisensteinInt, Eisen
 
 
 def descent_step(t: Triple) -> Triple:
-    """One step of 3-descent on a reduced triple whose A and B are
-    unit-times-cube.
+    """One step of 3-descent on a triple whose A and B are unit-times-cube.
 
-    After normalising the unit on A away, A = r³ and B = s³ (a unit mismatch
-    between A and B is an obstruction and raises).  s may be replaced by
-    w·s or v·s without changing B; the first choice in the fixed order
-    (s, w·s, v·s) making the non-cube part of C divide r + s is taken, else
-    s itself.  The new triple is (w·r + v·s, v·r + w·s, r + s), whose
-    product is exactly -C; when the whole triple consists of cubes with
-    beta dividing the third root, the three new entries are additionally
-    divisible by beta and are divided through, giving product -C/beta³.
+    The triple is reduced first, then A = i·r³ and B = j·s³ with i, j in
+    {1, w, v}; i != j is an obstruction and raises.  Dividing the triple
+    by the unit i would leave A = r³, B = s³ and change the product only
+    by a unit cube; only C is carried on, so only C is divided.  s may be
+    replaced by w·s or v·s without changing B; the first choice in the
+    fixed order (s, w·s, v·s) making the non-cube part of C divide r + s
+    is taken, else s itself.  The new triple is (w·r + v·s, v·r + w·s,
+    r + s), whose product is exactly -C.
+
+    No step divides the new entries through by beta: that would need C to
+    be a cube too, i.e. r³ + s³ + c³ = 0 with r·s·c != 0 in Z[w], which
+    Fermat's Last Theorem for exponent 3 over Z[w] rules out (Euler and
+    Gauss; Ireland–Rosen, §17.8).
 
     Raises DescentTerminal when A and B are units (the descent has
     bottomed out) and TripleStructureError when extraction fails.
@@ -289,22 +280,14 @@ def descent_step(t: Triple) -> Triple:
         raise DescentTerminal("A and B are units")
     i, r = _unit_cube_parts(a, "A")
     j, s = _unit_cube_parts(b, "B")
-    if i != ONE:
-        # divide the whole triple by the unit i (changes the product by a
-        # unit cube = ±1, harmless)
-        inv = unit_inverse(i)
-        a, b, c = inv * a, inv * b, inv * c
-        j = inv * j
-        if j in (-ONE, -W, -V):
-            j, s = -j, -s
-        i = ONE
-    if j != ONE:
+    inv = unit_inverse(i)
+    if j != i:
         raise TripleStructureError(
-            f"triple not in descent form: unit mismatch i != j (j/i = {j})"
+            f"triple not in descent form: unit mismatch i != j (j/i = {inv * j})"
         )
+    c = inv * c
 
-    c_root, c_rest = cube_split(c)
-    m_core = c_rest.value()  # the non-cube part of C, up to a unit
+    m_core = cube_split(c)[1].value()  # the non-cube part of C, up to a unit
     for cand in (s, W * s, V * s):
         if m_core.divides(r + cand):
             s = cand
@@ -313,41 +296,9 @@ def descent_step(t: Triple) -> Triple:
     a2, b2, c2 = W * r + V * s, V * r + W * s, r + s
     if a2.is_zero() or b2.is_zero() or c2.is_zero():
         raise TripleStructureError("descent step degenerates: r³ = s³ collision")
-    assert (a2 * b2 * c2) == -c, "product identity A'·B'·C' = -C failed"
-
-    # beta-variant: all three entries are cubes and beta divides the third
-    # root; then r, s can be normalised to 1, -1 mod 3 and the new entries
-    # are all divisible by beta.
-    if c_rest == Factorization(ONE, ()) and BETA.divides(c_root):
-        pair = _arrange_plus_minus(r, s)
-        if pair is None:
-            pair = _arrange_plus_minus(s, r)
-        if pair is not None:
-            r, s = pair
-            a2, b2, c2 = (W * r + V * s) / BETA, (V * r + W * s) / BETA, (r + s) / BETA
-            assert a2 * b2 * c2 * BETA**3 == -c
-            return Triple(a2, b2, c2, t.target)
-
+    if a2 * b2 * c2 != -c:
+        raise ArithmeticError("product identity A'·B'·C' = -C failed")
     return Triple(a2, b2, c2, t.target)
-
-
-def _arrange_plus_minus(r: EisensteinInt, s: EisensteinInt) -> tuple[EisensteinInt, EisensteinInt] | None:
-    """Twist r to 1 mod 3 and s to -1 mod 3 by cube roots of unity, if possible."""
-    r1 = _primary_twist(r)
-    s1 = _primary_twist(-s)
-    if r1 is None or s1 is None:
-        return None
-    return r1, -s1
-
-
-def _primary_twist(x: EisensteinInt) -> EisensteinInt | None:
-    """The twist zeta·x, zeta in {1, w, v}, congruent to 1 mod 3 (if any).
-    Cube-root-of-unity twists leave x³ unchanged."""
-    for zeta in (ONE, W, V):
-        y = zeta * x
-        if is_primary(y):
-            return y
-    return None
 
 
 @dataclass(frozen=True)
@@ -366,9 +317,12 @@ def descent_trace(
 ) -> DescentTrace:
     """Iterate descent_step from a solution until it stops.
 
-    Norm products strictly decrease, so termination is guaranteed; the trace
-    records whether it stopped at the units case or at structure absence
-    (with the obstruction message).  max_steps is a safety net only.
+    Each step divides the norm product by N(A)·N(B) >= 2, so the descent
+    stops; the trace records whether it stopped at the units case or at
+    structure absence (with the obstruction message).  max_steps is a
+    budget, not an integrity check: a large solution may need more steps,
+    and running out raises ValueError naming the cap.  A step that fails
+    to shrink the norm product raises ArithmeticError.
     """
     t = reduce_triple(triple_from_solution(x, y, m))
     steps = [t]
@@ -379,11 +333,12 @@ def descent_trace(
             return DescentTrace(tuple(steps), f"units: {stop}")
         except TripleStructureError as stop:
             return DescentTrace(tuple(steps), f"structure-absent: {stop}")
-        assert nxt.norm_product() < t.norm_product(), "descent failed to shrink"
+        if nxt.norm_product() >= t.norm_product():
+            raise ArithmeticError("descent failed to shrink the norm product")
         nxt = reduce_triple(nxt)
         steps.append(nxt)
         t = nxt
-    raise ArithmeticError("descent exceeded max_steps despite decreasing norms")
+    raise ValueError(f"descent did not stop within max_steps={max_steps} steps")
 
 
 def cube_triple_structure(

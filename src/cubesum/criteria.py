@@ -15,8 +15,9 @@ Write p = pi·conj(pi) with pi = 1 mod 3 primary.
   Exceptional B:   3 is a cube mod p, i.e. 3^((p-1)/3) = 1 mod p.
 
 A and B are equivalent (again cubic reciprocity); every predicate here is
-computed along two independent paths and the paths are hard-asserted to
-agree, so a normalization bug shows up as a crash, never as a wrong table.
+computed along two independent paths, and a disagreement raises
+ArithmeticError (also under python -O), so a normalization bug shows up as
+a crash, never as a wrong table.
 """
 
 from __future__ import annotations
@@ -46,13 +47,14 @@ def condition_I(p: int) -> bool:
 
     Path one reduces conj(pi) into Z/p through the residue-field
     identification; path two applies the trace shortcut a + b.  The two
-    must agree (hard assertion).
+    must agree (ArithmeticError otherwise).
     """
     pi, pi_bar = _require_split(p)
     via_residue = is_cube_mod_p(residue_split(pi_bar, pi, p), p)
     a, b = pi.to_uv()
     via_trace = is_cube_mod_p((a + b) % p, p)
-    assert via_residue == via_trace, f"condition (I) paths disagree at p={p}"
+    if via_residue != via_trace:
+        raise ArithmeticError(f"condition (I) paths disagree at p={p}")
     return via_residue
 
 
@@ -62,13 +64,16 @@ def exceptional_A(p: int) -> tuple[bool, tuple[int, int] | None]:
     Path one scans all six associates of pi for congruence to a rational
     integer mod 9 (then cross-checks the primary-form shortcut: 9 | a - b
     for the primary factor written as a·w + b·v).  Path two searches the
-    quadratic form 4p = x² + 243y² exhaustively.  The paths must agree.
+    quadratic form 4p = x² + 243y² exhaustively.  The paths must agree
+    (ArithmeticError otherwise).
     """
     pi, _ = _require_split(p)
     via_mod9 = any((zeta * pi).b % 9 == 0 for zeta in UNITS)
     a, b = pi.to_uv()
-    assert is_primary(pi)
-    assert via_mod9 == ((a - b) % 9 == 0), f"mod-9 associate scan disagrees at p={p}"
+    if not is_primary(pi):
+        raise ArithmeticError(f"split_prime({p}) returned a non-primary factor {pi}")
+    if via_mod9 != ((a - b) % 9 == 0):
+        raise ArithmeticError(f"mod-9 associate scan disagrees at p={p}")
 
     witness = None
     y = 1
@@ -79,7 +84,8 @@ def exceptional_A(p: int) -> tuple[bool, tuple[int, int] | None]:
             witness = (s, y)
             break
         y += 1
-    assert via_mod9 == (witness is not None), f"Exceptional A paths disagree at p={p}"
+    if via_mod9 != (witness is not None):
+        raise ArithmeticError(f"Exceptional A paths disagree at p={p}")
     return via_mod9, witness
 
 

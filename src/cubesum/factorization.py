@@ -135,10 +135,10 @@ def split_prime(p: int) -> tuple[EisensteinInt, EisensteinInt]:
     primitive cube root of unity for the first g = 2, 3, ... that makes it
     differ from 1, so 2c + 1 is a square root of -3 mod p; the Euclidean
     algorithm on (p, 2c + 1) stops at the first remainder r with r² < p.
-    Then (r + y) + 2y·w has norm r² + 3y² = p, and its distinguished
-    associate and that of its conjugate are the pair.  The result is cached
-    (at most 4096 primes); the cache is a pure memo and safe under
-    concurrent use.
+    Then (r + y) + 2y·w has norm r² + 3y² = p; its distinguished (primary)
+    associate and the conjugate of that, again primary, are the pair.  The
+    result is cached (at most 4096 primes); the cache is a pure memo and
+    safe under concurrent use.
     """
     if p % 3 != 1 or not is_prime(p):
         raise ValueError(f"{p} is not a split prime")
@@ -154,7 +154,7 @@ def split_prime(p: int) -> tuple[EisensteinInt, EisensteinInt]:
     cand = EisensteinInt(r + y, 2 * y)
     assert cand.norm() == p
     _, pi = canonical_associate(cand)
-    _, pi_conj = canonical_associate(cand.conj())
+    pi_conj = pi.conj()
     if pi.b < 0:
         pi, pi_conj = pi_conj, pi
     assert pi.b > 0 and is_primary(pi) and is_primary(pi_conj)

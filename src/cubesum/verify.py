@@ -151,7 +151,7 @@ def criterion_6_reciprocity_instances() -> str:
     count = 0
     for p in split_primes_upto(4999):
         _check(condition_I(p), f"condition (I) fails at {p}?!")
-        a, _ = exceptional_A(p)  # dual paths hard-assert agreement internally
+        a, _ = exceptional_A(p)  # raises ArithmeticError if its two paths disagree
         b = exceptional_B(p)
         _check(a == b, f"Exceptional A/B disagree at {p}: A={a} B={b}")
         count += 1
@@ -251,7 +251,7 @@ def criterion_10_property_soak() -> str:
             continue
         _check(ord_beta(x * y) == ord_beta(x) + ord_beta(y), f"ord_beta({x}·{y})")
 
-    for _ in range(1000):  # Lucas polynomial identities (asserted inside)
+    for _ in range(1000):  # Lucas polynomial identities (checked inside, raise on failure)
         lucas_pair(rng.randint(-500, 500), rng.randint(-500, 500))
 
     count = 0  # classify invariances on a 200-case grid, searches disabled

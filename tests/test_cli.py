@@ -132,6 +132,14 @@ class TestDescend:
         code, _, err = run(capsys, "descend", "1", "1", "2")
         assert code == 1
 
+    def test_step_cap_is_a_usage_error(self, capsys):
+        # (37/21, 17/21, 6) stops within a cap of 3; a smaller cap exits 1 and
+        # names the cap instead of raising out of main
+        for cap in ("1", "0"):
+            code, out, err = run(capsys, "descend", "37/21", "17/21", "6", "--max-steps", cap)
+            assert code == 1 and out == ""
+            assert err == f"cubesum: error: descent did not stop within max_steps={cap} steps\n"
+
 
 class TestSearch:
     def test_rational(self, capsys):

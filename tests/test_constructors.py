@@ -12,6 +12,7 @@ from cubesum.constructors import (
     DescentTerminal,
     Triple,
     TripleStructureError,
+    _unit_cube_parts,
     cube_triple_structure,
     descent_step,
     descent_trace,
@@ -25,7 +26,18 @@ from cubesum.constructors import (
     tangent_step,
     triple_from_solution,
 )
-from cubesum.eisenstein import BETA, EisensteinInt, KElement, ONE, V, W
+from cubesum.eisenstein import (
+    BETA,
+    UNITS,
+    EisensteinInt,
+    KElement,
+    ONE,
+    V,
+    W,
+    eis_gcd,
+    is_primary,
+    unit_inverse,
+)
 from cubesum.factorization import Factorization, cube_split
 
 
@@ -57,6 +69,141 @@ def _fraction_lucas_witness(a: int, b: int, m: int):
         KElement.from_rational(x * d.denominator, d.numerator),
         KElement.from_rational(y * d.denominator, d.numerator),
     )
+
+
+def _loop_reduce_triple(t: Triple) -> Triple:
+    """The gcd loop reduce_triple replaced, kept as an oracle: divide all
+    three entries by gcd(gcd(A, B), C) until it is a unit."""
+    a, b, c = t.A, t.B, t.C
+    while True:
+        g = eis_gcd(eis_gcd(a, b), c)
+        if g.is_unit():
+            break
+        a, b, c = a / g, b / g, c / g
+    return Triple(a, b, c, t.target)
+
+
+def _primary_twist(x):
+    for zeta in (ONE, W, V):
+        if is_primary(zeta * x):
+            return zeta * x
+    return None
+
+
+def _arrange_plus_minus(r, s):
+    r1, s1 = _primary_twist(r), _primary_twist(-s)
+    return None if r1 is None or s1 is None else (r1, -s1)
+
+
+BETA_VARIANT_ENTRIES = []
+
+
+def _beta_variant_descent_step(t: Triple) -> Triple:
+    """descent_step as it was before the FLT(3)-unreachable beta-variant and
+    unit sign flip were removed (its asserts left out), kept as an oracle.
+    Each entry into the beta-variant branch is recorded in
+    BETA_VARIANT_ENTRIES."""
+    t = _loop_reduce_triple(t)
+    a, b, c = t.entries()
+    if a.is_unit() and b.is_unit():
+        raise DescentTerminal("A and B are units")
+    i, r = _unit_cube_parts(a, "A")
+    j, s = _unit_cube_parts(b, "B")
+    if i != ONE:
+        inv = unit_inverse(i)
+        a, b, c = inv * a, inv * b, inv * c
+        j = inv * j
+        if j in (-ONE, -W, -V):
+            j, s = -j, -s
+    if j != ONE:
+        raise TripleStructureError(
+            f"triple not in descent form: unit mismatch i != j (j/i = {j})"
+        )
+    c_root, c_rest = cube_split(c)
+    m_core = c_rest.value()
+    for cand in (s, W * s, V * s):
+        if m_core.divides(r + cand):
+            s = cand
+            break
+    a2, b2, c2 = W * r + V * s, V * r + W * s, r + s
+    if a2.is_zero() or b2.is_zero() or c2.is_zero():
+        raise TripleStructureError("descent step degenerates: r³ = s³ collision")
+    if c_rest == Factorization(ONE, ()) and BETA.divides(c_root):
+        BETA_VARIANT_ENTRIES.append(t)
+        pair = _arrange_plus_minus(r, s) or _arrange_plus_minus(s, r)
+        if pair is not None:
+            r, s = pair
+            return Triple((W * r + V * s) / BETA, (V * r + W * s) / BETA, (r + s) / BETA, t.target)
+    return Triple(a2, b2, c2, t.target)
+
+
+def _outcome(step, t: Triple):
+    """A step's result as comparable data: the triple, or the exception."""
+    try:
+        out = step(t)
+    except (ValueError, ArithmeticError, DescentTerminal) as exc:
+        return type(exc).__name__, str(exc)
+    return out.entries(), out.target
+
+
+def _seeded_triples(count: int, seed: int):
+    """Valid triples (u·r³·k, u'·s³·k, -u·r³·k - u'·s³·k) with target A·B·C:
+    u, u' range independently over the six units, so two thirds of the
+    triples carry mismatched unit classes, and k is a common factor."""
+    rng = random.Random(seed)
+
+    def small(bound):
+        while True:
+            x = E(rng.randint(-bound, bound), rng.randint(-bound, bound))
+            if not x.is_zero():
+                return x
+
+    triples = []
+    while len(triples) < count:
+        k = rng.choice((ONE, ONE, BETA, E(2), small(2)))
+        a = rng.choice(UNITS) * small(4) ** 3 * k
+        b = rng.choice(UNITS) * small(4) ** 3 * k
+        if (a + b).is_zero():
+            continue
+        triples.append(Triple(a, b, -a - b, a * b * -(a + b)))
+    return triples
+
+
+class TestDescentParity:
+    """reduce_triple and descent_step agree with the gcd loop and the
+    beta-variant step they replaced, outcome for outcome (triple, or
+    exception type and message)."""
+
+    def test_matches_gcd_loop_and_beta_variant_step(self):
+        del BETA_VARIANT_ENTRIES[:]
+        kinds = set()
+        for t in _seeded_triples(10_000, 9):
+            assert reduce_triple(t) == _loop_reduce_triple(t), t
+            got = _outcome(descent_step, t)
+            assert got == _outcome(_beta_variant_descent_step, t), t
+            kinds.add(got[0] if isinstance(got[0], str) else "step")
+        assert kinds == {"step", "TripleStructureError", "DescentTerminal"}
+        assert BETA_VARIANT_ENTRIES == []
+
+    def test_c_is_never_a_unit_times_a_cube(self):
+        # FLT(3) over Z[w]: r³ + s³ + u·c³ = 0 has no solution with
+        # r·s·c != 0 for a unit u, so C is never a unit times a cube once
+        # A and B have passed structure extraction
+        stepped = 0
+        for t in _seeded_triples(2_000, 10):
+            try:
+                descent_step(t)
+            except (TripleStructureError, DescentTerminal):
+                continue
+            assert cube_split(reduce_triple(t).C)[1].factors, t
+            stepped += 1
+        assert stepped > 200
+        for a in range(-6, 7):
+            for b in range(-6, 7):
+                for s in (ONE, E(2), BETA, E(2, 5)):
+                    c = E(a, b) ** 3 + s**3
+                    if (a or b) and not c.is_zero():
+                        assert cube_split(c)[1].factors, (a, b, s)
 
 
 class TestSolutionFromRelation:
@@ -397,19 +544,25 @@ def test_witness_checks_survive_optimize():
     """A wrong witness or a failed premise still raises under python -O,
     where assert statements are stripped: a wrong rational-search hit in
     classify, a wrong Lucas pair in lucas_witness, a wrong cube root in the
-    beta construction, and condition (I) failing under Theorem 2.2."""
+    beta construction, condition (I) failing under Theorem 2.2, and the two
+    paths of condition (I) and of Exceptional A disagreeing (a non-cube
+    residue mod 7, a square-root search that finds no 4·61 = 1 + 243)."""
     code = (
-        "from cubesum import classifier, constructors\n"
+        "from cubesum import classifier, constructors, criteria\n"
         "from cubesum.eisenstein import ONE, EisensteinInt, KElement\n"
         "assert False, 'asserts must be stripped'\n"
         "classifier.search_rational = lambda m, d: [(KElement(1), KElement(1))]\n"
         "constructors.lucas_pair = lambda a, b: (1, 1)\n"
         "classifier._exact_cube_root = lambda x: ONE\n"
         "classifier.condition_I = lambda p: False\n"
+        "criteria.residue_split = lambda x, pi, p: 2\n"
+        "criteria.isqrt = lambda n: 0\n"
         "for call, message in ((lambda: classifier.classify(6, 'Q'), 'does not sum to'),\n"
         "                      (lambda: constructors.lucas_witness(-3, -61, 183), 'does not sum to'),\n"
         "                      (lambda: classifier._beta_witness(EisensteinInt(9, 0)), 'does not sum to'),\n"
-        "                      (lambda: classifier.classify(EisensteinInt(0, 7), 'K'), 'condition (I)')):\n"
+        "                      (lambda: classifier.classify(EisensteinInt(0, 7), 'K'), 'condition (I)'),\n"
+        "                      (lambda: criteria.condition_I(7), 'paths disagree at p=7'),\n"
+        "                      (lambda: criteria.exceptional_A(61), 'paths disagree at p=61')):\n"
         "    try:\n"
         "        call()\n"
         "    except ArithmeticError as err:\n"
