@@ -95,7 +95,8 @@ def solution_from_relation(
     scale = KElement(rst * 3, 1)
     x = KElement(x_num, 1) / scale
     y = KElement(y_num, 1) / scale
-    assert x**3 + y**3 == KElement(m), "constructed pair fails the curve equation"
+    if x**3 + y**3 != KElement(m):
+        raise ArithmeticError(f"constructed pair ({x}, {y}) fails the curve equation for {m}")
     return x, y
 
 
@@ -319,20 +320,23 @@ def descent_trace(
 
     Each step divides the norm product by N(A)·N(B) >= 2, so the descent
     stops; the trace records whether it stopped at the units case or at
-    structure absence (with the obstruction message).  max_steps is a
-    budget, not an integrity check: a large solution may need more steps,
-    and running out raises ValueError naming the cap.  A step that fails
-    to shrink the norm product raises ArithmeticError.
+    structure absence (with the obstruction message).  max_steps caps the
+    successful steps, so a cap of N allows N steps and then the call that
+    stops.  It is a budget, not an integrity check: a large solution may
+    need more steps, and running out raises ValueError naming the cap.  A
+    step that fails to shrink the norm product raises ArithmeticError.
     """
     t = reduce_triple(triple_from_solution(x, y, m))
     steps = [t]
-    for _ in range(max_steps):
+    for taken in range(max_steps + 1):
         try:
             nxt = descent_step(t)
         except DescentTerminal as stop:
             return DescentTrace(tuple(steps), f"units: {stop}")
         except TripleStructureError as stop:
             return DescentTrace(tuple(steps), f"structure-absent: {stop}")
+        if taken == max_steps:
+            break
         if nxt.norm_product() >= t.norm_product():
             raise ArithmeticError("descent failed to shrink the norm product")
         nxt = reduce_triple(nxt)

@@ -12,6 +12,13 @@ corollaries (flt3_exhaust, cube_ap_exhaust, mordell_check):
     coordinate box per denominator; an empty result proves nothing.
   * relation_search: first (r, s, t) with w·r³ + v·s³ + M·t³ = 0.
 
+Both K searches work up to the units ±{1, w, v} of Z[w].  A pair (ξ, η)
+sums to e exactly when (ζξ, ζη) sums to ζe, with the same cubes, for a
+cube root of unity ζ; so search_eisenstein solves the quadratic once per
+divisor orbit {e, we, ve} and rotates its roots into the box.  Associates
+ζr share r³ up to sign, so relation_search tries one r per associate
+class.
+
 Every integer cube test (cube_roots' norm test, the Lucas scan) goes
 through one exact integer cube root, _exact_icbrt, and no float is used.
 Boxes are over the {w, v} coordinates; hit lists are ordered by
@@ -27,9 +34,9 @@ from math import gcd, isqrt
 
 from .eisenstein import (
     BETA,
+    ONE,
     EisensteinInt,
     KElement,
-    UNITS,
     V,
     W,
     coordinate_box,
@@ -153,8 +160,9 @@ def _divisors(units, target, denom, cap=None):
     divs = [(1, 1)]
     for q, top in exponents.items():
         nq = q.norm() if cap else 1
-        divs = [(v * q**k, n * nq**k) for v, n in divs for k in range(top + 1)
-                if not cap or n * nq**k <= cap]
+        powers = [(q**k, nq**k) for k in range(top + 1)]
+        divs = [(v * qk, n * nk) for v, n in divs for qk, nk in powers
+                if not cap or n * nk <= cap]
     return [u * v for u in units for v, _ in divs]
 
 
@@ -205,6 +213,11 @@ def search_eisenstein(
     f = m·d³/e and xi = (3e ± √(12f - 3e²))/6; filtered to the box, this is
     the naive double box scan, complete inside the box per denominator.
 
+    The quadratic is solved once per orbit {e, w·e, v·e}: e runs over the
+    divisors times ±1 only, and each root (xi, eta) for e gives the roots
+    (ζ·xi, ζ·eta) for ζ·e, which share its cubes and its content, so only
+    the box filter is applied to each rotation.
+
     With stop_at_first_denominator the search returns after the smallest
     denominator that yields hits; since the result order is denominator-
     major, the leading hit is the same either way.
@@ -216,20 +229,24 @@ def search_eisenstein(
     hits: list[tuple[KElement, KElement]] = []
     for d in range(1, denom_bound + 1):
         md3 = m * d**3
-        for e in _divisors(UNITS, target, factor(EisensteinInt(d, 0)).factors, cap):
+        for e in _divisors((ONE, -ONE), target, factor(EisensteinInt(d, 0)).factors, cap):
             for s in square_roots(12 * (md3 / e) - 3 * e * e):
                 num = 3 * e + s
                 if num.a % 6 or num.b % 6:
                     continue
-                xi = EisensteinInt(num.a // 6, num.b // 6)
-                eta = e - xi
-                if not (in_coordinate_box(xi, coord_bound) and in_coordinate_box(eta, coord_bound)
-                        and gcd(xi.a, xi.b, eta.a, eta.b, d) == 1):
+                xi0 = EisensteinInt(num.a // 6, num.b // 6)
+                eta0 = e - xi0
+                if gcd(xi0.a, xi0.b, eta0.a, eta0.b, d) != 1:
                     continue
-                x, y = KElement(xi, d), KElement(eta, d)
-                if x**3 + y**3 != m:
-                    raise ArithmeticError(f"search hit ({x}, {y}) does not sum to {m}")
-                hits.append((x, y))
+                for zeta in (ONE, W, V):
+                    xi, eta = zeta * xi0, zeta * eta0
+                    if not (in_coordinate_box(xi, coord_bound)
+                            and in_coordinate_box(eta, coord_bound)):
+                        continue
+                    x, y = KElement(xi, d), KElement(eta, d)
+                    if x**3 + y**3 != m:
+                        raise ArithmeticError(f"search hit ({x}, {y}) does not sum to {m}")
+                    hits.append((x, y))
         if hits and stop_at_first_denominator:
             break
     return sorted(hits, key=witness_sort_key)
@@ -246,17 +263,30 @@ def relation_search(
     least root winning.  The t slot scans rational integers only: t enters
     the relation through t³ alone, and the classical small relations all
     carry rational t.  Returns None when the box is exhausted.
+
+    Only the first r of each associate class is tried.  An associate ζ·r
+    has cube ±r³, and negating r³, s³ and t³ together keeps a relation,
+    with -s in the box and -t in the t scan; so a later associate can only
+    hit where the first one already has, and the first (r, s, t) is the one
+    a scan over every r would return.
     """
     if m.is_zero():
         raise ValueError("target must be nonzero")
+    mt3s = [(t, m * t**3) for t in spiral(bound)]
+    seen: set[EisensteinInt] = set()
     for r in coordinate_spiral(bound):
-        wr3 = W * r.cube()
-        for t in spiral(bound):
-            rhs = -(wr3 + m * t**3) * W
+        r3 = r.cube()
+        if r3 in seen:
+            continue
+        seen.update((r3, -r3))
+        wr3 = W * r3
+        for t, mt3 in mt3s:
+            rhs = -(wr3 + mt3) * W
             for s in cube_roots(rhs):
                 if s.is_zero() or not in_coordinate_box(s, bound):
                     continue
-                assert (wr3 + V * s**3 + m * t**3).is_zero()
+                if not (wr3 + V * s**3 + mt3).is_zero():
+                    raise ArithmeticError(f"relation ({r}, {s}, {t}) fails for {m}")
                 return r, s, EisensteinInt(t, 0)
     return None
 

@@ -133,8 +133,10 @@ class TestDescend:
         assert code == 1
 
     def test_step_cap_is_a_usage_error(self, capsys):
-        # (37/21, 17/21, 6) stops within a cap of 3; a smaller cap exits 1 and
-        # names the cap instead of raising out of main
+        # (37/21, 17/21, 6) takes two descent steps, so a cap of 2 suffices;
+        # a smaller cap exits 1 and names the cap instead of raising out of main
+        code, out, _ = run(capsys, "descend", "37/21", "17/21", "6", "--max-steps", "2")
+        assert code == 0 and len(out.strip().splitlines()) == 4
         for cap in ("1", "0"):
             code, out, err = run(capsys, "descend", "37/21", "17/21", "6", "--max-steps", cap)
             assert code == 1 and out == ""

@@ -544,9 +544,10 @@ def test_witness_checks_survive_optimize():
     """A wrong witness or a failed premise still raises under python -O,
     where assert statements are stripped: a wrong rational-search hit in
     classify, a wrong Lucas pair in lucas_witness, a wrong cube root in the
-    beta construction, condition (I) failing under Theorem 2.2, and the two
+    beta construction, condition (I) failing under Theorem 2.2, the two
     paths of condition (I) and of Exceptional A disagreeing (a non-cube
-    residue mod 7, a square-root search that finds no 4·61 = 1 + 243)."""
+    residue mod 7, a square-root search that finds no 4·61 = 1 + 243), and
+    a relation mapped back with a wrong Cramer determinant."""
     code = (
         "from cubesum import classifier, constructors, criteria\n"
         "from cubesum.eisenstein import ONE, EisensteinInt, KElement\n"
@@ -557,12 +558,16 @@ def test_witness_checks_survive_optimize():
         "classifier.condition_I = lambda p: False\n"
         "criteria.residue_split = lambda x, pi, p: 2\n"
         "criteria.isqrt = lambda n: 0\n"
+        "constructors.BETA = ONE\n"
+        "one, m = EisensteinInt(1, 0), EisensteinInt(1, 9)\n"
         "for call, message in ((lambda: classifier.classify(6, 'Q'), 'does not sum to'),\n"
         "                      (lambda: constructors.lucas_witness(-3, -61, 183), 'does not sum to'),\n"
         "                      (lambda: classifier._beta_witness(EisensteinInt(9, 0)), 'does not sum to'),\n"
         "                      (lambda: classifier.classify(EisensteinInt(0, 7), 'K'), 'condition (I)'),\n"
         "                      (lambda: criteria.condition_I(7), 'paths disagree at p=7'),\n"
-        "                      (lambda: criteria.exceptional_A(61), 'paths disagree at p=61')):\n"
+        "                      (lambda: criteria.exceptional_A(61), 'paths disagree at p=61'),\n"
+        "                      (lambda: constructors.solution_from_relation(2 * one, -one, -one, m),\n"
+        "                       'fails the curve equation')):\n"
         "    try:\n"
         "        call()\n"
         "    except ArithmeticError as err:\n"

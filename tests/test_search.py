@@ -10,6 +10,7 @@ from math import gcd, isqrt
 
 import pytest
 
+from cubesum import search
 from cubesum.eisenstein import (
     BETA,
     UNITS,
@@ -18,11 +19,14 @@ from cubesum.eisenstein import (
     V,
     W,
     coordinate_box,
+    coordinate_spiral,
     in_coordinate_box,
+    spiral,
 )
-from cubesum.factorization import split_prime
+from cubesum.factorization import factor, split_prime
 from cubesum.search import (
     SearchBudget,
+    _divisors,
     _exact_icbrt,
     cube_ap_exhaust,
     cube_roots,
@@ -300,21 +304,24 @@ def test_roots_verified_without_assert():
 
 def test_search_hits_verified_without_assert():
     """A hit that does not sum to the target raises under python -O: a
-    wrong square root in the Eisenstein search, and a factorization with a
+    wrong square root in the Eisenstein search, a factorization with a
     non-divisor in the rational search (e = 2 against 9 leaves f = 9 // 2
-    = 4, and the square 12·4 - 3·2² = 6² gives the pair (2, 0))."""
+    = 4, and the square 12·4 - 3·2² = 6² gives the pair (2, 0)), and a
+    wrong in-box cube root in the relation search."""
     code = (
         "from cubesum import search\n"
         "from cubesum.eisenstein import EisensteinInt as E\n"
         "assert False, 'asserts must be stripped'\n"
         "search.square_roots = lambda z: [E(3)]\n"
         "search.factor_int = lambda n: {2: 1}\n"
-        "for call in (lambda: search.search_eisenstein(E(2), 3, 1),\n"
-        "             lambda: search.search_rational(9, 1)):\n"
+        "search.cube_roots = lambda z: [E(1)]\n"
+        "for call, message in ((lambda: search.search_eisenstein(E(2), 3, 1), 'does not sum to'),\n"
+        "                      (lambda: search.search_rational(9, 1), 'does not sum to'),\n"
+        "                      (lambda: search.relation_search(E(3), 2), 'fails for 3')):\n"
         "    try:\n"
         "        call()\n"
         "    except ArithmeticError as err:\n"
-        "        if 'does not sum to' in str(err):\n"
+        "        if message in str(err):\n"
         "            continue\n"
         "    raise SystemExit('unverified hit')\n"
         "print('ok')\n"
@@ -414,6 +421,30 @@ def _box_scan(m, coord_bound, denom_bound, stop_at_first_denominator=False):
     return hits
 
 
+def _six_unit_search(m, coord_bound, denom_bound, stop_at_first_denominator=False):
+    """search_eisenstein before it solved once per divisor orbit, kept as an
+    oracle: e runs over all six unit multiples of every divisor."""
+    target = factor(m).factors
+    cap = 12 * coord_bound**2
+    hits = []
+    for d in range(1, denom_bound + 1):
+        md3 = m * d**3
+        for e in _divisors(UNITS, target, factor(E(d)).factors, cap):
+            for s in square_roots(12 * (md3 / e) - 3 * e * e):
+                num = 3 * e + s
+                if num.a % 6 or num.b % 6:
+                    continue
+                xi = E(num.a // 6, num.b // 6)
+                eta = e - xi
+                if not (in_coordinate_box(xi, coord_bound) and in_coordinate_box(eta, coord_bound)
+                        and gcd(xi.a, xi.b, eta.a, eta.b, d) == 1):
+                    continue
+                hits.append((KElement(xi, d), KElement(eta, d)))
+        if hits and stop_at_first_denominator:
+            break
+    return sorted(hits, key=witness_sort_key)
+
+
 class TestSearchEisenstein:
     def test_18w(self):
         hits = search_eisenstein(E(0, 18), 4, 1)
@@ -455,13 +486,64 @@ class TestSearchEisenstein:
                 found += bool(got)
         assert found > 20
 
+    def test_matches_six_unit_oracle(self):
+        pi, _ = split_prime(19)
+        found = 0
+        for m in (E(0, 18), E(1, 9), BETA, E(9), W * pi, E(2), E(3)):
+            for stop in (False, True):
+                got = search_eisenstein(m, 12, 7, stop)
+                assert got == _six_unit_search(m, 12, 7, stop), (m, stop)
+                found += len(got)
+        assert found > 50
+
+    def test_one_quadratic_per_divisor_orbit(self, monkeypatch):
+        # the six-unit loop made 624 square_roots calls here
+        calls = []
+        monkeypatch.setattr(search, "square_roots", lambda z: calls.append(z) or square_roots(z))
+        assert search_eisenstein(E(0, 18), 30, 5)
+        assert len(calls) == 208
+
     def test_stop_at_first_denominator_keeps_leading_hit(self):
         full = search_eisenstein(E(9), 4, 3)
         early = search_eisenstein(E(9), 4, 3, stop_at_first_denominator=True)
         assert full[0] == early[0]
 
 
+def _relation_oracle(m, bound):
+    """relation_search before it tried one r per associate class, kept as
+    an oracle: every r of the spiral against every t."""
+    for r in coordinate_spiral(bound):
+        wr3 = W * r.cube()
+        for t in spiral(bound):
+            rhs = -(wr3 + m * t**3) * W
+            for s in cube_roots(rhs):
+                if s.is_zero() or not in_coordinate_box(s, bound):
+                    continue
+                return r, s, E(t)
+    return None
+
+
 class TestRelationSearch:
+    def test_matches_every_r_oracle(self):
+        pi, _ = split_prime(19)
+        cases = [(E(a, b), 6) for a in range(-6, 7) for b in range(-6, 7) if a or b]
+        cases += [(m, 12) for m in (E(1, 9), W * pi, E(3))]
+        found = 0
+        for m, bound in cases:
+            got = relation_search(m, bound)
+            assert got == _relation_oracle(m, bound), m
+            found += got is not None
+        assert found >= 15
+
+    def test_one_r_per_associate_class(self, monkeypatch):
+        # E(3) has no relation in the box, so every class is tried against
+        # every t: 156 classes of the 624 box points, 24 values of t (trying
+        # every r made 14976 cube_roots calls)
+        calls = []
+        monkeypatch.setattr(search, "cube_roots", lambda z: calls.append(z) or cube_roots(z))
+        assert relation_search(E(3), 12) is None
+        assert len(calls) == 3744
+
     def test_remark_two_target(self):
         r, s, t = relation_search(E(1, 9), 12)
         assert (r, s, t) == (E(2), E(-1), E(-1))
