@@ -19,17 +19,22 @@ of the theorem that decided it:
   2.3  3p and 3p² for split p, given (I) and not Exceptional A/B
   2.4  primary pi and pi² of norm = 1 mod 9 when p is not Exceptional A
 
-Where no theorem decides, the verdict is Unknown and bounded searches try
-to upgrade it to HasSolutions; every witness is re-verified exactly at
-construction.  Existence results imported from the literature (Elkies,
-Dasgupta-Voight, Kriz) are reported as LiteratureSolvable and never claim
-a witness.
+Where no theorem decides, the verdict is Unknown, and bounded searches
+try to upgrade it to HasSolutions.  They run in one order, stop at the
+first hit and run none twice: the rule's own construction (the Lucas scan
+for three-p, the relation search for both split-1mod9 rows), then the
+rational divisor search and the Lucas scan (rational targets only), then
+the coordinate-box search and the relation search (scope K only).  Within
+one search, hits are ordered by denominator, so the witness is
+deterministic; every witness is re-verified exactly at construction.
+Existence results imported from the literature (Elkies, Dasgupta-Voight,
+Kriz) are reported as LiteratureSolvable and never claim a witness.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from .criteria import condition_I, exceptional_A, exceptional_B
@@ -50,6 +55,7 @@ from .search import SearchBudget, relation_search, search_eisenstein, search_rat
 LUCAS_SEARCH_BOUND = 100  # integer triple scan radius for the 3p construction
 
 Pair = tuple[KElement, KElement]
+Hit = tuple[str, Pair]  # a search's rule tag and witness
 
 # M up to cube factors: the rest of cube_split, with unit in {1, w, v} and
 # exponents 1 or 2.  M and its canonical value differ by a nonzero cube of K
@@ -170,9 +176,20 @@ class _Case:
     def verdict(self, status: str, tag: str, reason: str, **data) -> Verdict:
         return Verdict(status, tag, reason, self.canon, self.scope, **data)
 
-    def search(self, reason: str, **prefer: bool) -> Verdict:
-        """Unknown with this reason, upgraded if a bounded search hits."""
-        return _searched_unknown(self.rep, self.canon, self.scope, self.budget, reason, **prefer)
+    def search(self, reason: str, first: Callable[[_Case], Hit | None] | None = None) -> Verdict:
+        """Unknown with this reason, upgraded to HasSolutions by the first
+        attempt that hits, in the order of the module docstring; first is
+        the rule's own construction."""
+        if self.budget is not None:
+            attempts = (first, _try_rational, _try_lucas, _try_box, _try_relation)
+            for attempt in dict.fromkeys(a for a in attempts if a is not None):
+                hit = attempt(self)
+                if hit is not None:
+                    rule, witness = hit
+                    return self.verdict("HasSolutions", rule,
+                                        reason + "; witness found by bounded search",
+                                        witness=witness)
+        return self.verdict("Unknown", "none", reason)
 
 
 def _beta_blocked(c: _Case) -> Verdict:
@@ -209,7 +226,7 @@ def _split_primary(c: _Case) -> Verdict:
             "NoSolutions", "Theorem 2.4",
             f"primary irreducible of norm {n} = 1 mod 9, {n} not Exceptional A",
         )
-    return c.search(f"norm {n} is Exceptional A; no theorem applies", prefer_relation=True)
+    return c.search(f"norm {n} is Exceptional A; no theorem applies", first=_try_relation)
 
 
 def _rational_split_47(c: _Case) -> Verdict:
@@ -251,7 +268,7 @@ def _three_p(c: _Case) -> Verdict:
     return c.search(
         f"3·{p}^{e} with {p} Exceptional (A={exc_a}, B={exc_b}); "
         "theorem blocked, trying the Lucas construction",
-        prefer_lucas=True,
+        first=_try_lucas,
     )
 
 
@@ -304,7 +321,7 @@ _RULES = (
     ("split-1mod9-twist", "pi", (1,), _TWISTED,
      lambda c: c.search(
          f"unit twist of an irreducible of norm {c.n} = 1 mod 9; "
-         "no theorem covers this form", prefer_relation=True)),
+         "no theorem covers this form", first=_try_relation)),
     ("rational-split-47", "pair", (4, 7), _UNIT_1, _rational_split_47),
     ("rational-split-47-twist", "pair", (4, 7), _TWISTED, _rational_split_47_twist),
     ("rational-split-1mod9", "pair", (1,), _ANY_UNIT,
@@ -439,7 +456,6 @@ def classify(
 
     # transport witnesses back to the original target and clear the
     # fractional rescale (solutions of n·d² are d times those of n/d)
-    canonical = canonicalize(m)
     witness = verdict.witness
     trivial = verdict.trivial_solutions
     if witness is not None:
@@ -454,16 +470,7 @@ def classify(
         for p in mapped:
             _verify_pair(p, m)
         trivial = mapped
-    return Verdict(
-        verdict.status,
-        verdict.rule,
-        verdict.reason,
-        canonical,
-        scope,
-        witness,
-        trivial,
-        verdict.citation,
-    )
+    return replace(verdict, canonical=canonicalize(m), witness=witness, trivial_solutions=trivial)
 
 
 def _rescale(pair: Pair, denominator: int) -> Pair:
@@ -479,70 +486,41 @@ def _verify_pair(pair: Pair, m) -> None:
         raise ArithmeticError(f"witness ({pair[0]}, {pair[1]}) does not sum to {target}")
 
 
-def _searched_unknown(
-    rep: EisensteinInt,
-    canon: CanonicalM,
-    scope: str,
-    budget: SearchBudget | None,
-    reason: str,
-    prefer_relation: bool = False,
-    prefer_lucas: bool = False,
-) -> Verdict:
-    """Unknown verdict, upgraded to HasSolutions when a bounded search hits.
-
-    Search order: the rule-specific construction first (relation search for
-    the twisted-irreducible cases, Lucas triples for the 3p cases), then
-    rational divisor search and Lucas triples for rational targets, then
-    the coordinate-box and relation searches over K.  The reported witness
-    is the first hit; within one search, hits are ordered by denominator
-    then descending numerators, so the result is deterministic.
-    """
-    if budget is not None:
-        preferred = [_try_lucas] * prefer_lucas + [_try_relation] * prefer_relation
-        rational, over_k = rep.is_rational(), scope == "K"
-        applies = {_try_lucas: rational, _try_rational: rational,
-                   _try_box: over_k, _try_relation: over_k}
-        ordered = preferred + [_try_rational, _try_lucas, _try_box, _try_relation]
-        for attempt in dict.fromkeys(a for a in ordered if applies[a]):
-            hit = attempt(rep, budget)
-            if hit is not None:
-                rule, witness = hit
-                return Verdict(
-                    "HasSolutions",
-                    rule,
-                    reason + "; witness found by bounded search",
-                    canon,
-                    scope,
-                    witness=witness,
-                )
-    return Verdict("Unknown", "none", reason, canon, scope)
+# -- the witness searches -----------------------------------------------------
+# Each takes the case and returns its Hit, or None when it misses or does
+# not apply: the rational search and the Lucas scan need a rational target,
+# the box and relation searches need scope K.
 
 
-def _try_rational(rep: EisensteinInt, budget: SearchBudget) -> tuple[str, Pair] | None:
-    hits = search_rational(rep.a, budget.denom)
-    if hits:
-        return "rational-search", hits[0]
-    return None
+def _try_rational(c: _Case) -> Hit | None:
+    if not c.rep.is_rational():
+        return None
+    hits = search_rational(c.rep.a, c.budget.denom)
+    return ("rational-search", hits[0]) if hits else None
 
 
-def _try_lucas(rep: EisensteinInt, budget: SearchBudget) -> tuple[str, Pair] | None:
+def _try_lucas(c: _Case) -> Hit | None:
+    if not c.rep.is_rational():
+        return None
     # the Lucas scan has its own fixed bound, not a budget field
-    pair = lucas_triple_search(rep.a, LUCAS_SEARCH_BOUND)
-    if pair is not None:
-        return "Lucas-construction", lucas_witness(pair[0], pair[1], rep.a)
-    return None
+    pair = lucas_triple_search(c.rep.a, LUCAS_SEARCH_BOUND)
+    if pair is None:
+        return None
+    return "Lucas-construction", lucas_witness(pair[0], pair[1], c.rep.a)
 
 
-def _try_box(rep: EisensteinInt, budget: SearchBudget) -> tuple[str, Pair] | None:
-    hits = search_eisenstein(rep, budget.coord, budget.denom, stop_at_first_denominator=True)
-    if hits:
-        return "eisenstein-search", hits[0]
-    return None
+def _try_box(c: _Case) -> Hit | None:
+    if c.scope != "K":
+        return None
+    hits = search_eisenstein(c.rep, c.budget.coord, c.budget.denom,
+                             stop_at_first_denominator=True)
+    return ("eisenstein-search", hits[0]) if hits else None
 
 
-def _try_relation(rep: EisensteinInt, budget: SearchBudget) -> tuple[str, Pair] | None:
-    rel = relation_search(rep, budget.relation)
-    if rel is not None:
-        r, s, t = rel
-        return "relation-construction", solution_from_relation(r, s, t, rep)
-    return None
+def _try_relation(c: _Case) -> Hit | None:
+    if c.scope != "K":
+        return None
+    rel = relation_search(c.rep, c.budget.relation)
+    if rel is None:
+        return None
+    return "relation-construction", solution_from_relation(*rel, c.rep)

@@ -1,27 +1,28 @@
 """Command-line front end.
 
-    cubesum classify <M> [--scope Q|K] [budget flags] [--json]
+    cubesum classify <M> [--scope Q|K] [--budget-denom N] [--budget-coord N]
+                         [--budget-relation N] [--json]
     cubesum factor <x> [--json]
     cubesum split-prime <p> [--json]
     cubesum report <p> [--json]
-    cubesum solve <M> [--method lucas|relation|tangent] [--from x,y] [--json]
+    cubesum solve <M> [--method lucas|relation|tangent] [--from x,y]
+                      [--budget-relation N] [--json]
     cubesum descend <x> <y> <M> [--max-steps N] [--json]
-    cubesum search <M> [budget flags] [--json]
+    cubesum search <M> [--budget-denom N] [--budget-coord N] [--json]
     cubesum tables <which> [--max N] [--json]
     cubesum verify [quick|full] [--json]
 
 Exit codes: 0 for any definite outcome, 2 for Unknown / nothing found,
 1 for usage or input errors.  All numeric I/O is exact (no floating
 point); elements parse in either the "a+b*w" or "a*u+b*v" spelling and
-print on the {1, w} basis.  CUBESUM_BUDGET_DENOM overrides the default
-denominator budget.
+print on the {1, w} basis.  Each budget flag defaults to its
+SearchBudget field, and a subcommand takes only the flags it reads.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import verify as verify_mod
@@ -56,19 +57,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _budget(args: argparse.Namespace) -> SearchBudget:
-    default = SearchBudget()
-    default_denom = int(os.environ.get("CUBESUM_BUDGET_DENOM", default.denom))
-    return SearchBudget(
-        denom=args.budget_denom if args.budget_denom is not None else default_denom,
-        coord=args.budget_coord if args.budget_coord is not None else default.coord,
-        relation=args.budget_relation if args.budget_relation is not None else default.relation,
-    )
+    """The budget of the flags given; SearchBudget checks every bound."""
+    return SearchBudget(**{k.removeprefix("budget_"): v
+                           for k, v in vars(args).items() if k.startswith("budget_")})
 
 
-def _add_budget_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--budget-denom", type=int, default=None, metavar="N")
-    p.add_argument("--budget-coord", type=int, default=None, metavar="N")
-    p.add_argument("--budget-relation", type=int, default=None, metavar="N")
+def _add_budget_flags(p: argparse.ArgumentParser, *fields: str) -> None:
+    for field in fields:
+        p.add_argument(f"--budget-{field}", type=int, metavar="N",
+                       default=getattr(SearchBudget(), field))
 
 
 def build_parser() -> _Parser:
@@ -78,7 +75,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("classify", help="decide x³ + y³ = M with a theorem citation")
     p.add_argument("target")
     p.add_argument("--scope", choices=("Q", "K"), default="K")
-    _add_budget_flags(p)
+    _add_budget_flags(p, "denom", "coord", "relation")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("factor", help="unique factorization in Z[w]")
@@ -98,7 +95,7 @@ def build_parser() -> _Parser:
     p.add_argument("--method", choices=("lucas", "relation", "tangent"), default="lucas")
     p.add_argument("--from", dest="base_point", metavar="x,y",
                    help="base point for --method tangent")
-    _add_budget_flags(p)
+    _add_budget_flags(p, "relation")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("descend", help="run the 3-descent trace from a solution")
@@ -110,7 +107,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("search", help="brute-force witness search")
     p.add_argument("target")
-    _add_budget_flags(p)
+    _add_budget_flags(p, "denom", "coord")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("tables", help="regenerate a table and check it")

@@ -31,12 +31,11 @@ from .eisenstein import (
     valuation,
 )
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
+# The first twelve primes: trial divisors, then Miller-Rabin witnesses.
 # Deterministic Miller-Rabin: this witness set is exact for n < 3.3·10²⁴,
 # far beyond anything this library factors.  Above that it degrades to a
 # (very strong) probabilistic test with the same witnesses.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
@@ -50,7 +49,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_WITNESSES:
+    for a in _SMALL_PRIMES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

@@ -330,43 +330,81 @@ class TestJson:
         assert "witness" not in doc
 
 
-# Search attempts of _searched_unknown, in call order, for each target kind
-# and each (prefer_lucas, prefer_relation): a preferred attempt moves to the
-# front when it applies, and no attempt runs twice.
+# The witness searches behind each attempt, faked to miss and to log their
+# call: the real _try_* run, so each logs only where it applies.
+SEARCH_FAKES = {
+    "search_rational": ("rational", []),
+    "lucas_triple_search": ("lucas", None),
+    "search_eisenstein": ("box", []),
+    "relation_search": ("relation", None),
+}
+
+
+@pytest.fixture
+def search_log(monkeypatch):
+    calls = []
+    for fn, (name, miss) in SEARCH_FAKES.items():
+        monkeypatch.setattr(classifier, fn,
+                            lambda *args, name=name, miss=miss, **kw: calls.append(name) or miss)
+    return calls
+
+
+# Searches run by _Case.search, in call order, for each target kind and
+# each rule construction put first: first moves to the front when it
+# applies, and no attempt runs twice.
 ATTEMPT_ORDER = {
     (7, "Q"): {
-        (False, False): ["rational", "lucas"],
-        (True, False): ["lucas", "rational"],
-        (False, True): ["rational", "lucas"],
-        (True, True): ["lucas", "rational"],
+        None: ["rational", "lucas"],
+        "lucas": ["lucas", "rational"],
+        "relation": ["rational", "lucas"],
     },
     (7, "K"): {
-        (False, False): ["rational", "lucas", "box", "relation"],
-        (True, False): ["lucas", "rational", "box", "relation"],
-        (False, True): ["relation", "rational", "lucas", "box"],
-        (True, True): ["lucas", "relation", "rational", "box"],
+        None: ["rational", "lucas", "box", "relation"],
+        "lucas": ["lucas", "rational", "box", "relation"],
+        "relation": ["relation", "rational", "lucas", "box"],
     },
     (EisensteinInt(2, 5), "K"): {
-        (False, False): ["box", "relation"],
-        (True, False): ["box", "relation"],
-        (False, True): ["relation", "box"],
-        (True, True): ["relation", "box"],
+        None: ["box", "relation"],
+        "lucas": ["box", "relation"],
+        "relation": ["relation", "box"],
     },
 }
 
 
 @pytest.mark.parametrize("target, scope", list(ATTEMPT_ORDER), ids=str)
-def test_search_attempt_order(monkeypatch, target, scope):
-    calls = []
-    for name in ("rational", "lucas", "box", "relation"):
-        monkeypatch.setattr(classifier, f"_try_{name}",
-                            lambda *args, name=name: calls.append(name))
+def test_search_attempt_order(search_log, target, scope):
     rep = EisensteinInt(target) if isinstance(target, int) else target
-    for (lucas, relation), expected in ATTEMPT_ORDER[(target, scope)].items():
-        calls.clear()
-        verdict = classifier._searched_unknown(
-            rep, canonicalize(rep), scope, SearchBudget(), "reason",
-            prefer_relation=relation, prefer_lucas=lucas,
-        )
-        assert verdict.status == "Unknown"
-        assert calls == expected, (lucas, relation)
+    case = classifier._Case(rep, canonicalize(rep), 1, 1, scope, SearchBudget())
+    for first, expected in ATTEMPT_ORDER[(target, scope)].items():
+        search_log.clear()
+        verdict = case.search("reason", first and getattr(classifier, f"_try_{first}"))
+        assert (verdict.status, verdict.rule, verdict.reason) == ("Unknown", "none", "reason")
+        assert search_log == expected, first
+
+
+# A target reaching the search of each searching row of _RULES, and the
+# search that row runs first over K: its own construction, else the
+# default order (rational search for a rational target, else the box).
+SEARCH_FIRST = {
+    "inert-8-twist": (17 * W, "box"),
+    "split-1mod9-primary": (E(1, 9), "relation"),
+    "split-1mod9-twist": (W * E(-2, 3), "relation"),
+    "rational-split-1mod9": (E(73), "rational"),
+    "beta-inert-other": (E(0, 18), "box"),
+    "three-p": (E(183), "lucas"),
+    "three-p-twist": (21 * W, "box"),
+    "no-theorem": (E(6), "rational"),
+}
+
+
+def test_searching_rows_cover_the_search_verdicts():
+    unknown = {rule for rule, v in SHAPE_VERDICTS.items() if v[0] == "Unknown"}
+    assert set(SEARCH_FIRST) == unknown | {"three-p"}
+
+
+@pytest.mark.parametrize("rule", list(SEARCH_FIRST))
+def test_rule_first_attempt(search_log, rule):
+    target, first = SEARCH_FIRST[rule]
+    assert match_rule(canonicalize(target)) == rule
+    assert classify(target, "K").status == "Unknown"
+    assert search_log[0] == first

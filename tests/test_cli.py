@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from cubesum.cli import main
 
 
@@ -49,13 +51,20 @@ class TestClassify:
         doc = json.loads(out)
         assert code == 0 and doc["rule"] == "Lucas-construction"
 
-    def test_budget_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("CUBESUM_BUDGET_DENOM", "5")
-        code, out, _ = run(capsys, "search", "6")
+    def test_budget_denom_flag(self, capsys):
+        code, out, _ = run(capsys, "search", "6", "--budget-denom", "5")
         assert code == 2  # denominator 21 witness is out of reach at 5
-        monkeypatch.setenv("CUBESUM_BUDGET_DENOM", "25")
-        code, out, _ = run(capsys, "search", "6")
+        code, out, _ = run(capsys, "search", "6", "--budget-denom", "25")
         assert code == 0 and "37/21" in out
+
+    def test_budget_flags_only_where_read(self, capsys):
+        # solve reads only the relation bound, search only denom and coord
+        for argv in (("solve", "183", "--budget-denom", "5"),
+                     ("search", "7", "--budget-relation", "3")):
+            with pytest.raises(SystemExit) as exc:
+                main(list(argv))
+            assert exc.value.code == 1
+            assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestFactor:
