@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .eisenstein import BETA, EisensteinInt, KElement, V, W, eis_gcd, unit_inverse
+from .eisenstein import BETA, ONE, EisensteinInt, KElement, V, W, eis_gcd, unit_inverse
 from .factorization import cube_split
 from .search import _exact_icbrt, cube_roots
 
@@ -43,17 +43,12 @@ def is_cube(x: EisensteinInt) -> bool:
     return not x.is_zero() and bool(cube_roots(x))
 
 
-def is_cube_in_K(x: KElement) -> bool:
-    """Cubes of K: num·den² must be a cube of Z[w] (O is integrally closed,
-    so an integral cube root of an integral element is integral)."""
-    if x.is_zero():
-        return False
-    return is_cube(x.num * x.den**2)
-
-
 @dataclass(frozen=True)
 class Triple:
-    """Descent state: A + B + C = 0 and A·B·C = target · (nonzero cube)."""
+    """Descent state: A + B + C = 0 and A·B·C = target · (nonzero cube).
+
+    A·B·C/target is a cube of K exactly when A·B·C·target² is a cube of
+    Z[w] (Z[w] is integrally closed), so the invariant is tested there."""
 
     A: EisensteinInt
     B: EisensteinInt
@@ -65,7 +60,9 @@ class Triple:
             raise ValueError("triple entries must be nonzero")
         if not (self.A + self.B + self.C).is_zero():
             raise ValueError("triple does not sum to zero")
-        if not is_cube_in_K(KElement(self.A * self.B * self.C) / KElement(self.target)):
+        if self.target.is_zero():
+            raise ValueError("triple target must be nonzero")
+        if not is_cube(self.A * self.B * self.C * self.target**2):
             raise ValueError("product is not the target times a cube")
 
     def norm_product(self) -> int:
@@ -178,7 +175,8 @@ def tangent_step(m: KElement, point: tuple[KElement, KElement]) -> tuple[KElemen
         raise ValueError("tangent degenerate: x³ = y³")
     nx = x * (x3 + 2 * y3) / den
     ny = -(y * (2 * x3 + y3)) / den
-    assert nx**3 + ny**3 == m
+    if nx**3 + ny**3 != m:
+        raise ArithmeticError(f"tangent point ({nx}, {ny}) fails the curve equation for {m}")
     return nx, ny
 
 
@@ -208,7 +206,8 @@ def secant_step(
     # x³(1 + t³) + 3t²c·x² + 3tc²·x + c³ - m = 0, roots x1, x2, x3
     x3 = -(3 * t**2 * c) / lead - x1 - x2
     y3 = t * x3 + c
-    assert x3**3 + y3**3 == m
+    if x3**3 + y3**3 != m:
+        raise ArithmeticError(f"secant point ({x3}, {y3}) fails the curve equation for {m}")
     return x3, y3
 
 
@@ -216,8 +215,7 @@ def triple_from_solution(x: KElement, y: KElement, m: EisensteinInt) -> Triple:
     """Clear denominators of (x³, y³, -m) into a descent triple.
 
     With D = lcm of the denominators of x³ and y³, the entries x³D, y³D,
-    -mD multiply to m·(-x·y·D)³... more precisely their product is m times
-    the nonzero cube (x·y)³·D³·(-1), so the triple invariant holds.
+    -mD multiply to m·(-x·y·D)³, the target times a nonzero cube.
     """
     if x.is_zero() or y.is_zero():
         raise ValueError("degenerate solution: x·y = 0")
@@ -236,10 +234,12 @@ def reduce_triple(t: Triple) -> Triple:
     g divides C = -A - B as well, so one division changes the product by
     the cube g³.  Afterwards a factor shared by any two quotients divides
     the third (they still sum to zero) and so divides gcd(A/g, B/g) = 1:
-    the entries are pairwise coprime, and the Triple invariant is
-    re-verified by construction.
+    the entries are pairwise coprime.  When g is 1 the triple is returned
+    as it is; otherwise the quotient Triple re-verifies the invariant.
     """
     g = eis_gcd(t.A, t.B)
+    if g == ONE:
+        return t
     return Triple(t.A / g, t.B / g, t.C / g, t.target)
 
 
@@ -328,21 +328,19 @@ def descent_trace(
     """
     t = reduce_triple(triple_from_solution(x, y, m))
     steps = [t]
-    for taken in range(max_steps + 1):
+    while True:
         try:
             nxt = descent_step(t)
         except DescentTerminal as stop:
             return DescentTrace(tuple(steps), f"units: {stop}")
         except TripleStructureError as stop:
             return DescentTrace(tuple(steps), f"structure-absent: {stop}")
-        if taken == max_steps:
-            break
+        if len(steps) > max_steps:
+            raise ValueError(f"descent did not stop within max_steps={max_steps} steps")
         if nxt.norm_product() >= t.norm_product():
             raise ArithmeticError("descent failed to shrink the norm product")
-        nxt = reduce_triple(nxt)
-        steps.append(nxt)
-        t = nxt
-    raise ValueError(f"descent did not stop within max_steps={max_steps} steps")
+        t = reduce_triple(nxt)
+        steps.append(t)
 
 
 def cube_triple_structure(

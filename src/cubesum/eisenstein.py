@@ -16,7 +16,6 @@ output is always on the {1, w} basis.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from math import gcd
 from typing import Iterator
 
@@ -470,9 +469,6 @@ class KElement:
 
     def conj(self) -> "KElement":
         return KElement(self.num.conj(), self.den)
-
-    def norm(self) -> Fraction:
-        return Fraction(self.num.norm(), self.den * self.den)
 
     # -- predicates and views ---------------------------------------------
 

@@ -117,6 +117,8 @@ def criterion_3_lucas() -> str:
     x, y = lucas_pair(64, -3)
     _check((x, y) == EXPECTED["lucas_64_m3"], f"lucas_pair(64,-3) = {(x, y)}")
     _check(x**3 + y**3 == -183 * 46956**3, "x³+y³ != (-183)·46956³")
+    w183 = _pair_strs(lucas_witness(-3, -61, 183))
+    _check(w183 == EXPECTED["witness_183"], f"lucas_witness(-3,-61,183) = {w183}")
     for (a, b), m in (((-3, -61), 183), ((-3, -64), 201), ((-8, -73), 219)):
         wx, wy = lucas_witness(a, b, m)
         _check(wx**3 + wy**3 == KElement(m), f"lucas witness for {m} fails")

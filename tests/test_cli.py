@@ -146,7 +146,7 @@ class TestDescend:
         # a smaller cap exits 1 and names the cap instead of raising out of main
         code, out, _ = run(capsys, "descend", "37/21", "17/21", "6", "--max-steps", "2")
         assert code == 0 and len(out.strip().splitlines()) == 4
-        for cap in ("1", "0"):
+        for cap in ("1", "0", "-1"):
             code, out, err = run(capsys, "descend", "37/21", "17/21", "6", "--max-steps", cap)
             assert code == 1 and out == ""
             assert err == f"cubesum: error: descent did not stop within max_steps={cap} steps\n"

@@ -164,6 +164,37 @@ def test_golden(capsys, argv, code, expected):
     assert got == expected
 
 
+# descend prints one JSON line per triple, then the terminal line
+DESCEND_GOLDEN = [
+    (
+        ("descend", "37/21", "17/21", "6"),
+        [
+            {"A": "50653", "B": "4913", "C": "-55566", "norm_product": 191215081021490998085240676},
+            {"A": "19+18*w", "B": "-1+18*w", "C": "-18-36*w", "norm_product": 114354828},
+            {"A": "1", "B": "2", "C": "-3", "norm_product": 36},
+            {"terminal": "structure-absent: triple not in descent form: B carries (2)^1 "
+                         "(exponent not divisible by 3)"},
+        ],
+    ),
+    (
+        ("descend", "2", "-1", "7"),
+        [
+            {"A": "8", "B": "-1", "C": "-7", "norm_product": 3136},
+            {"A": "1+3*w", "B": "-2-3*w", "C": "1", "norm_product": 49},
+            {"terminal": "structure-absent: triple not in descent form: A carries (1+3*w)^1 "
+                         "(exponent not divisible by 3)"},
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,lines", DESCEND_GOLDEN, ids=lambda v: " ".join(v) if isinstance(v, tuple) else "")
+def test_descend_golden(capsys, argv, lines):
+    code = main([*argv, "--json"])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines() == [json.dumps(line) for line in lines]
+
+
 def test_tables_conditionI_rows(capsys):
     code = main(["tables", "conditionI", "--max", "73", "--json"])
     rows = json.loads(capsys.readouterr().out)

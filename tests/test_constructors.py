@@ -479,6 +479,60 @@ class TestDescentTrace:
             descent_trace(KQ(1), KQ(1), E(2))
 
 
+def _k_quotient_is_cube(t_entries, target) -> bool:
+    """The invariant as it was tested before, kept as an oracle: the
+    K-quotient x = A·B·C/target is a cube when num·den² is a cube of Z[w]."""
+    a, b, c = t_entries
+    x = KElement(a * b * c) / KElement(target)
+    return is_cube(x.num * x.den**2)
+
+
+class TestTripleLifecycle:
+    """Each descent triple is built, reduced and checked once."""
+
+    def test_integral_invariant_matches_k_quotient(self):
+        # the seeded triples hold the invariant; a target scaled by a
+        # non-cube breaks it, one scaled by a cube (or -1) keeps it
+        accepted = rejected = 0
+        for t in _seeded_triples(1_000, 12):
+            for q in (ONE, -ONE, E(8), BETA**3, E(2), E(4), W, BETA, E(1, 3), E(3)):
+                target = t.target * q
+                expected = _k_quotient_is_cube(t.entries(), target)
+                try:
+                    Triple(t.A, t.B, t.C, target)
+                except ValueError:
+                    assert not expected, (t, q)
+                    rejected += 1
+                else:
+                    assert expected, (t, q)
+                    accepted += 1
+        assert accepted == 4_000 and rejected == 6_000
+
+    def test_zero_target_rejected(self):
+        with pytest.raises(ValueError, match="target must be nonzero"):
+            Triple(E(8), E(-1), E(-7), E(0))
+
+    def test_reduce_of_reduced_triple_is_the_same_object(self):
+        for t in _seeded_triples(1_000, 13):
+            reduced = reduce_triple(t)
+            assert reduce_triple(reduced) is reduced, t
+
+    def test_six_trace_builds_five_triples(self, monkeypatch):
+        # one from the solution, then one per step and one per reduction
+        # that divides; a reduced triple is never rebuilt
+        built = []
+        check = Triple.__post_init__
+
+        def counting(self):
+            built.append(self)
+            check(self)
+
+        monkeypatch.setattr(Triple, "__post_init__", counting)
+        trace = descent_trace(KQ(37, 21), KQ(17, 21), E(6))
+        assert len(trace.steps) == 3
+        assert len(built) == 5
+
+
 class TestCubeTripleStructure:
     def test_unit_triple(self):
         c, perm = cube_triple_structure(E(1), W, V)
@@ -546,8 +600,9 @@ def test_witness_checks_survive_optimize():
     classify, a wrong Lucas pair in lucas_witness, a wrong cube root in the
     beta construction, condition (I) failing under Theorem 2.2, the two
     paths of condition (I) and of Exceptional A disagreeing (a non-cube
-    residue mod 7, a square-root search that finds no 4·61 = 1 + 243), and
-    a relation mapped back with a wrong Cramer determinant."""
+    residue mod 7, a square-root search that finds no 4·61 = 1 + 243), a
+    relation mapped back with a wrong Cramer determinant, and a tangent and a
+    secant point computed with a division that is off by one."""
     code = (
         "from cubesum import classifier, constructors, criteria\n"
         "from cubesum.eisenstein import ONE, EisensteinInt, KElement\n"
@@ -560,6 +615,15 @@ def test_witness_checks_survive_optimize():
         "criteria.isqrt = lambda n: 0\n"
         "constructors.BETA = ONE\n"
         "one, m = EisensteinInt(1, 0), EisensteinInt(1, 9)\n"
+        "seven, p1 = KElement(7), (KElement(2), KElement(-1))\n"
+        "p2 = (KElement.from_rational(4, 3), KElement.from_rational(5, 3))\n"
+        "divide = KElement.__truediv__\n"
+        "def corrupt(call):\n"
+        "    KElement.__truediv__ = lambda x, y: divide(x, y) + 1\n"
+        "    try:\n"
+        "        return call()\n"
+        "    finally:\n"
+        "        KElement.__truediv__ = divide\n"
         "for call, message in ((lambda: classifier.classify(6, 'Q'), 'does not sum to'),\n"
         "                      (lambda: constructors.lucas_witness(-3, -61, 183), 'does not sum to'),\n"
         "                      (lambda: classifier._beta_witness(EisensteinInt(9, 0)), 'does not sum to'),\n"
@@ -567,7 +631,11 @@ def test_witness_checks_survive_optimize():
         "                      (lambda: criteria.condition_I(7), 'paths disagree at p=7'),\n"
         "                      (lambda: criteria.exceptional_A(61), 'paths disagree at p=61'),\n"
         "                      (lambda: constructors.solution_from_relation(2 * one, -one, -one, m),\n"
-        "                       'fails the curve equation')):\n"
+        "                       'fails the curve equation'),\n"
+        "                      (lambda: corrupt(lambda: constructors.tangent_step(seven, p1)),\n"
+        "                       'tangent point'),\n"
+        "                      (lambda: corrupt(lambda: constructors.secant_step(seven, p1, p2)),\n"
+        "                       'secant point')):\n"
         "    try:\n"
         "        call()\n"
         "    except ArithmeticError as err:\n"
