@@ -17,7 +17,9 @@ sums to e exactly when (ζξ, ζη) sums to ζe, with the same cubes, for a
 cube root of unity ζ; so search_eisenstein solves the quadratic once per
 divisor orbit {e, we, ve} and rotates its roots into the box.  Associates
 ζr share r³ up to sign, so relation_search tries one r per associate
-class.
+class.  Both loop on plain int coordinates, building ring elements only
+for the hits, each checked against the target, and for the one argument
+of each square_roots or cube_roots call, which verify every root exactly.
 
 Every integer cube test (cube_roots' norm test, the Lucas scan) goes
 through one exact integer cube root, _exact_icbrt, and no float is used.
@@ -34,7 +36,6 @@ from math import gcd, isqrt
 
 from .eisenstein import (
     BETA,
-    ONE,
     EisensteinInt,
     KElement,
     V,
@@ -150,20 +151,30 @@ def witness_sort_key(pair: tuple[KElement, KElement]):
     return (d, -x.num.a * sx, -x.num.b * sx, -y.num.a * sy, -y.num.b * sy)
 
 
-def _divisors(units, target, denom, cap=None):
-    """The divisors u·∏ q^k of target·denom³, u in units, each once by unique
-    factorization; target and denom are (prime, exponent) pairs over Z or
-    Z[w].  With a cap (Z[w] only), just those of norm at most cap."""
+def _divisors(signs, target, denom, cap=None):
+    """The divisors u·∏ q^k of target·denom³, u = ±1 in signs, each once by
+    unique factorization, as int triples (a, b, N(a + b·w)); target and denom
+    are (prime, exponent) pairs over Z or Z[w].  With a cap, just those of
+    norm at most cap."""
     exponents = dict(target)
     for q, k in denom:
         exponents[q] = exponents.get(q, 0) + 3 * k
-    divs = [(1, 1)]
+    divs = [(u, 0, 1) for u in signs]
     for q, top in exponents.items():
-        nq = q.norm() if cap else 1
-        powers = [(q**k, nq**k) for k in range(top + 1)]
-        divs = [(v * qk, n * nk) for v, n in divs for qk, nk in powers
-                if not cap or n * nk <= cap]
-    return [u * v for u in units for v, _ in divs]
+        qa, qb = (q, 0) if isinstance(q, int) else (q.a, q.b)
+        nq = qa * qa - qa * qb + qb * qb
+        powers = [(1, 0, 1)]
+        for _ in range(top):
+            a, b, n = powers[-1]
+            powers.append((a * qa - b * qb, a * qb + b * qa - b * qb, n * nq))
+        if qb:
+            divs = [(a * pa - b * pb, a * pb + b * pa - b * pb, n * pn)
+                    for a, b, n in divs for pa, pb, pn in powers
+                    if cap is None or n * pn <= cap]
+        else:  # a rational q, every prime over Z: no cross terms to form
+            divs = [(a * pa, b * pa, n * pn) for a, b, n in divs for pa, _, pn in powers
+                    if cap is None or n * pn <= cap]
+    return divs
 
 
 def search_rational(m: int, denom_bound: int) -> list[tuple[KElement, KElement]]:
@@ -180,7 +191,7 @@ def search_rational(m: int, denom_bound: int) -> list[tuple[KElement, KElement]]
     hits: set[tuple[KElement, KElement]] = set()
     for d in range(1, denom_bound + 1):
         n = m * d**3
-        for e in _divisors(sign, target, factor_int(d).items()):
+        for e, _, _ in _divisors(sign, target, factor_int(d).items()):
             disc = 12 * (n // e) - 3 * e * e
             if disc < 0:
                 continue
@@ -218,6 +229,9 @@ def search_eisenstein(
     (ζ·xi, ζ·eta) for ζ·e, which share its cubes and its content, so only
     the box filter is applied to each rotation.
 
+    All of this runs on int coordinates, f = m·d³·conj(e)/N(e) by two
+    integer divisions; square_roots verifies each root exactly.
+
     With stop_at_first_denominator the search returns after the smallest
     denominator that yields hits; since the result order is denominator-
     major, the leading hit is the same either way.
@@ -225,25 +239,33 @@ def search_eisenstein(
     if m.is_zero():
         raise ValueError("target must be nonzero")
     target = factor(m).factors
-    cap = 12 * coord_bound**2
     hits: list[tuple[KElement, KElement]] = []
     for d in range(1, denom_bound + 1):
-        md3 = m * d**3
-        for e in _divisors((ONE, -ONE), target, factor(EisensteinInt(d, 0)).factors, cap):
-            for s in square_roots(12 * (md3 / e) - 3 * e * e):
-                num = 3 * e + s
-                if num.a % 6 or num.b % 6:
+        ma, mb = m.a * d**3, m.b * d**3
+        for ea, eb, n in _divisors((1, -1), target, factor(EisensteinInt(d, 0)).factors,
+                                   12 * coord_bound**2):
+            # f = m·d³/e = m·d³·conj(e)/N(e), as in eisenstein._exact_quotient
+            fa, ra = divmod(ma * (ea - eb) + mb * eb, n)
+            fb, rb = divmod(mb * ea - ma * eb, n)
+            if ra or rb:
+                raise ArithmeticError(f"{EisensteinInt(ea, eb)} does not divide {m}·{d}³")
+            # 12f - 3e², with e² = (ea² - eb²) + (2·ea - eb)·eb·w
+            for s in square_roots(EisensteinInt(12 * fa - 3 * (ea * ea - eb * eb),
+                                                12 * fb - 3 * (2 * ea - eb) * eb)):
+                na, nb = 3 * ea + s.a, 3 * eb + s.b
+                if na % 6 or nb % 6:
                     continue
-                xi0 = EisensteinInt(num.a // 6, num.b // 6)
-                eta0 = e - xi0
-                if gcd(xi0.a, xi0.b, eta0.a, eta0.b, d) != 1:
+                ua, ub = na // 6, nb // 6
+                va, vb = ea - ua, eb - ub
+                if gcd(ua, ub, va, vb, d) != 1:
                     continue
-                for zeta in (ONE, W, V):
-                    xi, eta = zeta * xi0, zeta * eta0
-                    if not (in_coordinate_box(xi, coord_bound)
-                            and in_coordinate_box(eta, coord_bound)):
+                # rotations by 1, w and v; a + b·w is in the box when |a|, |b - a| <= bound
+                for xa, xb, ya, yb in ((ua, ub, va, vb),
+                                       (-ub, ua - ub, -vb, va - vb),
+                                       (ub - ua, -ua, vb - va, -va)):
+                    if max(abs(xa), abs(xb - xa), abs(ya), abs(yb - ya)) > coord_bound:
                         continue
-                    x, y = KElement(xi, d), KElement(eta, d)
+                    x, y = KElement(EisensteinInt(xa, xb), d), KElement(EisensteinInt(ya, yb), d)
                     if x**3 + y**3 != m:
                         raise ArithmeticError(f"search hit ({x}, {y}) does not sum to {m}")
                     hits.append((x, y))
@@ -269,23 +291,27 @@ def relation_search(
     with -s in the box and -t in the t scan; so a later associate can only
     hit where the first one already has, and the first (r, s, t) is the one
     a scan over every r would return.
+
+    m·t³ is computed once per call, r³ and the right-hand side on int
+    coordinates; cube_roots verifies each root exactly.
     """
     if m.is_zero():
         raise ValueError("target must be nonzero")
-    mt3s = [(t, m * t**3) for t in spiral(bound)]
-    seen: set[EisensteinInt] = set()
+    # v·s³ = -(w·r³ + m·t³), so s³ = -v·r³ - w·m·t³; -w·(a + b·w) = b + (b - a)·w
+    wmt3s = [(t, m.b * t**3, (m.b - m.a) * t**3) for t in spiral(bound)]
+    seen: set[tuple[int, int]] = set()
     for r in coordinate_spiral(bound):
-        r3 = r.cube()
-        if r3 in seen:
+        a, b = r.a, r.b
+        ca, cb = a**3 - 3 * a * b * b + b**3, 3 * a * b * (a - b)  # r³
+        if (ca, cb) in seen:
             continue
-        seen.update((r3, -r3))
-        wr3 = W * r3
-        for t, mt3 in mt3s:
-            rhs = -(wr3 + mt3) * W
-            for s in cube_roots(rhs):
+        seen.update(((ca, cb), (-ca, -cb)))
+        for t, ta, tb in wmt3s:
+            # -v·r³ = (ca - cb) + ca·w
+            for s in cube_roots(EisensteinInt(ca - cb + ta, ca + tb)):
                 if s.is_zero() or not in_coordinate_box(s, bound):
                     continue
-                if not (wr3 + V * s**3 + mt3).is_zero():
+                if not (W * r**3 + V * s**3 + m * t**3).is_zero():
                     raise ArithmeticError(f"relation ({r}, {s}, {t}) fails for {m}")
                 return r, s, EisensteinInt(t, 0)
     return None

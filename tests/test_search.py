@@ -6,6 +6,8 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
+from types import SimpleNamespace
 from math import gcd, isqrt
 
 import pytest
@@ -23,7 +25,7 @@ from cubesum.eisenstein import (
     in_coordinate_box,
     spiral,
 )
-from cubesum.factorization import factor, split_prime
+from cubesum.factorization import factor, factor_int, split_prime
 from cubesum.search import (
     SearchBudget,
     _divisors,
@@ -421,6 +423,21 @@ def _box_scan(m, coord_bound, denom_bound, stop_at_first_denominator=False):
     return hits
 
 
+def _object_divisors(units, target, denom, cap=None):
+    """The divisor enumerator before it ran on int coordinates, kept as an
+    oracle: u·v for u in units and v over the divisors, as ring elements."""
+    exponents = dict(target)
+    for q, k in denom:
+        exponents[q] = exponents.get(q, 0) + 3 * k
+    divs = [(1, 1)]
+    for q, top in exponents.items():
+        nq = q.norm() if cap else 1
+        powers = [(q**k, nq**k) for k in range(top + 1)]
+        divs = [(v * qk, n * nk) for v, n in divs for qk, nk in powers
+                if not cap or n * nk <= cap]
+    return [u * v for u in units for v, _ in divs]
+
+
 def _six_unit_search(m, coord_bound, denom_bound, stop_at_first_denominator=False):
     """search_eisenstein before it solved once per divisor orbit, kept as an
     oracle: e runs over all six unit multiples of every divisor."""
@@ -429,7 +446,7 @@ def _six_unit_search(m, coord_bound, denom_bound, stop_at_first_denominator=Fals
     hits = []
     for d in range(1, denom_bound + 1):
         md3 = m * d**3
-        for e in _divisors(UNITS, target, factor(E(d)).factors, cap):
+        for e in _object_divisors(UNITS, target, factor(E(d)).factors, cap):
             for s in square_roots(12 * (md3 / e) - 3 * e * e):
                 num = 3 * e + s
                 if num.a % 6 or num.b % 6:
@@ -443,6 +460,126 @@ def _six_unit_search(m, coord_bound, denom_bound, stop_at_first_denominator=Fals
         if hits and stop_at_first_denominator:
             break
     return sorted(hits, key=witness_sort_key)
+
+
+def _object_search_eisenstein(m, coord_bound, denom_bound, stop_at_first_denominator=False):
+    """search_eisenstein before its loops ran on int coordinates, kept as an
+    oracle: every divisor, discriminant and rotation is a ring element."""
+    target = factor(m).factors
+    cap = 12 * coord_bound**2
+    hits = []
+    for d in range(1, denom_bound + 1):
+        md3 = m * d**3
+        for e in _object_divisors((E(1), E(-1)), target, factor(E(d)).factors, cap):
+            for s in square_roots(12 * (md3 / e) - 3 * e * e):
+                num = 3 * e + s
+                if num.a % 6 or num.b % 6:
+                    continue
+                xi0 = E(num.a // 6, num.b // 6)
+                eta0 = e - xi0
+                if gcd(xi0.a, xi0.b, eta0.a, eta0.b, d) != 1:
+                    continue
+                for zeta in (E(1), W, V):
+                    xi, eta = zeta * xi0, zeta * eta0
+                    if in_coordinate_box(xi, coord_bound) and in_coordinate_box(eta, coord_bound):
+                        hits.append((KElement(xi, d), KElement(eta, d)))
+        if hits and stop_at_first_denominator:
+            break
+    return sorted(hits, key=witness_sort_key)
+
+
+class TestDivisors:
+    def test_matches_object_enumerator_over_z(self):
+        for m in (1, -1, 12, -30, 97, 360, 30030):
+            for d in (1, 2, 6, 35):
+                for signs in ((1,), (-1,), (1, -1)):
+                    args = (factor_int(m).items(), factor_int(d).items())
+                    got = _divisors(signs, *args)
+                    assert all(b == 0 and n == a * a for a, b, n in got)
+                    assert Counter(a for a, _, _ in got) == Counter(_object_divisors(signs, *args))
+
+    def test_matches_object_enumerator_over_zw(self):
+        pi, _ = split_prime(19)
+        for m in (E(1), E(0, 18), E(1, 9), BETA, W * pi, E(30030), E(-7, 3)):
+            for d in (1, 2, 6, 35):
+                args = (factor(m).factors, factor(E(d)).factors)
+                for cap in (None, 1, 7, 300, 10800):
+                    got = _divisors((1, -1), *args, cap)
+                    assert all(E(a, b).norm() == n for a, b, n in got)
+                    want = _object_divisors((E(1), E(-1)), *args, cap)
+                    assert Counter(E(a, b) for a, b, _ in got) == Counter(want), (m, d, cap)
+
+    def test_cap_zero_is_a_cap(self, monkeypatch):
+        # a test of `not cap` read 0 as no cap, listing all 768 divisors
+        target = factor(E(2 * 3 * 5 * 7 * 11 * 13)).factors
+        assert len(_divisors((1, -1), target, ())) == 768
+        assert _divisors((1, -1), target, (), 0) == []
+        listed = []
+
+        def listing(*args):
+            divs = _divisors(*args)
+            listed.extend(divs)
+            return divs
+
+        monkeypatch.setattr(search, "_divisors", listing)
+        assert search_eisenstein(E(0, 18), 0, 3) == []
+        assert listed == []
+
+
+def _grid_k_sample(count, seed):
+    """count targets a + b·w of the benchmark's grid, |a|, |b| <= 20."""
+    grid = [E(a, b) for a in range(-20, 21) for b in range(-20, 21) if a or b]
+    return random.Random(seed).sample(grid, count)
+
+
+class TestIntCoordinates:
+    """Both K searches against their object-arithmetic versions at the
+    classifier's budget, and a guard on the ring products they make."""
+
+    def test_eisenstein_matches_object_search(self):
+        budget = SearchBudget()
+        found = 0
+        for m in _grid_k_sample(48, 13):
+            got = search_eisenstein(m, budget.coord, budget.denom, True)
+            assert got == _object_search_eisenstein(m, budget.coord, budget.denom, True), m
+            found += bool(got)
+        assert found >= 5
+
+    def test_relation_matches_object_search(self):
+        budget = SearchBudget()
+        found = 0
+        for m in _grid_k_sample(48, 13):
+            got = relation_search(m, budget.relation)
+            assert got == _object_relation_search(m, budget.relation), m
+            found += got is not None
+        assert found >= 4
+
+    def test_non_divisor_raises(self, monkeypatch):
+        # a factorization of 3 that lists the prime 2 offers e = 2, and
+        # 3/2 leaves a remainder
+        monkeypatch.setattr(search, "factor",
+                            lambda x: SimpleNamespace(factors=((E(2), 1),) if x == E(3) else ()))
+        with pytest.raises(ArithmeticError, match="does not divide"):
+            search_eisenstein(E(3), 5, 1)
+
+    def test_no_ring_products_per_candidate(self, monkeypatch):
+        products = []
+        mul = EisensteinInt.__mul__
+
+        def counted(self, other):
+            products.append(other)
+            return mul(self, other)
+
+        monkeypatch.setattr(EisensteinInt, "__mul__", counted)
+        monkeypatch.setattr(EisensteinInt, "__rmul__", counted)
+        # 208 discriminants go to square_roots; what is left is factoring
+        # and checking the 18 hits (the object loops made 1338 products)
+        assert len(search_eisenstein(E(0, 18), 30, 5)) == 18
+        assert len(products) <= 200
+        products.clear()
+        # 3744 right-hand sides go to cube_roots (the object loops made 3924)
+        assert relation_search(E(3), 12) is None
+        assert len(products) <= 10
 
 
 class TestSearchEisenstein:
@@ -520,6 +657,24 @@ def _relation_oracle(m, bound):
                 if s.is_zero() or not in_coordinate_box(s, bound):
                     continue
                 return r, s, E(t)
+    return None
+
+
+def _object_relation_search(m, bound):
+    """relation_search before its loops ran on int coordinates, kept as an
+    oracle: r³, m·t³ and the right-hand side are ring elements."""
+    mt3s = [(t, m * t**3) for t in spiral(bound)]
+    seen = set()
+    for r in coordinate_spiral(bound):
+        r3 = r.cube()
+        if r3 in seen:
+            continue
+        seen.update((r3, -r3))
+        wr3 = W * r3
+        for t, mt3 in mt3s:
+            for s in cube_roots(-(wr3 + mt3) * W):
+                if not s.is_zero() and in_coordinate_box(s, bound):
+                    return r, s, E(t)
     return None
 
 
