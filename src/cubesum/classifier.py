@@ -26,7 +26,8 @@ for three-p, the relation search for both split-1mod9 rows), then the
 rational divisor search and the Lucas scan (rational targets only), then
 the coordinate-box search and the relation search (scope K only).  Within
 one search, hits are ordered by denominator, so the witness is
-deterministic; every witness is re-verified exactly at construction.
+deterministic.  Every witness and every trivial pair is re-verified
+exactly against the original target by search.check_solution.
 Existence results imported from the literature (Elkies, Dasgupta-Voight,
 Kriz) are reported as LiteratureSolvable and never claim a witness.
 """
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable
 
 from .criteria import condition_I, exceptional_A, exceptional_B
@@ -50,7 +52,13 @@ from .eisenstein import (
     format_k,
 )
 from .factorization import Factorization, cube_split
-from .search import SearchBudget, relation_search, search_eisenstein, search_rational
+from .search import (
+    SearchBudget,
+    check_solution,
+    relation_search,
+    search_eisenstein,
+    search_rational,
+)
 
 LUCAS_SEARCH_BOUND = 100  # integer triple scan radius for the 3p construction
 
@@ -173,6 +181,11 @@ class _Case:
     scope: str
     budget: SearchBudget | None
 
+    @cached_property
+    def root(self) -> EisensteinInt:
+        """The g with rep = g³·canon.value(), worked out once per case."""
+        return cube_split(self.rep)[0]
+
     def verdict(self, status: str, tag: str, reason: str, **data) -> Verdict:
         return Verdict(status, tag, reason, self.canon, self.scope, **data)
 
@@ -204,7 +217,7 @@ def _inert_25(c: _Case) -> Verdict:
         return c.verdict(
             "OnlyTrivial", "Theorem 1.3",
             "targets in the cube class of 2 admit only the solutions with x³ = y³",
-            trivial_solutions=_trivial_diagonal_pairs(c.rep),
+            trivial_solutions=_trivial_diagonal_pairs(c),
         )
     return c.verdict(
         "NoSolutions", "Theorem 1.3",
@@ -297,7 +310,7 @@ _RULES = (
      lambda c: c.verdict(
          "OnlyTrivial", "Corollary 2 to Theorem 1.5",
          "the target is a nonzero cube; only the axis solutions exist (FLT(3))",
-         trivial_solutions=_trivial_axis_pairs(c.rep))),
+         trivial_solutions=_trivial_axis_pairs(c))),
     ("unit-target", "unit", _ANY_N, _TWISTED,
      lambda c: c.verdict("NoSolutions", "Theorem 1.6",
                          "a unit other than ±1 is not a sum of two cubes in K")),
@@ -306,7 +319,7 @@ _RULES = (
          "HasSolutions", "beta-construction",
          "targets in the cube class of beta are sums of two cubes "
          "(x³ + y³ = 9 has infinitely many rational solutions)",
-         witness=_beta_witness(c.rep))),
+         witness=_beta_witness(c))),
     ("beta-blocked", "beta", _ANY_N, _TWISTED, _beta_blocked),
     ("beta-blocked", "beta²", _ANY_N, _ANY_UNIT, _beta_blocked),
     ("inert-25", "p", (2, 5), _ANY_UNIT, _inert_25),
@@ -382,43 +395,28 @@ def _orient(m: EisensteinInt) -> tuple[EisensteinInt, Callable[[Pair], Pair]]:
 # -- witness construction helpers --------------------------------------------
 
 
-def _exact_cube_root(x: EisensteinInt) -> EisensteinInt:
-    """The cube root of x in Z[w]; raises if x is not a cube."""
-    root, rest = cube_split(x)
-    if rest != Factorization(ONE, ()):
-        raise ValueError(f"{x} is not a cube (cube class {rest})")
-    return root
-
-
-def _beta_witness(rep: EisensteinInt) -> Pair:
+def _beta_witness(c: _Case) -> Pair:
     """Explicit solution for targets in the cube class of beta.
 
-    (-2·beta/3)³ + (-beta/3)³ = beta, so with c³ = rep/beta the pair
-    (-2·beta·c/3, -beta·c/3) lands on the curve; for 9 itself this gives
+    (-2·beta/3)³ + (-beta/3)³ = beta, so with rep = g³·beta the pair
+    (-2·beta·g/3, -beta·g/3) lands on the curve; for 9 itself this gives
     the classical (2, 1).
     """
-    c = _exact_cube_root(rep / BETA)
-    x = KElement(-2 * BETA * c, 3)
-    y = KElement(-BETA * c, 3)
-    _verify_pair((x, y), rep)
-    return x, y
+    g = c.root
+    return check_solution((KElement(-2 * BETA * g, 3), KElement(-BETA * g, 3)), c.rep,
+                          "beta witness")
 
 
-def _trivial_axis_pairs(rep: EisensteinInt) -> tuple[Pair, ...]:
-    """The six axis solutions of x³ + y³ = rep when rep is a cube."""
-    g = _exact_cube_root(rep)
+def _trivial_axis_pairs(c: _Case) -> tuple[Pair, ...]:
+    """The six axis solutions of x³ + y³ = rep when rep = g³ is a cube."""
     zero = KElement(0)
-    pairs: list[Pair] = []
-    for zeta in (ONE, W, V):
-        pairs.append((KElement(g * zeta), zero))
-    for zeta in (ONE, W, V):
-        pairs.append((zero, KElement(g * zeta)))
-    return tuple(pairs)
+    roots = [KElement(c.root * zeta) for zeta in (ONE, W, V)]
+    return tuple((r, zero) for r in roots) + tuple((zero, r) for r in roots)
 
 
-def _trivial_diagonal_pairs(rep: EisensteinInt) -> tuple[Pair, ...]:
-    """The nine solutions with x³ = y³ = rep/2 when rep is twice a cube."""
-    g = _exact_cube_root(rep / EisensteinInt(2, 0))
+def _trivial_diagonal_pairs(c: _Case) -> tuple[Pair, ...]:
+    """The nine solutions with x³ = y³ = g³ when rep = 2·g³."""
+    g = c.root
     return tuple(
         (KElement(g * z1), KElement(g * z2))
         for z1 in (ONE, W, V)
@@ -454,36 +452,21 @@ def classify(
     handler = _rule(kind, n, canon_rep.unit)[-1]
     verdict = handler(_Case(rep, canon_rep, n, e, scope, budget))
 
-    # transport witnesses back to the original target and clear the
-    # fractional rescale (solutions of n·d² are d times those of n/d)
+    def back(pair: Pair) -> Pair:
+        """A solution for rep as one for m, checked: the orientation
+        transport, then division by the denominator (solutions of n·d² are
+        d times those of n/d)."""
+        x, y = transport(pair)
+        return check_solution((x / denominator, y / denominator), m, "witness")
+
     witness = verdict.witness
-    trivial = verdict.trivial_solutions
     if witness is not None:
-        witness = _rescale(transport(witness), denominator)
-        _verify_pair(witness, m)
+        witness = back(witness)
+    trivial = verdict.trivial_solutions
     if trivial is not None:
-        mapped = tuple(_rescale(transport(p), denominator) for p in trivial)
-        if scope == "Q":
-            mapped = tuple(
-                p for p in mapped if p[0].is_rational() and p[1].is_rational()
-            )
-        for p in mapped:
-            _verify_pair(p, m)
-        trivial = mapped
+        trivial = tuple(p for p in map(back, trivial)
+                        if scope == "K" or (p[0].is_rational() and p[1].is_rational()))
     return replace(verdict, canonical=canonicalize(m), witness=witness, trivial_solutions=trivial)
-
-
-def _rescale(pair: Pair, denominator: int) -> Pair:
-    if denominator == 1:
-        return pair
-    d = KElement(denominator)
-    return (pair[0] / d, pair[1] / d)
-
-
-def _verify_pair(pair: Pair, m) -> None:
-    target = m if isinstance(m, KElement) else KElement(m)
-    if pair[0] ** 3 + pair[1] ** 3 != target:
-        raise ArithmeticError(f"witness ({pair[0]}, {pair[1]}) does not sum to {target}")
 
 
 # -- the witness searches -----------------------------------------------------

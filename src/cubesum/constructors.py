@@ -22,7 +22,7 @@ from math import gcd
 
 from .eisenstein import BETA, ONE, EisensteinInt, KElement, V, W, eis_gcd, unit_inverse
 from .factorization import cube_split
-from .search import _exact_icbrt, cube_roots
+from .search import _exact_icbrt, check_solution, cube_roots
 
 
 def _as_k(m) -> KElement:
@@ -90,11 +90,8 @@ def solution_from_relation(
     x_num = (W * s**3 - V * r**3) * -BETA  # 3·x before division
     y_num = (r**3 - s**3) * -BETA
     scale = KElement(rst * 3, 1)
-    x = KElement(x_num, 1) / scale
-    y = KElement(y_num, 1) / scale
-    if x**3 + y**3 != KElement(m):
-        raise ArithmeticError(f"constructed pair ({x}, {y}) fails the curve equation for {m}")
-    return x, y
+    return check_solution((KElement(x_num) / scale, KElement(y_num) / scale), m,
+                          "constructed pair")
 
 
 def lucas_pair(a: int, b: int) -> tuple[int, int]:
@@ -127,10 +124,8 @@ def lucas_witness(a: int, b: int, m: int) -> tuple[KElement, KElement]:
         raise ValueError("triple does not match target: a·b·(-a-b)/m is not a cube")
     x, y = lucas_pair(a, b)
     d = -3 * k * (a * a + a * b + b * b)
-    wx, wy = KElement.from_rational(x * m, d), KElement.from_rational(y * m, d)
-    if wx**3 + wy**3 != KElement(m):
-        raise ArithmeticError(f"Lucas witness ({wx}, {wy}) does not sum to {m}")
-    return wx, wy
+    return check_solution((KElement.from_rational(x * m, d), KElement.from_rational(y * m, d)),
+                          m, "Lucas witness")
 
 
 def lucas_triple_search(m: int, bound: int) -> tuple[int, int] | None:
@@ -173,11 +168,8 @@ def tangent_step(m: KElement, point: tuple[KElement, KElement]) -> tuple[KElemen
     den = x3 - y3
     if den.is_zero():
         raise ValueError("tangent degenerate: x³ = y³")
-    nx = x * (x3 + 2 * y3) / den
-    ny = -(y * (2 * x3 + y3)) / den
-    if nx**3 + ny**3 != m:
-        raise ArithmeticError(f"tangent point ({nx}, {ny}) fails the curve equation for {m}")
-    return nx, ny
+    return check_solution((x * (x3 + 2 * y3) / den, -(y * (2 * x3 + y3)) / den), m,
+                          "tangent point")
 
 
 def secant_step(
@@ -205,10 +197,7 @@ def secant_step(
         raise ValueError("secant degenerate: line meets the curve twice only")
     # x³(1 + t³) + 3t²c·x² + 3tc²·x + c³ - m = 0, roots x1, x2, x3
     x3 = -(3 * t**2 * c) / lead - x1 - x2
-    y3 = t * x3 + c
-    if x3**3 + y3**3 != m:
-        raise ArithmeticError(f"secant point ({x3}, {y3}) fails the curve equation for {m}")
-    return x3, y3
+    return check_solution((x3, t * x3 + c), m, "secant point")
 
 
 def triple_from_solution(x: KElement, y: KElement, m: EisensteinInt) -> Triple:

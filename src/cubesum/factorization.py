@@ -64,8 +64,6 @@ def is_prime(n: int) -> bool:
 
 def _pollard_rho(n: int) -> int:
     """One nontrivial factor of composite odd n; deterministic parameters."""
-    if n % 2 == 0:
-        return 2
     for c in range(1, 50):
         x = y = 2
         d = 1
@@ -98,8 +96,6 @@ def factor_int(n: int) -> dict[int, int]:
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue

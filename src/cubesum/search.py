@@ -18,8 +18,12 @@ cube root of unity ζ; so search_eisenstein solves the quadratic once per
 divisor orbit {e, we, ve} and rotates its roots into the box.  Associates
 ζr share r³ up to sign, so relation_search tries one r per associate
 class.  Both loop on plain int coordinates, building ring elements only
-for the hits, each checked against the target, and for the one argument
-of each square_roots or cube_roots call, which verify every root exactly.
+for the hits and for the one argument of each square_roots or cube_roots
+call, which verify every root exactly.
+
+Every solution the package produces, from a search, a construction or the
+classifier, passes one exact check, check_solution, which raises even
+under python -O.
 
 Every integer cube test (cube_roots' norm test, the Lucas scan) goes
 through one exact integer cube root, _exact_icbrt, and no float is used.
@@ -139,6 +143,15 @@ def square_roots(z: EisensteinInt) -> list[EisensteinInt]:
     return sorted((y, -y), key=lambda c: (c.a, c.b))
 
 
+def check_solution(pair: tuple[KElement, KElement], m, source: str) -> tuple[KElement, KElement]:
+    """The pair, once x³ + y³ = m holds exactly; else ArithmeticError
+    naming the source.  An explicit raise, so it also runs under python -O."""
+    x, y = pair
+    if x**3 + y**3 != m:
+        raise ArithmeticError(f"{source} ({x}, {y}) does not sum to {m}")
+    return pair
+
+
 def witness_sort_key(pair: tuple[KElement, KElement]):
     """Denominator ascending, then numerators descending lexicographically.
 
@@ -205,10 +218,7 @@ def search_rational(m: int, denom_bound: int) -> list[tuple[KElement, KElement]]
                 b = e - a
                 if gcd(a, b, d) == 1:
                     hits.add((KElement.from_rational(a, d), KElement.from_rational(b, d)))
-    for x, y in hits:
-        if x**3 + y**3 != m:
-            raise ArithmeticError(f"search hit ({x}, {y}) does not sum to {m}")
-    return sorted(hits, key=witness_sort_key)
+    return sorted((check_solution(p, m, "search hit") for p in hits), key=witness_sort_key)
 
 
 def search_eisenstein(
@@ -266,9 +276,7 @@ def search_eisenstein(
                     if max(abs(xa), abs(xb - xa), abs(ya), abs(yb - ya)) > coord_bound:
                         continue
                     x, y = KElement(EisensteinInt(xa, xb), d), KElement(EisensteinInt(ya, yb), d)
-                    if x**3 + y**3 != m:
-                        raise ArithmeticError(f"search hit ({x}, {y}) does not sum to {m}")
-                    hits.append((x, y))
+                    hits.append(check_solution((x, y), m, "search hit"))
         if hits and stop_at_first_denominator:
             break
     return sorted(hits, key=witness_sort_key)

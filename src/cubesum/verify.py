@@ -33,7 +33,7 @@ from .criteria import (
     first_exceptional_A_1mod9,
     split_primes_upto,
 )
-from .eisenstein import BETA, EisensteinInt, KElement, V, W, mod9_class, ord_beta
+from .eisenstein import BETA, EisensteinInt, KElement, V, W, coordinate_box, mod9_class, ord_beta
 from .factorization import factor
 from .search import (
     SearchBudget,
@@ -293,21 +293,17 @@ def criterion_10_property_soak() -> str:
         _check(prod == -t.C, f"descent identity at r={r}, s={s}")
 
     structured = 0  # cube triples on the [-6,6]² box decompose as (c, cw, cv)
-    for pa in range(-6, 7):
-        for pb in range(-6, 7):
-            a = EisensteinInt.from_uv(pa, pb)
-            if a.is_zero():
+    for a in coordinate_box(6):
+        if a.is_zero():
+            continue
+        for b in coordinate_box(6):
+            c = -a - b
+            if b.is_zero() or c.is_zero():
                 continue
-            for qa in range(-6, 7):
-                for qb in range(-6, 7):
-                    b = EisensteinInt.from_uv(qa, qb)
-                    c = -a - b
-                    if b.is_zero() or c.is_zero():
-                        continue
-                    if not is_cube(a * b * c):
-                        continue
-                    cube_triple_structure(a, b, c)  # raises if not decomposable
-                    structured += 1
+            if not is_cube(a * b * c):
+                continue
+            cube_triple_structure(a, b, c)  # raises if not decomposable
+            structured += 1
     _check(structured > 0, "no cube triples found in the box?!")
     return (f"euclidean/factor/ord/lucas/mod-9 soaks passed; classify invariances on 200 cases; "
             f"{structured} box cube-triples decomposed")

@@ -8,6 +8,7 @@ import pytest
 from cubesum import classifier
 from cubesum.classifier import canonicalize, classify, match_rule
 from cubesum.eisenstein import BETA, EisensteinInt, KElement, ONE, V, W
+from cubesum.factorization import Factorization, cube_split
 from cubesum.search import SearchBudget
 
 
@@ -310,6 +311,59 @@ class TestInvariances:
         v2 = classify(72, "K")
         two = KElement(2)
         assert (v1.witness[0] * two, v1.witness[1] * two) == v2.witness
+
+
+def _exact_cube_root(x):
+    """The cube root the classifier took before _Case.root, kept as an
+    oracle: cube_split of x, which must be a cube."""
+    root, rest = cube_split(x)
+    if rest != Factorization(ONE, ()):
+        raise ValueError(f"{x} is not a cube (cube class {rest})")
+    return root
+
+
+def _case(m):
+    """The rule name and the _Case that classify(m, "K", None) decides on."""
+    rep, _ = classifier._orient(m)
+    canon = canonicalize(rep)
+    kind, n, e = classifier._shape(canon)
+    return classifier._rule(kind, n, canon.unit)[0], classifier._Case(rep, canon, n, e, "K", None)
+
+
+# the rows that build solutions from the root: the cube, beta and 2 classes
+_TWO_CLASS = Factorization(ONE, ((E(2), 1),))
+
+
+class TestCaseRoot:
+    def _check(self, case):
+        root = case.root
+        assert root == _exact_cube_root(case.rep / case.canon.value()), case.rep
+        assert root**3 * case.canon.value() == case.rep
+        assert case.root is root  # worked out once per case
+
+    def test_matches_parent_root_on_the_grid(self):
+        checked = 0
+        for a in range(-60, 61):
+            for b in range(-60, 61):
+                if a == 0 and b == 0:
+                    continue
+                rule, case = _case(E(a, b))
+                if rule in ("trivial-cube", "beta-solvable") or case.canon == _TWO_CLASS:
+                    self._check(case)
+                    checked += 1
+        assert checked == 44
+
+    def test_matches_parent_root_on_constructed_targets(self):
+        rows = {ONE: "trivial-cube", BETA: "beta-solvable", E(2): "inert-25"}
+        for a in range(-10, 11):
+            for b in range(-10, 11):
+                g = E(a, b)
+                if g.is_zero():
+                    continue
+                for x, row in rows.items():
+                    rule, case = _case(g**3 * x)
+                    assert rule == row
+                    self._check(case)
 
 
 class TestJson:

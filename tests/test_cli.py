@@ -1,6 +1,9 @@
 """Command-line interface: exit codes, text output, JSON golden shapes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -206,6 +209,18 @@ class TestVerifyCommand:
         lines = out.strip().splitlines()
         assert all(line.startswith("PASS") for line in lines)
         assert len(lines) == 7
+
+    def test_quick_json_under_optimize(self):
+        # every correctness check still runs with asserts stripped
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        out = subprocess.run(
+            [sys.executable, "-O", "-m", "cubesum.cli", "verify", "quick", "--json"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+        )
+        assert out.returncode == 0, out.stderr or out.stdout
+        results = json.loads(out.stdout)
+        assert [r["criterion"] for r in results] == [1, 2, 3, 4, 5, 7, 8]
+        assert all(r["ok"] for r in results), results
 
     def test_corrupted_expectation_names_criterion(self, capsys, monkeypatch):
         from cubesum import verify as verify_mod

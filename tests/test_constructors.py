@@ -177,7 +177,10 @@ class TestDescentParity:
     def test_matches_gcd_loop_and_beta_variant_step(self):
         del BETA_VARIANT_ENTRIES[:]
         kinds = set()
-        for t in _seeded_triples(10_000, 9):
+        # every caught mutation of reduce_triple and descent_step (the unit
+        # division of C, the unit-mismatch raise, the gcd division, the
+        # candidate choice) first fails by triple 142 of this corpus
+        for t in _seeded_triples(1_000, 9):
             assert reduce_triple(t) == _loop_reduce_triple(t), t
             got = _outcome(descent_step, t)
             assert got == _outcome(_beta_variant_descent_step, t), t
@@ -597,19 +600,20 @@ def test_is_cube_of_large_cube_does_not_factor():
 def test_witness_checks_survive_optimize():
     """A wrong witness or a failed premise still raises under python -O,
     where assert statements are stripped: a wrong rational-search hit in
-    classify, a wrong Lucas pair in lucas_witness, a wrong cube root in the
-    beta construction, condition (I) failing under Theorem 2.2, the two
-    paths of condition (I) and of Exceptional A disagreeing (a non-cube
-    residue mod 7, a square-root search that finds no 4·61 = 1 + 243), a
-    relation mapped back with a wrong Cramer determinant, and a tangent and a
-    secant point computed with a division that is off by one."""
+    classify, a wrong Lucas pair in lucas_witness, a wrong case root in the
+    beta construction reached through classify(9, 'K'), condition (I)
+    failing under Theorem 2.2, the two paths of condition (I) and of
+    Exceptional A disagreeing (a non-cube residue mod 7, a square-root
+    search that finds no 4·61 = 1 + 243), a relation mapped back with a
+    wrong Cramer determinant, and a tangent and a secant point computed
+    with a division that is off by one."""
     code = (
         "from cubesum import classifier, constructors, criteria\n"
         "from cubesum.eisenstein import ONE, EisensteinInt, KElement\n"
         "assert False, 'asserts must be stripped'\n"
         "classifier.search_rational = lambda m, d: [(KElement(1), KElement(1))]\n"
         "constructors.lucas_pair = lambda a, b: (1, 1)\n"
-        "classifier._exact_cube_root = lambda x: ONE\n"
+        "classifier._Case.root = property(lambda case: ONE)\n"
         "classifier.condition_I = lambda p: False\n"
         "criteria.residue_split = lambda x, pi, p: 2\n"
         "criteria.isqrt = lambda n: 0\n"
@@ -626,12 +630,12 @@ def test_witness_checks_survive_optimize():
         "        KElement.__truediv__ = divide\n"
         "for call, message in ((lambda: classifier.classify(6, 'Q'), 'does not sum to'),\n"
         "                      (lambda: constructors.lucas_witness(-3, -61, 183), 'does not sum to'),\n"
-        "                      (lambda: classifier._beta_witness(EisensteinInt(9, 0)), 'does not sum to'),\n"
+        "                      (lambda: classifier.classify(9, 'K'), 'beta witness'),\n"
         "                      (lambda: classifier.classify(EisensteinInt(0, 7), 'K'), 'condition (I)'),\n"
         "                      (lambda: criteria.condition_I(7), 'paths disagree at p=7'),\n"
         "                      (lambda: criteria.exceptional_A(61), 'paths disagree at p=61'),\n"
         "                      (lambda: constructors.solution_from_relation(2 * one, -one, -one, m),\n"
-        "                       'fails the curve equation'),\n"
+        "                       'constructed pair'),\n"
         "                      (lambda: corrupt(lambda: constructors.tangent_step(seven, p1)),\n"
         "                       'tangent point'),\n"
         "                      (lambda: corrupt(lambda: constructors.secant_step(seven, p1, p2)),\n"

@@ -337,6 +337,50 @@ def test_search_hits_verified_without_assert():
     assert out.stdout == "ok\n"
 
 
+def test_check_solution():
+    pair = (KElement(2), KElement(1))
+    assert search.check_solution(pair, 9, "hit") is pair
+    assert search.check_solution(pair, KElement(EisensteinInt(9, 0)), "hit") is pair
+    with pytest.raises(ArithmeticError, match=r"^hit \(2, 1\) does not sum to 10$"):
+        search.check_solution(pair, 10, "hit")
+
+
+class _Routed(Exception):
+    """Raised, with its source, by the stand-in for check_solution."""
+
+
+def test_every_solution_goes_through_check_solution(monkeypatch):
+    """Every producer of a solution checks it through its module's binding
+    of search.check_solution: with that binding patched to raise, each
+    producer raises, naming its source."""
+    from cubesum import classifier, constructors
+
+    def routed(pair, m, source):
+        raise _Routed(source)
+
+    one, q = EisensteinInt(1, 0), KElement.from_rational
+    seven, p1, p2 = KElement(7), (q(2), q(-1)), (q(4, 3), q(5, 3))
+    producers = (
+        (search, lambda: search_rational(9, 1), "search hit"),
+        (search, lambda: search_eisenstein(EisensteinInt(9, 0), 3, 1), "search hit"),
+        (constructors, lambda: constructors.lucas_witness(-3, -61, 183), "Lucas witness"),
+        (constructors, lambda: constructors.solution_from_relation(one, one, one, one),
+         "constructed pair"),
+        (constructors, lambda: constructors.tangent_step(seven, p1), "tangent point"),
+        (constructors, lambda: constructors.secant_step(seven, p1, p2), "secant point"),
+        (classifier, lambda: classifier.classify(9, "K"), "beta witness"),
+        # a rational-search hit, and the axis pairs of 1/8, mapped back
+        (classifier, lambda: classifier.classify(6, "Q"), "witness"),
+        (classifier, lambda: classifier.classify(KElement(one, 8), "K"), "witness"),
+    )
+    for module, call, source in producers:
+        with monkeypatch.context() as patch:
+            patch.setattr(module, "check_solution", routed)
+            with pytest.raises(_Routed) as err:
+                call()
+        assert str(err.value) == source
+
+
 def naive_rational_search(m: int, denom_bound: int):
     """Complete double-loop oracle for |numerators| within the provable
     bound |a| <= sqrt(4f/3) <= sqrt(4|m·d³|/3)."""
