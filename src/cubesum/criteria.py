@@ -36,12 +36,6 @@ from .factorization import (
 )
 
 
-def _require_split(p: int) -> tuple[EisensteinInt, EisensteinInt]:
-    if p % 3 != 1:
-        raise ValueError(f"{p} is not split (need p = 1 mod 3)")
-    return split_prime(p)
-
-
 def condition_I(p: int) -> bool:
     """Whether conj(pi) is a cube in (O/pi)*; computed two ways.
 
@@ -49,7 +43,7 @@ def condition_I(p: int) -> bool:
     identification; path two applies the trace shortcut a + b.  The two
     must agree (ArithmeticError otherwise).
     """
-    pi, pi_bar = _require_split(p)
+    pi, pi_bar = split_prime(p)
     via_residue = is_cube_mod_p(residue_split(pi_bar, pi, p), p)
     a, b = pi.to_uv()
     via_trace = is_cube_mod_p((a + b) % p, p)
@@ -67,7 +61,7 @@ def exceptional_A(p: int) -> tuple[bool, tuple[int, int] | None]:
     quadratic form 4p = x² + 243y² exhaustively.  The paths must agree
     (ArithmeticError otherwise).
     """
-    pi, _ = _require_split(p)
+    pi, _ = split_prime(p)
     via_mod9 = any((zeta * pi).b % 9 == 0 for zeta in UNITS)
     a, b = pi.to_uv()
     if not is_primary(pi):
@@ -91,8 +85,7 @@ def exceptional_A(p: int) -> tuple[bool, tuple[int, int] | None]:
 
 def exceptional_B(p: int) -> bool:
     """Whether 3 is a cube mod p."""
-    if p % 3 != 1:
-        raise ValueError(f"{p} is not split (need p = 1 mod 3)")
+    split_prime(p)  # ValueError unless p is a split prime
     return is_cube_mod_p(3, p)
 
 

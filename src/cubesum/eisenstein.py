@@ -122,13 +122,16 @@ class EisensteinInt:
     def __divmod__(self, other: "EisensteinInt | int") -> tuple["EisensteinInt", "EisensteinInt"]:
         """Division with remainder satisfying 3·N(r) <= N(m).
 
-        The exact quotient self·conj(m)/N(m) is rounded coordinatewise to
-        the nearest integer (ties away from zero); coordinate rounding alone
-        only guarantees N(r) < N(m), so the 3x3 offset neighbourhood of the
-        rounded point is scanned and the candidate minimising N(r) wins,
-        ties broken by lexicographic (q.a, q.b).  The scan runs on plain
-        integers: offset (da, db) turns the remainder r0 of the rounded
-        quotient into r0 - da·m - db·(w·m), with w·m = -mb + (ma - mb)·w.
+        q0 is the coordinatewise floor of the exact quotient
+        self·conj(m)/N(m).  The corners q0 + {0, 1, w, 1+w} of its unit
+        rhombus are scanned in lexicographic (da, db) order; the first least
+        N(r) wins, so ties go to the least (q.a, q.b).  Four corners suffice:
+        the short diagonal q0 -> q0+1+w splits the rhombus into two
+        equilateral unit triangles, and the nearest lattice point (and every
+        point as near) is a vertex of the triangle holding the quotient,
+        within its circumradius 1/√3, so 3·N(r) <= N(m).  The scan runs on
+        plain integers: offset (da, db) turns the remainder r0 of q0
+        into r0 - da·m - db·(w·m), with w·m = -mb + (ma - mb)·w.
         """
         m = _coerce(other)
         if m is NotImplemented:
@@ -138,22 +141,21 @@ class EisensteinInt:
         if n == 0:
             raise ZeroDivisionError("division by zero")
         # self·conj(m) with conj(m) = (ma - mb) - mb·w
-        qa0 = _round_nearest(a * (ma - mb) + b * mb, n)
-        qb0 = _round_nearest(b * ma - a * mb, n)
+        qa0 = (a * (ma - mb) + b * mb) // n
+        qb0 = (b * ma - a * mb) // n
         ra0 = a - qa0 * ma + qb0 * mb
         rb0 = b - qa0 * mb - qb0 * (ma - mb)
-        # offsets in lexicographic order, so on equal norms the first
-        # candidate seen has the least (q.a, q.b)
         best = None
-        for da in (-1, 0, 1):
+        for da in (0, 1):
             xa, xb = ra0 - da * ma, rb0 - da * mb
-            for db in (-1, 0, 1):
+            for db in (0, 1):
                 ra, rb = xa + db * mb, xb - db * (ma - mb)
                 nr = ra * ra - ra * rb + rb * rb
                 if best is None or nr < best[0]:
                     best = (nr, da, db, ra, rb)
         nr, da, db, ra, rb = best
-        assert 3 * nr <= n, "Euclidean bound violated"
+        if 3 * nr > n:
+            raise ArithmeticError("Euclidean bound violated")
         return EisensteinInt(qa0 + da, qb0 + db), EisensteinInt(ra, rb)
 
     def __floordiv__(self, other: "EisensteinInt | int") -> "EisensteinInt":
@@ -216,13 +218,6 @@ def _exact_quotient(x: EisensteinInt, m: EisensteinInt) -> EisensteinInt | None:
     return EisensteinInt(qa, qb)
 
 
-def _round_nearest(a: int, b: int) -> int:
-    """Round a/b (b > 0) to the nearest integer, ties away from zero."""
-    if a >= 0:
-        return (2 * a + b) // (2 * b)
-    return -((-2 * a + b) // (2 * b))
-
-
 ZERO = EisensteinInt(0, 0)
 ONE = EisensteinInt(1, 0)
 W = EisensteinInt(0, 1)            # primitive cube root of unity
@@ -230,14 +225,12 @@ V = EisensteinInt(-1, -1)          # the other root, v = w²
 BETA = EisensteinInt(1, 2)         # w - v; the ramified element, beta² = -3
 UNITS = (ONE, -ONE, W, -W, V, -V)  # the full unit group, order 6
 
-_UNIT_INVERSE = {ONE: ONE, -ONE: -ONE, W: V, V: W, -W: -V, -V: -W}
-
 
 def unit_inverse(zeta: EisensteinInt) -> EisensteinInt:
-    try:
-        return _UNIT_INVERSE[zeta]
-    except KeyError:
-        raise ValueError(f"{zeta} is not a unit") from None
+    """The inverse of a unit: N(zeta) = zeta·conj(zeta) = 1, so conj(zeta)."""
+    if not zeta.is_unit():
+        raise ValueError(f"{zeta} is not a unit")
+    return zeta.conj()
 
 
 def gcd_ext(l: EisensteinInt, m: EisensteinInt) -> tuple[EisensteinInt, EisensteinInt, EisensteinInt]:
@@ -286,34 +279,32 @@ def canonical_associate(x: EisensteinInt) -> tuple[EisensteinInt, EisensteinInt]
 
     The distinguished representative of each class of six associates:
 
-      * associates of a rational integer: the positive integer (so the
-        distinguished inert primes are the positive primes p);
-      * otherwise, coprime to beta: the unique associate congruent to
-        1 mod 3 (the six units are pairwise incongruent mod 3);
       * a beta part is pulled out first and kept as a literal power of
-        beta = 1 + 2w, the coprime cofactor normalised as above.
+        beta = 1 + 2w;
+      * the beta-free cofactor is replaced by its one associate congruent
+        to 1 mod 3 (the six units are pairwise incongruent mod 3);
+      * when that primary associate is rational it is made positive (so
+        the distinguished inert primes are the positive primes p).  A
+        class holding a rational n prime to 3 has the rational primary
+        associate ±n, as n = ±1 mod 3, so each such class gets |n|.
 
     Idempotent: canonicalising a distinguished element returns (1, itself).
     """
     if x.is_zero():
         raise ValueError("zero has no associates")
-    k, w = valuation(x, BETA)
-    w0 = None
+    k, y = valuation(x, BETA)
     for zeta in UNITS:
-        t = zeta * w
-        if t.b == 0 and t.a > 0:
-            w0 = t
+        y0 = zeta * y
+        if is_primary(y0):
             break
-    if w0 is None:
-        for zeta in UNITS:
-            t = zeta * w
-            if is_primary(t):
-                w0 = t
-                break
-    assert w0 is not None, "every class coprime to beta has a primary member"
-    x0 = BETA**k * w0
+    else:
+        raise ArithmeticError(f"no primary associate of {y}")
+    if y0.b == 0:
+        y0 = EisensteinInt(abs(y0.a), 0)
+    x0 = BETA**k * y0
     unit = x / x0
-    assert unit.is_unit()
+    if not unit.is_unit():
+        raise ArithmeticError(f"quotient {unit} of {x} by {x0} is not a unit")
     return unit, x0
 
 
@@ -548,9 +539,12 @@ def spiral(bound: int) -> Iterator[int]:
 
 
 def coordinate_spiral(bound: int) -> Iterator[EisensteinInt]:
-    """Nonzero box points ordered by growing radius max(|a|, |b|)."""
-    for r in range(1, bound + 1):
-        for a in range(-r, r + 1):
-            for b in range(-r, r + 1):
-                if max(abs(a), abs(b)) == r:
-                    yield EisensteinInt.from_uv(a, b)
+    """Nonzero box points ordered by growing radius max(|a|, |b|), each ring
+    in box order: a stable sort of coordinate_box, whose origin, alone at
+    radius 0, sorts first and is dropped."""
+
+    def radius(x: EisensteinInt) -> int:
+        a, b = x.to_uv()
+        return max(abs(a), abs(b))
+
+    return iter(sorted(coordinate_box(bound), key=radius)[1:])

@@ -145,14 +145,17 @@ def split_prime(p: int) -> tuple[EisensteinInt, EisensteinInt]:
     while r * r >= p:
         r0, r = r, r0 % r
     y = isqrt((p - r * r) // 3)
-    assert r * r + 3 * y * y == p, "Cornacchia found no representation"
+    if r * r + 3 * y * y != p:
+        raise ArithmeticError("Cornacchia found no representation")
     cand = EisensteinInt(r + y, 2 * y)
-    assert cand.norm() == p
+    if cand.norm() != p:
+        raise ArithmeticError(f"{cand} does not have norm {p}")
     _, pi = canonical_associate(cand)
     pi_conj = pi.conj()
     if pi.b < 0:
         pi, pi_conj = pi_conj, pi
-    assert pi.b > 0 and is_primary(pi) and is_primary(pi_conj)
+    if not (pi.b > 0 and is_primary(pi) and is_primary(pi_conj)):
+        raise ArithmeticError(f"split factors {pi}, {pi_conj} are not primary with pi.b > 0")
     return pi, pi_conj
 
 
@@ -223,7 +226,8 @@ def factor(x: EisensteinInt) -> Factorization:
             rest = rest / BETA**e
             factors.append((BETA, e))
         elif p % 3 == 2:
-            assert e % 2 == 0, "inert primes enter the norm to even exponents"
+            if e % 2:
+                raise ArithmeticError("inert primes enter the norm to even exponents")
             k = e // 2
             rest = rest / EisensteinInt(p**k, 0)
             factors.append((EisensteinInt(p, 0), k))
@@ -233,10 +237,12 @@ def factor(x: EisensteinInt) -> Factorization:
                 k, rest = valuation(rest, irr)
                 if k:
                     factors.append((irr, k))
-    assert rest.is_unit(), f"leftover {rest} is not a unit"
+    if not rest.is_unit():
+        raise ArithmeticError(f"leftover {rest} is not a unit")
     factors.sort(key=lambda t: (t[0].norm(), t[0].a, t[0].b))
     f = Factorization(rest, tuple(factors))
-    assert f.value() == x
+    if f.value() != x:
+        raise ArithmeticError(f"factorization {f} does not multiply back to {x}")
     return f
 
 

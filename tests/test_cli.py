@@ -222,6 +222,18 @@ class TestVerifyCommand:
         assert [r["criterion"] for r in results] == [1, 2, 3, 4, 5, 7, 8]
         assert all(r["ok"] for r in results), results
 
+    def test_full_json_under_optimize(self):
+        # criterion 10's divmod and factor soaks run only in verify full
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        out = subprocess.run(
+            [sys.executable, "-O", "-m", "cubesum.cli", "verify", "full", "--json"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=180,
+        )
+        assert out.returncode == 0, out.stderr or out.stdout
+        results = json.loads(out.stdout)
+        assert [r["criterion"] for r in results] == list(range(1, 11))
+        assert all(r["ok"] for r in results), results
+
     def test_corrupted_expectation_names_criterion(self, capsys, monkeypatch):
         from cubesum import verify as verify_mod
 

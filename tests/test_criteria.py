@@ -94,6 +94,14 @@ class TestExceptionalB:
             assert exceptional_A(p)[0] == exceptional_B(p), p
 
 
+@pytest.mark.parametrize("predicate", [condition_I, exceptional_A, exceptional_B])
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 25, 91])
+def test_predicates_reject_non_split(predicate, p):
+    # 91 = 7·13 passes the Exceptional B power test: 3^30 = 1 mod 91
+    with pytest.raises(ValueError, match="is not a split prime"):
+        predicate(p)
+
+
 class TestFirstFiveMod9:
     def test_values(self):
         assert first_exceptional_A_1mod9(5) == [73, 271, 307, 523, 577]

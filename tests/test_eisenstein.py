@@ -14,6 +14,7 @@ from cubesum.eisenstein import (
     W,
     ZERO,
     canonical_associate,
+    coordinate_spiral,
     eis_gcd,
     format_eisenstein,
     format_k,
@@ -217,6 +218,19 @@ class TestDivmodKernel:
                 assert got[1].norm() == offset.norm()
                 ties += 1
         assert ties > 4000
+
+    def test_matches_on_every_small_pair(self):
+        # every l, m with coordinates in [-6, 6], m != 0: 28,392 pairs,
+        # exact ties among them
+        box = [E(a, b) for a in range(-6, 7) for b in range(-6, 7)]
+        pairs = 0
+        for l in box:
+            for m in box:
+                if m.is_zero():
+                    continue
+                assert divmod(l, m) == divmod_by_objects(l, m), (l, m)
+                pairs += 1
+        assert pairs == 28_392
 
 
 def euclid_truediv(x, m):
@@ -437,6 +451,66 @@ class TestCanonicalAssociate:
             assert unit * x0 == x
             assert unit.is_unit()
             assert canonical_associate(x0) == (ONE, x0)
+
+
+def two_loop_canonical_associate(x):
+    """canonical_associate before the one-pass primary associate, kept as an
+    oracle: a positive rational associate of the beta-free part if there is
+    one, else its primary associate."""
+    k, y = valuation(x, BETA)
+    y0 = next((t for t in (z * y for z in UNITS) if t.b == 0 and t.a > 0), None)
+    if y0 is None:
+        y0 = next(t for t in (z * y for z in UNITS) if is_primary(t))
+    x0 = BETA**k * y0
+    return x / x0, x0
+
+
+def ring_loop_coordinate_spiral(bound):
+    """coordinate_spiral before it became a sorted box, kept as an oracle:
+    one square scan per ring radius."""
+    for r in range(1, bound + 1):
+        for a in range(-r, r + 1):
+            for b in range(-r, r + 1):
+                if max(abs(a), abs(b)) == r:
+                    yield EisensteinInt.from_uv(a, b)
+
+
+# unit_inverse before it became the conjugate, kept as an oracle
+UNIT_INVERSE_TABLE = {ONE: ONE, -ONE: -ONE, W: V, V: W, -W: -V, -V: -W}
+
+
+class TestKernelOracles:
+    def test_associates_on_small_box(self):
+        for a in range(-40, 41):
+            for b in range(-40, 41):
+                if a or b:
+                    x = E(a, b)
+                    assert canonical_associate(x) == two_loop_canonical_associate(x), x
+
+    @pytest.mark.parametrize("scale", [10**3, 10**9, 10**20])
+    def test_associates_at_scale(self, scale):
+        rng = random.Random(scale)
+        for _ in range(300):
+            x = E(rng.randint(-scale, scale), rng.randint(-scale, scale))
+            if rng.random() < 0.2:
+                x = x * BETA ** rng.randint(1, 4)
+            if rng.random() < 0.2:
+                x = E(x.a)
+            if not x.is_zero():
+                assert canonical_associate(x) == two_loop_canonical_associate(x), x
+
+    def test_spiral(self):
+        for bound in range(31):
+            assert list(coordinate_spiral(bound)) == list(ring_loop_coordinate_spiral(bound)), bound
+
+    def test_unit_inverse(self):
+        for zeta in UNITS:
+            assert unit_inverse(zeta) == UNIT_INVERSE_TABLE[zeta]
+
+    @pytest.mark.parametrize("x", [E(0), E(2), E(-1, 1), BETA, E(1, 3)])
+    def test_unit_inverse_rejects_non_units(self, x):
+        with pytest.raises(ValueError, match="is not a unit"):
+            unit_inverse(x)
 
 
 class TestMod9:

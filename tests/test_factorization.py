@@ -1,7 +1,10 @@
 """Prime splitting, unique factorization, and residue-field arithmetic."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from math import isqrt
 
@@ -303,3 +306,38 @@ class TestInertResidueField:
     def test_lagrange(self):
         for p in (2, 5, 11):
             assert inert_pow(W, p * p - 1, p) == ONE
+
+
+def test_factor_checks_survive_optimize():
+    """The checks in factor and split_prime still raise under python -O,
+    where assert statements are stripped: a valuation that divides nothing
+    out leaves 7 unfactored, and an identity canonical_associate leaves the
+    Cornacchia element 3 + 2w, which is not primary."""
+    code = (
+        "from cubesum import factorization\n"
+        "from cubesum.eisenstein import ONE, EisensteinInt\n"
+        "assert False, 'asserts must be stripped'\n"
+        "def leftover():\n"
+        "    factorization.valuation = lambda x, d: (0, x)\n"
+        "    factorization.factor(EisensteinInt(7))\n"
+        "def not_primary():\n"
+        "    factorization.canonical_associate = lambda x: (ONE, x)\n"
+        "    factorization.split_prime.cache_clear()\n"
+        "    factorization.split_prime(7)\n"
+        "for call, message in ((leftover, 'leftover 7 is not a unit'),\n"
+        "                      (not_primary, 'are not primary')):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ArithmeticError as err:\n"
+        "        if message in str(err):\n"
+        "            continue\n"
+        "    raise SystemExit('unchecked factorization')\n"
+        "print('ok')\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr or out.stdout
+    assert out.stdout == "ok\n"

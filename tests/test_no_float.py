@@ -25,8 +25,8 @@ def test_no_float_in_source():
     assert [site for path in files for site in _float_sites(path)] == []
 
 
-# assert statements left in src/cubesum; lower this as they become raises
-ASSERT_CEILING = 9
+# assert statements left in src/cubesum: every check is an explicit raise
+ASSERT_CEILING = 0
 
 
 def test_assert_count_only_falls():
