@@ -7,7 +7,7 @@
     cubesum report <p> [--json]
     cubesum solve <M> [--method lucas|relation|tangent] [--from x,y]
                       [--budget-relation N] [--json]
-    cubesum descend <x> <y> <M> [--max-steps N] [--json]
+    cubesum descend <x> <y> <M>
     cubesum search <M> [--budget-denom N] [--budget-coord N] [--json]
     cubesum tables <which> [--max N] [--json]
     cubesum verify [quick|full] [--json]
@@ -102,8 +102,6 @@ def build_parser() -> _Parser:
     p.add_argument("x")
     p.add_argument("y")
     p.add_argument("target")
-    p.add_argument("--max-steps", type=int, default=64)
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("search", help="brute-force witness search")
     p.add_argument("target")
@@ -240,7 +238,7 @@ def _cmd_descend(args: argparse.Namespace) -> int:
     m = parse_k(args.target)
     if not m.is_integral():
         raise ValueError("descent target must be integral")
-    trace = descent_trace(x, y, m.num, args.max_steps)
+    trace = descent_trace(x, y, m.num)
     for t in trace.steps:
         doc = {
             "A": format_eisenstein(t.A),

@@ -302,18 +302,13 @@ class DescentTrace:
         return tuple(t.norm_product() for t in self.steps)
 
 
-def descent_trace(
-    x: KElement, y: KElement, m: EisensteinInt, max_steps: int = 64
-) -> DescentTrace:
+def descent_trace(x: KElement, y: KElement, m: EisensteinInt) -> DescentTrace:
     """Iterate descent_step from a solution until it stops.
 
-    Each step divides the norm product by N(A)·N(B) >= 2, so the descent
-    stops; the trace records whether it stopped at the units case or at
-    structure absence (with the obstruction message).  max_steps caps the
-    successful steps, so a cap of N allows N steps and then the call that
-    stops.  It is a budget, not an integrity check: a large solution may
-    need more steps, and running out raises ValueError naming the cap.  A
-    step that fails to shrink the norm product raises ArithmeticError.
+    The trace records whether it stopped at the units case or at structure
+    absence (with the obstruction message).  It needs no step cap: each
+    pass returns, or raises ArithmeticError unless the norm product, a
+    positive integer, strictly shrinks.
     """
     t = reduce_triple(triple_from_solution(x, y, m))
     steps = [t]
@@ -324,8 +319,6 @@ def descent_trace(
             return DescentTrace(tuple(steps), f"units: {stop}")
         except TripleStructureError as stop:
             return DescentTrace(tuple(steps), f"structure-absent: {stop}")
-        if len(steps) > max_steps:
-            raise ValueError(f"descent did not stop within max_steps={max_steps} steps")
         if nxt.norm_product() >= t.norm_product():
             raise ArithmeticError("descent failed to shrink the norm product")
         t = reduce_triple(nxt)
@@ -340,6 +333,10 @@ def cube_triple_structure(
     Returns (d, perm) with perm indices such that (entries)[perm[0]] = d,
     [perm[1]] = d·w, [perm[2]] = d·v.  Raises when the hypotheses fail or
     (equivalently, by the classification) no decomposition exists.
+
+    The decompositions rotate, (d·w, d·v, d) being one too, so if any
+    exists every entry is a base; the base is the first rational entry
+    (at most one entry of a decomposition is rational), else entry 0.
     """
     entries = (a, b, c)
     if any(e.is_zero() for e in entries):
@@ -348,17 +345,10 @@ def cube_triple_structure(
         raise ValueError("not a cube triple: nonzero sum")
     if not is_cube(a * b * c):
         raise ValueError("not a cube triple: product is not a cube")
-    found: list[tuple[EisensteinInt, tuple[int, int, int]]] = []
-    for i0 in range(3):
-        d = entries[i0]
-        for i1 in range(3):
-            if i1 == i0:
-                continue
-            i2 = 3 - i0 - i1
-            if entries[i1] == d * W and entries[i2] == d * V:
-                found.append((d, (i0, i1, i2)))
-    if not found:
-        raise ValueError("not a cube triple: no unit decomposition")  # unreachable per the classification
-    # decompositions rotate; prefer a rational base element when one exists
-    found.sort(key=lambda t: (0 if t[0].is_rational() else 1, t[1]))
-    return found[0]
+    i0 = next((i for i, e in enumerate(entries) if e.is_rational()), 0)
+    d = entries[i0]
+    for i1 in range(3):
+        i2 = 3 - i0 - i1
+        if i1 != i0 and entries[i1] == d * W and entries[i2] == d * V:
+            return d, (i0, i1, i2)
+    raise ValueError("not a cube triple: no unit decomposition")  # unreachable per the classification

@@ -26,7 +26,7 @@ import json
 from dataclasses import dataclass
 from math import isqrt
 
-from .eisenstein import UNITS, EisensteinInt, format_eisenstein, is_primary
+from .eisenstein import UNITS, EisensteinInt, format_eisenstein
 from .factorization import (
     classify_rational_prime,
     is_cube_mod_p,
@@ -57,15 +57,14 @@ def exceptional_A(p: int) -> tuple[bool, tuple[int, int] | None]:
 
     Path one scans all six associates of pi for congruence to a rational
     integer mod 9 (then cross-checks the primary-form shortcut: 9 | a - b
-    for the primary factor written as a·w + b·v).  Path two searches the
+    for the primary factor written as a·w + b·v; split_prime raises unless
+    pi is primary).  Path two searches the
     quadratic form 4p = x² + 243y² exhaustively.  The paths must agree
     (ArithmeticError otherwise).
     """
     pi, _ = split_prime(p)
     via_mod9 = any((zeta * pi).b % 9 == 0 for zeta in UNITS)
     a, b = pi.to_uv()
-    if not is_primary(pi):
-        raise ArithmeticError(f"split_prime({p}) returned a non-primary factor {pi}")
     if via_mod9 != ((a - b) % 9 == 0):
         raise ArithmeticError(f"mod-9 associate scan disagrees at p={p}")
 

@@ -1,7 +1,9 @@
 """Brute-force witness searches at desk scale.
 
-Three searches feed the classifier, and three scans back the classical
-corollaries (flt3_exhaust, cube_ap_exhaust, mordell_check):
+Three searches feed the classifier.  Of the three classical corollaries,
+two are scans of their own (flt3_exhaust, mordell_check); the third, no
+three distinct cubes in arithmetic progression, is Euler's M = 2 case,
+which cube_ap_exhaust reads off search_rational(2, bound).
 
   * search_rational: complete per denominator.  For x = a/d, y = b/d the
     sum a³ + b³ = M·d³ factors as (a+b)(a² - ab + b²), so a + b runs over
@@ -366,26 +368,18 @@ def flt3_exhaust(bound: int) -> list[tuple[EisensteinInt, EisensteinInt, Eisenst
 
 
 def cube_ap_exhaust(bound: int) -> list[tuple[int, int, int]]:
-    """Scan for three distinct nonzero integer cubes in arithmetic progression.
+    """Three distinct rational cubes in arithmetic progression, as primitive
+    integer triples (x, z, y) with x < y, x³ + y³ = 2z³ and 0 < z <= bound;
+    returns the (necessarily empty) list of counterexamples.
 
-    Looks for x³ < z³ < y³ with x³ + y³ = 2z³ and 0 < |x|,|y|,|z| <= bound;
-    returns the (necessarily empty) list of counterexamples (x, z, y).
-    Only x + y even can give an even x³ + y³, and z is read off a table of
-    the 2·bound nonzero cubes.
+    Such a triple is a point (x/z, y/z) != (1, 1) of x³ + y³ = 2, whose
+    denominator divides z, so search_rational(2, bound) finds it, whatever
+    the size of x and y: Euler's theorem on M = 2 is this statement.  In
+    lowest terms a prime dividing a numerator and the denominator d would
+    divide the other numerator too, so both coordinates carry d, and z = d.
     """
-    root_of = {z**3: z for z in range(-bound, bound + 1) if z}
-    bad = []
-    for x in range(-bound, bound + 1):
-        if x == 0:
-            continue
-        x3 = x**3
-        for y in range(x + 2, bound + 1, 2):
-            if y == 0:
-                continue
-            z = root_of.get((x3 + y**3) // 2)
-            if z is not None and x3 < z**3 < y**3:
-                bad.append((x, z, y))
-    return bad
+    return sorted({(min(x.num.a, y.num.a), x.den, max(x.num.a, y.num.a))
+                   for x, y in search_rational(2, bound) if x != y})
 
 
 @dataclass(frozen=True)
@@ -396,12 +390,12 @@ class MordellReport:
     eisenstein_hits: tuple[tuple[KElement, KElement], ...]
 
 
-def mordell_check(budget: SearchBudget) -> MordellReport:
+def mordell_check(coord_bound: int, denom_bound: int) -> MordellReport:
     """Scan y² = x³ + 1 and assert every hit satisfies x³ in {-1, 0, 8}.
 
-    The scan runs x over the coordinate box with denominators
-    d <= budget.denom; the box holds every rational numerator
-    |a| <= budget.coord, so the rational hits are the hits with both
+    The scan runs x over the coordinate box of coord_bound with
+    denominators d <= denom_bound; the box holds every rational numerator
+    |a| <= coord_bound, so the rational hits are the hits with both
     coordinates rational.  A hit with x³ outside {-1, 0, 8} (equivalently
     y² outside {0, 1, 9}) raises AssertionError, which no budget can
     trigger if the classification is right.
@@ -409,8 +403,8 @@ def mordell_check(budget: SearchBudget) -> MordellReport:
     allowed_x3 = {KElement(-1), KElement(0), KElement(8)}
     allowed_y2 = {KElement(0), KElement(1), KElement(9)}
     field_hits: list[tuple[KElement, KElement]] = []
-    for d in range(1, budget.denom + 1):
-        for xi in coordinate_box(budget.coord):
+    for d in range(1, denom_bound + 1):
+        for xi in coordinate_box(coord_bound):
             if gcd(gcd(abs(xi.a), abs(xi.b)), d) != 1:
                 continue
             x = KElement(xi, d)

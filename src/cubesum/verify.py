@@ -219,7 +219,7 @@ def criterion_8_associate_asymmetries() -> str:
 def criterion_9_corollary_exhausts() -> str:
     bad = cube_ap_exhaust(1000)
     _check(bad == [], f"cubes in arithmetic progression?! {bad}")
-    report = mordell_check(SearchBudget(denom=6, coord=8, relation=1))
+    report = mordell_check(8, 6)
     rational = {_pair_strs(p) for p in report.rational_hits}
     _check(rational == EXPECTED["mordell_rational"], f"mordell rational hits {rational}")
     for x, _ in report.eisenstein_hits:

@@ -1,12 +1,17 @@
 """Command-line interface: exit codes, text output, JSON golden shapes."""
 
+import argparse
+import ast
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
+from cubesum import cli
 from cubesum.cli import main
 
 
@@ -61,13 +66,49 @@ class TestClassify:
         assert code == 0 and "37/21" in out
 
     def test_budget_flags_only_where_read(self, capsys):
-        # solve reads only the relation bound, search only denom and coord
+        # solve reads only the relation bound, search only denom and coord;
+        # descend has no step cap and always prints JSON lines
         for argv in (("solve", "183", "--budget-denom", "5"),
-                     ("search", "7", "--budget-relation", "3")):
+                     ("search", "7", "--budget-relation", "3"),
+                     ("descend", "37/21", "17/21", "6", "--max-steps", "2"),
+                     ("descend", "37/21", "17/21", "6", "--json")):
             with pytest.raises(SystemExit) as exc:
                 main(list(argv))
             assert exc.value.code == 1
             assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_every_argument_is_read_and_documented():
+    """Each subcommand's handler reads every argument its parser declares,
+    by the handler's source (a _budget(args) call reads every budget_*
+    dest), and the usage block of the module docstring lists exactly the
+    parser's -- flags for each subcommand."""
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    usage: dict[str, set[str]] = {}
+    for line in cli.__doc__.split("\n\n")[1].splitlines():
+        words = line.split()
+        if words[0] == "cubesum":
+            name = words[1]
+        usage.setdefault(name, set()).update(re.findall(r"--[a-z-]+", line))
+    assert set(usage) == set(subparsers)
+    unread, misdocumented = [], []
+    for name, sub in subparsers.items():
+        nodes = list(ast.walk(ast.parse(inspect.getsource(cli._COMMANDS[name]))))
+        read = {n.attr for n in nodes if isinstance(n, ast.Attribute)
+                and isinstance(n.value, ast.Name) and n.value.id == "args"}
+        if any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+               and n.func.id == "_budget" for n in nodes):
+            read |= {a.dest for a in sub._actions if a.dest.startswith("budget_")}
+        actions = [a for a in sub._actions if not isinstance(a, argparse._HelpAction)]
+        missing = [(a.option_strings or [a.dest])[0] for a in actions if a.dest not in read]
+        if missing:
+            unread.append(f"{name} {missing}")
+        flags = {f for a in actions for f in a.option_strings if f.startswith("--")}
+        if usage[name] != flags:
+            misdocumented.append(f"{name} {sorted(usage[name] ^ flags)}")
+    assert unread == []
+    assert misdocumented == []
 
 
 class TestFactor:
@@ -144,15 +185,6 @@ class TestDescend:
         code, _, err = run(capsys, "descend", "1", "1", "2")
         assert code == 1
 
-    def test_step_cap_is_a_usage_error(self, capsys):
-        # (37/21, 17/21, 6) takes two descent steps, so a cap of 2 suffices;
-        # a smaller cap exits 1 and names the cap instead of raising out of main
-        code, out, _ = run(capsys, "descend", "37/21", "17/21", "6", "--max-steps", "2")
-        assert code == 0 and len(out.strip().splitlines()) == 4
-        for cap in ("1", "0", "-1"):
-            code, out, err = run(capsys, "descend", "37/21", "17/21", "6", "--max-steps", cap)
-            assert code == 1 and out == ""
-            assert err == f"cubesum: error: descent did not stop within max_steps={cap} steps\n"
 
 
 class TestSearch:

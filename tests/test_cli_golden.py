@@ -190,7 +190,7 @@ DESCEND_GOLDEN = [
 
 @pytest.mark.parametrize("argv,lines", DESCEND_GOLDEN, ids=lambda v: " ".join(v) if isinstance(v, tuple) else "")
 def test_descend_golden(capsys, argv, lines):
-    code = main([*argv, "--json"])
+    code = main(list(argv))
     assert code == 0
     assert capsys.readouterr().out.splitlines() == [json.dumps(line) for line in lines]
 

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from cubesum import constructors
 from cubesum.constructors import (
     DescentTerminal,
     Triple,
@@ -34,6 +35,7 @@ from cubesum.eisenstein import (
     ONE,
     V,
     W,
+    coordinate_box,
     eis_gcd,
     is_primary,
     unit_inverse,
@@ -481,6 +483,23 @@ class TestDescentTrace:
         with pytest.raises(ValueError):
             descent_trace(KQ(1), KQ(1), E(2))
 
+    def test_step_that_does_not_shrink_raises(self, monkeypatch):
+        # the shrink check is what bounds the loop: a step returning its
+        # input would otherwise run forever, so the stub gives up after a
+        # few calls rather than hang the suite
+        calls = []
+
+        def stuck(t):
+            calls.append(t)
+            if len(calls) > 3:
+                raise RuntimeError("descent loop did not stop")
+            return t
+
+        monkeypatch.setattr(constructors, "descent_step", stuck)
+        with pytest.raises(ArithmeticError, match="descent failed to shrink"):
+            descent_trace(KQ(37, 21), KQ(17, 21), E(6))
+        assert len(calls) == 1
+
 
 def _k_quotient_is_cube(t_entries, target) -> bool:
     """The invariant as it was tested before, kept as an oracle: the
@@ -536,7 +555,67 @@ class TestTripleLifecycle:
         assert len(built) == 5
 
 
+def _cube_triple_structure_by_permutations(a, b, c):
+    """The six-permutation scan cube_triple_structure ran before, kept as an
+    oracle: every decomposition, the rational base first."""
+    entries = (a, b, c)
+    if any(e.is_zero() for e in entries):
+        raise ValueError("not a cube triple: zero entry")
+    if not (a + b + c).is_zero():
+        raise ValueError("not a cube triple: nonzero sum")
+    if not is_cube(a * b * c):
+        raise ValueError("not a cube triple: product is not a cube")
+    found = []
+    for i0 in range(3):
+        d = entries[i0]
+        for i1 in range(3):
+            if i1 == i0:
+                continue
+            i2 = 3 - i0 - i1
+            if entries[i1] == d * W and entries[i2] == d * V:
+                found.append((d, (i0, i1, i2)))
+    if not found:
+        raise ValueError("not a cube triple: no unit decomposition")
+    found.sort(key=lambda t: (0 if t[0].is_rational() else 1, t[1]))
+    return found[0]
+
+
+def _structure_outcome(fn, *entries):
+    """The decomposition as comparable data: the value, or the exception."""
+    try:
+        return fn(*entries)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
 class TestCubeTripleStructure:
+    def test_matches_permutation_scan_on_box_pairs(self):
+        # every (a, b, -a - b) from the [-6, 6]² box, zeros and all
+        box = list(coordinate_box(6))
+        decomposed = 0
+        for a in box:
+            for b in box:
+                want = _structure_outcome(_cube_triple_structure_by_permutations, a, b, -a - b)
+                assert _structure_outcome(cube_triple_structure, a, b, -a - b) == want, (a, b)
+                decomposed += want[0] != "ValueError"
+        assert decomposed > 0
+
+    def test_matches_permutation_scan_on_shuffled_rotations(self):
+        rng = random.Random(16)
+        rational = 0
+        for _ in range(3_000):
+            d = E(rng.randint(-50, 50), rng.randint(-50, 50))
+            if rng.random() < 0.2:
+                d = E(d.a)
+            if d.is_zero():
+                continue
+            entries = [d, d * W, d * V]
+            rng.shuffle(entries)
+            want = _cube_triple_structure_by_permutations(*entries)
+            assert cube_triple_structure(*entries) == want, entries
+            rational += want[0].is_rational()
+        assert rational > 0
+
     def test_unit_triple(self):
         c, perm = cube_triple_structure(E(1), W, V)
         assert c == ONE and perm == (0, 1, 2)

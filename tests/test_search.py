@@ -810,6 +810,21 @@ class TestCubeAp:
     def test_empty_to_1000(self):
         assert cube_ap_exhaust(1000) == []
 
+    def test_maps_distinct_m2_points_to_primitive_triples(self, monkeypatch):
+        # a made-up point of x³ + y³ = 2 beside (1, 1), in both orders as
+        # the complete search lists it: the trivial point is dropped, and
+        # the other becomes one (smaller numerator, d, larger numerator)
+        calls = []
+
+        def fake(m, bound):
+            calls.append((m, bound))
+            q = KElement.from_rational
+            return [(q(1), q(1)), (q(-5, 3), q(7, 3)), (q(7, 3), q(-5, 3))]
+
+        monkeypatch.setattr(search, "search_rational", fake)
+        assert cube_ap_exhaust(10) == [(-5, 3, 7)]
+        assert calls == [(2, 10)]
+
     def test_squares_version_finds_1_5_7(self):
         # scanner sanity: squares in arithmetic progression do exist
         found = []
@@ -823,13 +838,13 @@ class TestCubeAp:
         assert (1, 5, 7) in found
 
 
-def _mordell_rational_scan(budget: SearchBudget):
+def _mordell_rational_scan(coord_bound: int, denom_bound: int):
     """The rational scan mordell_check ran beside its field scan, kept as an
-    oracle: numerators |a| <= coord over denominators d <= denom, y from
-    isqrt."""
+    oracle: numerators |a| <= coord_bound over denominators d <= denom_bound,
+    y from isqrt."""
     rational = []
-    for d in range(1, budget.denom + 1):
-        for a in range(-budget.coord, budget.coord + 1):
+    for d in range(1, denom_bound + 1):
+        for a in range(-coord_bound, coord_bound + 1):
             if gcd(abs(a), d) != 1:
                 continue
             x = KElement.from_rational(a, d)
@@ -851,16 +866,15 @@ def _mordell_rational_scan(budget: SearchBudget):
 class TestMordell:
     def test_rational_hits_match_rational_scan(self):
         for denom, coord in ((6, 8), (1, 1), (3, 20), (12, 12), (10, 30)):
-            budget = SearchBudget(denom=denom, coord=coord, relation=1)
-            assert mordell_check(budget).rational_hits == _mordell_rational_scan(budget)
+            assert mordell_check(coord, denom).rational_hits == _mordell_rational_scan(coord, denom)
 
     def test_rational_hits(self):
-        report = mordell_check(SearchBudget(denom=6, coord=8, relation=1))
+        report = mordell_check(8, 6)
         rational = {(str(x), str(y)) for x, y in report.rational_hits}
         assert rational == {("-1", "0"), ("0", "1"), ("0", "-1"), ("2", "3"), ("2", "-3")}
 
     def test_k_hits_have_cube_in_allowed_set(self):
-        report = mordell_check(SearchBudget(denom=6, coord=8, relation=1))
+        report = mordell_check(8, 6)
         allowed = {KElement(-1), KElement(0), KElement(8)}
         assert report.eisenstein_hits
         for x, y in report.eisenstein_hits:
@@ -868,11 +882,11 @@ class TestMordell:
             assert y**2 in (KElement(0), KElement(1), KElement(9))
 
     def test_2w_hit_present(self):
-        report = mordell_check(SearchBudget(denom=2, coord=3, relation=1))
+        report = mordell_check(3, 2)
         assert any(x == KElement(2 * W) for x, _ in report.eisenstein_hits)
 
     def test_empty_budget_is_quiet(self):
-        report = mordell_check(SearchBudget(denom=1, coord=1, relation=1))
+        report = mordell_check(1, 1)
         assert all(y**2 == x**3 + 1 for x, y in report.rational_hits)
 
 
