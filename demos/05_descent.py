@@ -11,13 +11,11 @@ continuing forever.
 
 from cubesum import EisensteinInt, KElement, descent_trace, triple_from_solution
 
-KQ = KElement.from_rational
-
 # from Diophantus' solution of x³ + y³ = 7
-t = triple_from_solution(KQ(2), KQ(-1), EisensteinInt(7, 0))
+t = triple_from_solution(KElement(2), KElement(-1), EisensteinInt(7, 0))
 print("starting triple:", t.A, t.B, t.C, " norm product", t.norm_product())
 
-trace = descent_trace(KQ(2), KQ(-1), EisensteinInt(7, 0))
+trace = descent_trace(KElement(2), KElement(-1), EisensteinInt(7, 0))
 for step in trace.steps:
     print(f"  ({step.A}, {step.B}, {step.C})   N = {step.norm_product()}")
 print("stops:", trace.terminal)
@@ -25,7 +23,7 @@ print("stops:", trace.terminal)
 # Legendre's mistake: 6 = (37/21)³ + (17/21)³, and the descent runs a bit
 # longer before the structure gives out
 print()
-trace = descent_trace(KQ(37, 21), KQ(17, 21), EisensteinInt(6, 0))
+trace = descent_trace(KElement(37, 21), KElement(17, 21), EisensteinInt(6, 0))
 for step in trace.steps:
     print(f"  N = {step.norm_product()}")
 print("stops:", trace.terminal)

@@ -10,6 +10,7 @@ The public surface:
   * constructors -- Lucas identity, relation construction, tangent/secant,
                     and the executable 3-descent
   * search      -- rational and Eisenstein witness searches, exhaustive scans
+  * verify      -- the ten acceptance criteria behind `cubesum verify`
   * cli         -- the `cubesum` command-line front end
 """
 

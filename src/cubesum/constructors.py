@@ -25,10 +25,6 @@ from .factorization import cube_split
 from .search import _exact_icbrt, check_solution, cube_roots
 
 
-def _as_k(m) -> KElement:
-    return m if isinstance(m, KElement) else KElement(m)
-
-
 class TripleStructureError(ValueError):
     """A triple entry is not of the unit-times-cube shape the step needs."""
 
@@ -124,8 +120,7 @@ def lucas_witness(a: int, b: int, m: int) -> tuple[KElement, KElement]:
         raise ValueError("triple does not match target: a·b·(-a-b)/m is not a cube")
     x, y = lucas_pair(a, b)
     d = -3 * k * (a * a + a * b + b * b)
-    return check_solution((KElement.from_rational(x * m, d), KElement.from_rational(y * m, d)),
-                          m, "Lucas witness")
+    return check_solution((KElement(x * m, d), KElement(y * m, d)), m, "Lucas witness")
 
 
 def lucas_triple_search(m: int, bound: int) -> tuple[int, int] | None:
@@ -160,7 +155,6 @@ def tangent_step(m: KElement, point: tuple[KElement, KElement]) -> tuple[KElemen
 
     The formula is validated only by exact substitution, never trusted.
     """
-    m = _as_k(m)
     x, y = point
     x3, y3 = x**3, y**3
     if x3 + y3 != m:
@@ -182,7 +176,6 @@ def secant_step(
     the returned coordinate (Vieta on the quadratic cofactor).  Vertical or
     coincident configurations error out.
     """
-    m = _as_k(m)
     (x1, y1), (x2, y2) = p1, p2
     for x, y in (p1, p2):
         if x**3 + y**3 != m:

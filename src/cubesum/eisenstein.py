@@ -407,10 +407,6 @@ class KElement:
         self.num = num
         self.den = den
 
-    @classmethod
-    def from_rational(cls, p: int, q: int = 1) -> "KElement":
-        return cls(EisensteinInt(p, 0), q)
-
     # -- field operations ------------------------------------------------
 
     def __add__(self, other: "KElement | EisensteinInt | int") -> "KElement":

@@ -20,8 +20,8 @@ cube root of unity ζ; so search_eisenstein solves the quadratic once per
 divisor orbit {e, we, ve} and rotates its roots into the box.  Associates
 ζr share r³ up to sign, so relation_search tries one r per associate
 class.  Both loop on plain int coordinates, building ring elements only
-for the hits and for the one argument of each square_roots or cube_roots
-call, which verify every root exactly.
+for the hits, for each r³, and for the one argument of each square_roots
+or cube_roots call, which verify every root exactly.
 
 Every solution the package produces, from a search, a construction or the
 classifier, passes one exact check, check_solution, which raises even
@@ -182,13 +182,9 @@ def _divisors(signs, target, denom, cap=None):
         for _ in range(top):
             a, b, n = powers[-1]
             powers.append((a * qa - b * qb, a * qb + b * qa - b * qb, n * nq))
-        if qb:
-            divs = [(a * pa - b * pb, a * pb + b * pa - b * pb, n * pn)
-                    for a, b, n in divs for pa, pb, pn in powers
-                    if cap is None or n * pn <= cap]
-        else:  # a rational q, every prime over Z: no cross terms to form
-            divs = [(a * pa, b * pa, n * pn) for a, b, n in divs for pa, _, pn in powers
-                    if cap is None or n * pn <= cap]
+        divs = [(a * pa - b * pb, a * pb + b * pa - b * pb, n * pn)
+                for a, b, n in divs for pa, pb, pn in powers
+                if cap is None or n * pn <= cap]
     return divs
 
 
@@ -219,7 +215,7 @@ def search_rational(m: int, denom_bound: int) -> list[tuple[KElement, KElement]]
                 a = num // 6
                 b = e - a
                 if gcd(a, b, d) == 1:
-                    hits.add((KElement.from_rational(a, d), KElement.from_rational(b, d)))
+                    hits.add((KElement(a, d), KElement(b, d)))
     return sorted((check_solution(p, m, "search hit") for p in hits), key=witness_sort_key)
 
 
@@ -302,8 +298,8 @@ def relation_search(
     hit where the first one already has, and the first (r, s, t) is the one
     a scan over every r would return.
 
-    m·t³ is computed once per call, r³ and the right-hand side on int
-    coordinates; cube_roots verifies each root exactly.
+    m·t³ is computed once per call, r³ by cube() and the right-hand side on
+    its int coordinates; cube_roots verifies each root exactly.
     """
     if m.is_zero():
         raise ValueError("target must be nonzero")
@@ -311,8 +307,8 @@ def relation_search(
     wmt3s = [(t, m.b * t**3, (m.b - m.a) * t**3) for t in spiral(bound)]
     seen: set[tuple[int, int]] = set()
     for r in coordinate_spiral(bound):
-        a, b = r.a, r.b
-        ca, cb = a**3 - 3 * a * b * b + b**3, 3 * a * b * (a - b)  # r³
+        r3 = r.cube()
+        ca, cb = r3.a, r3.b
         if (ca, cb) in seen:
             continue
         seen.update(((ca, cb), (-ca, -cb)))
@@ -331,9 +327,9 @@ def flt3_exhaust(bound: int) -> list[tuple[EisensteinInt, EisensteinInt, Eisenst
     """Scan for nonzero x, y, z in the box with x³ + y³ + z³ = 0.
 
     Returns the (necessarily empty) list of counterexamples.  Units times
-    z share z's cube, so the scan runs over the distinct cube values, each
-    pair once (the equation is symmetric in x and y); a hit lists every
-    triple of box points with those three cubes.
+    z share z's cube, so one box pass maps each cube value to its points,
+    and the scan runs over those values, each pair once (the equation is
+    symmetric in x and y); a hit lists every triple of points with them.
     """
     # A box point is a + b·w with |a| <= bound and |b| <= 2·bound, so both
     # coordinates of its cube are below 21·bound³ in size.  Packing c as
@@ -345,19 +341,16 @@ def flt3_exhaust(bound: int) -> list[tuple[EisensteinInt, EisensteinInt, Eisenst
         c = z.cube()
         return c.a * s + c.b
 
-    cubes = {key(z) for z in coordinate_box(bound) if not z.is_zero()}
-    keys = list(cubes)
-    hits = []
-    for i, kx in enumerate(keys):
-        if cubes.isdisjoint(map((-kx).__sub__, keys[i:])):
-            continue
-        hits += [(kx, ky, -kx - ky) for ky in keys[i:] if -kx - ky in cubes]
-    if not hits:
-        return []
     preimages: dict[int, list[EisensteinInt]] = {}
     for z in coordinate_box(bound):
         if not z.is_zero():
             preimages.setdefault(key(z), []).append(z)
+    keys = list(preimages)
+    hits = []
+    for i, kx in enumerate(keys):
+        if preimages.keys().isdisjoint(map((-kx).__sub__, keys[i:])):
+            continue
+        hits += [(kx, ky, -kx - ky) for ky in keys[i:] if -kx - ky in preimages]
     return [
         (x, y, z)
         for kx, ky, kz in hits
@@ -382,6 +375,9 @@ def cube_ap_exhaust(bound: int) -> list[tuple[int, int, int]]:
                    for x, y in search_rational(2, bound) if x != y})
 
 
+_MORDELL_X3 = frozenset((KElement(-1), KElement(0), KElement(8)))  # x = -1, 0, 2, 2w, 2v
+
+
 @dataclass(frozen=True)
 class MordellReport:
     """Hits of y² = x³ + 1 found inside a budgeted scan of K²."""
@@ -391,17 +387,15 @@ class MordellReport:
 
 
 def mordell_check(coord_bound: int, denom_bound: int) -> MordellReport:
-    """Scan y² = x³ + 1 and assert every hit satisfies x³ in {-1, 0, 8}.
+    """Scan y² = x³ + 1 and check that every hit has x³ in {-1, 0, 8}.
 
     The scan runs x over the coordinate box of coord_bound with
     denominators d <= denom_bound; the box holds every rational numerator
     |a| <= coord_bound, so the rational hits are the hits with both
-    coordinates rational.  A hit with x³ outside {-1, 0, 8} (equivalently
-    y² outside {0, 1, 9}) raises AssertionError, which no budget can
-    trigger if the classification is right.
+    coordinates rational.  Each root from square_roots must square back to
+    x³ + 1, which leaves x³ the one condition to test; either failure
+    raises ArithmeticError, also under python -O.
     """
-    allowed_x3 = {KElement(-1), KElement(0), KElement(8)}
-    allowed_y2 = {KElement(0), KElement(1), KElement(9)}
     field_hits: list[tuple[KElement, KElement]] = []
     for d in range(1, denom_bound + 1):
         for xi in coordinate_box(coord_bound):
@@ -412,16 +406,10 @@ def mordell_check(coord_bound: int, denom_bound: int) -> MordellReport:
             for root in square_roots(w.num * w.den):
                 y = KElement(root, w.den)
                 if y**2 != w:
-                    continue
-                _assert_mordell(x, y, allowed_x3, allowed_y2)
+                    raise ArithmeticError(f"root {y} of {w} does not square back")
+                if x**3 not in _MORDELL_X3:
+                    raise ArithmeticError(f"counterexample to y² = x³ + 1 over K: ({x}, {y})")
                 field_hits.append((x, y))
     field_hits.sort(key=witness_sort_key)
     rational = tuple(p for p in field_hits if p[0].is_rational() and p[1].is_rational())
     return MordellReport(rational, tuple(field_hits))
-
-
-def _assert_mordell(x: KElement, y: KElement, allowed_x3, allowed_y2) -> None:
-    if x**3 not in allowed_x3 or y**2 not in allowed_y2:
-        raise AssertionError(
-            f"counterexample to the y² = x³ + 1 classification: ({x}, {y})"
-        )

@@ -48,7 +48,7 @@ def E(a, b=0):
 
 
 def KQ(p, q=1):
-    return KElement.from_rational(p, q)
+    return KElement(p, q)
 
 
 def _float_cbrt(n: int) -> int | None:
@@ -68,8 +68,8 @@ def _fraction_lucas_witness(a: int, b: int, m: int):
     x, y = lucas_pair(a, b)
     d = -3 * root * (a * a + a * b + b * b)
     return (
-        KElement.from_rational(x * d.denominator, d.numerator),
-        KElement.from_rational(y * d.denominator, d.numerator),
+        KElement(x * d.denominator, d.numerator),
+        KElement(y * d.denominator, d.numerator),
     )
 
 
@@ -699,7 +699,7 @@ def test_witness_checks_survive_optimize():
         "constructors.BETA = ONE\n"
         "one, m = EisensteinInt(1, 0), EisensteinInt(1, 9)\n"
         "seven, p1 = KElement(7), (KElement(2), KElement(-1))\n"
-        "p2 = (KElement.from_rational(4, 3), KElement.from_rational(5, 3))\n"
+        "p2 = (KElement(4, 3), KElement(5, 3))\n"
         "divide = KElement.__truediv__\n"
         "def corrupt(call):\n"
         "    KElement.__truediv__ = lambda x, y: divide(x, y) + 1\n"

@@ -1,8 +1,13 @@
 """Structural properties under hypothesis: ring axioms, Euclidean bound,
-factorization round-trips, and the cube-class machinery."""
+factorization round-trips, the cube-class machinery, and a fuzz of the
+parse layer."""
+
+import contextlib
+import io
 
 from hypothesis import assume, given, settings, strategies as st
 
+from cubesum import cli
 from cubesum.classifier import canonicalize
 from cubesum.constructors import is_cube
 from cubesum.eisenstein import (
@@ -159,3 +164,33 @@ class TestCubeClass:
         root, rest = cube_split(m)
         assert root**3 * rest.value() == m
         assert rest == canon
+
+
+# texts over the characters the element grammar uses, and the space
+def element_texts(max_size: int):
+    return st.text(alphabet="0123456789wuv+-*/() ", max_size=max_size)
+
+
+class TestParseFuzz:
+    @settings(max_examples=300)
+    @given(element_texts(12))
+    def test_parse_k_parses_or_rejects(self, text):
+        # any other exception escapes and fails the test
+        try:
+            parse_k(text)
+        except (ValueError, ZeroDivisionError):
+            pass
+
+    @settings(max_examples=100, deadline=None)
+    @given(element_texts(6))
+    def test_classify_exits_with_a_contract_code(self, text):
+        # six characters keep the targets small enough to factor at once;
+        # argparse's usage error (a target that reads as a flag) exits 1
+        argv = ["classify", text, "--budget-denom", "1", "--budget-coord", "1",
+                "--budget-relation", "1"]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2), (text, code)

@@ -358,7 +358,7 @@ def test_every_solution_goes_through_check_solution(monkeypatch):
     def routed(pair, m, source):
         raise _Routed(source)
 
-    one, q = EisensteinInt(1, 0), KElement.from_rational
+    one, q = EisensteinInt(1, 0), KElement
     seven, p1, p2 = KElement(7), (q(2), q(-1)), (q(4, 3), q(5, 3))
     producers = (
         (search, lambda: search_rational(9, 1), "search hit"),
@@ -818,7 +818,7 @@ class TestCubeAp:
 
         def fake(m, bound):
             calls.append((m, bound))
-            q = KElement.from_rational
+            q = KElement
             return [(q(1), q(1)), (q(-5, 3), q(7, 3)), (q(7, 3), q(-5, 3))]
 
         monkeypatch.setattr(search, "search_rational", fake)
@@ -847,7 +847,7 @@ def _mordell_rational_scan(coord_bound: int, denom_bound: int):
         for a in range(-coord_bound, coord_bound + 1):
             if gcd(abs(a), d) != 1:
                 continue
-            x = KElement.from_rational(a, d)
+            x = KElement(a, d)
             w = x**3 + 1
             n = w.num.a * w.den
             if n < 0:
@@ -855,7 +855,7 @@ def _mordell_rational_scan(coord_bound: int, denom_bound: int):
             s = isqrt(n)
             if s * s != n:
                 continue
-            y = KElement.from_rational(s, w.den)
+            y = KElement(s, w.den)
             for yy in ((y,) if y.is_zero() else (y, -y)):
                 assert yy**2 == x**3 + 1
                 rational.append((x, yy))
@@ -888,6 +888,32 @@ class TestMordell:
     def test_empty_budget_is_quiet(self):
         report = mordell_check(1, 1)
         assert all(y**2 == x**3 + 1 for x, y in report.rational_hits)
+
+    @pytest.mark.parametrize("plant, message", [
+        ("search.square_roots = lambda z: [E(5)]", "does not square back"),
+        ("search._MORDELL_X3 = frozenset()", "counterexample to y² = x³ + 1"),
+    ], ids=["non-root", "x3-outside-set"])
+    def test_checks_raise_under_optimize(self, plant, message):
+        """A root that does not square back to x³ + 1, and a hit whose x³
+        is outside {-1, 0, 8}, each raise ArithmeticError under python -O,
+        where assert statements are stripped."""
+        code = (
+            "from cubesum import search\n"
+            "from cubesum.eisenstein import EisensteinInt as E\n"
+            "assert False, 'asserts must be stripped'\n"
+            f"{plant}\n"
+            "try:\n"
+            "    search.mordell_check(1, 1)\n"
+            "except ArithmeticError as err:\n"
+            "    print(err)\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert out.returncode == 0, out.stderr or out.stdout
+        assert message in out.stdout
 
 
 class TestBudget:
