@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import verify as verify_mod
@@ -50,7 +51,14 @@ EXIT_OK, EXIT_ERROR, EXIT_UNKNOWN = 0, 1, 2
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that exits 1 (not 2) on usage errors, per the contract."""
+    """argparse that exits 1 (not 2) on usage errors, per the contract, and
+    reads a token such as -w or -6+3*w as an element, not as a flag."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # argparse takes a token that names no flag as a positional when it
+        # matches this; its own pattern matches only negative numbers.
+        self._negative_number_matcher = re.compile(r"-[\d(wuv]")
 
     def error(self, message: str) -> None:  # type: ignore[override]
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")

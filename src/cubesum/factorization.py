@@ -7,9 +7,10 @@ A rational prime p behaves in one of three ways:
   * p = 1 mod 3 splits as pi·conj(pi) with non-associate factors, and
     O/pi is the field with p elements.
 
-factor() reduces everything to rational integer factoring: factor the norm
-over Z, then split each rational prime and assign exponents between pi and
-conj(pi) by exact divisibility.
+The prime above a split p is gcd(p, w - c) for a cube root of unity c mod p,
+found by the Euclidean algorithm of Z[w].  factor() reduces everything to
+rational integer factoring: factor the norm over Z, then divide x by each
+irreducible above each prime of the norm as often as it goes (valuation).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd
 
 from .eisenstein import (
     BETA,
@@ -25,7 +26,7 @@ from .eisenstein import (
     ONE,
     V,
     W,
-    canonical_associate,
+    eis_gcd,
     format_eisenstein,
     is_primary,
     valuation,
@@ -71,7 +72,7 @@ def _pollard_rho(n: int) -> int:
             x = (x * x + c) % n
             y = (y * y + c) % n
             y = (y * y + c) % n
-            d = gcd(abs(x - y), n)
+            d = gcd(x - y, n)
         if d != n:
             return d
     raise ArithmeticError(f"rho failed on {n}")  # unreachable at desk scale
@@ -128,15 +129,14 @@ class PrimeClass:
 def split_prime(p: int) -> tuple[EisensteinInt, EisensteinInt]:
     """The distinguished factor pair (pi, pi_bar) of a split prime p.
 
-    Cornacchia's algorithm (Cohen, A Course in Computational Algebraic
-    Number Theory, §1.5) for p = r² + 3y²:  c = g^((p-1)/3) mod p is a
-    primitive cube root of unity for the first g = 2, 3, ... that makes it
-    differ from 1, so 2c + 1 is a square root of -3 mod p; the Euclidean
-    algorithm on (p, 2c + 1) stops at the first remainder r with r² < p.
-    Then (r + y) + 2y·w has norm r² + 3y² = p; its distinguished (primary)
-    associate and the conjugate of that, again primary, are the pair.  The
-    result is cached (at most 4096 primes); the cache is a pure memo and
-    safe under concurrent use.
+    c = g^((p-1)/3) mod p is a primitive cube root of unity for the first
+    g = 2, 3, ... that makes it differ from 1.  N(w - c) = c² + c + 1 is
+    divisible by p, so p and w - c share exactly the prime above p on which
+    w = c mod it: pi = gcd(p, w - c), by the Euclidean algorithm of Z[w],
+    which returns its distinguished (primary) associate.  The pair is pi and
+    its conjugate, again primary, ordered so that pi has positive
+    w-coordinate.  The result is cached (at most 4096 primes); the cache is
+    a pure memo and safe under concurrent use.
     """
     if p % 3 != 1 or not is_prime(p):
         raise ValueError(f"{p} is not a split prime")
@@ -144,16 +144,9 @@ def split_prime(p: int) -> tuple[EisensteinInt, EisensteinInt]:
     g = 2
     while (c := pow(g, e, p)) == 1:
         g += 1
-    r0, r = p, (2 * c + 1) % p
-    while r * r >= p:
-        r0, r = r, r0 % r
-    y = isqrt((p - r * r) // 3)
-    if r * r + 3 * y * y != p:
-        raise ArithmeticError("Cornacchia found no representation")
-    cand = EisensteinInt(r + y, 2 * y)
-    if cand.norm() != p:
-        raise ArithmeticError(f"{cand} does not have norm {p}")
-    _, pi = canonical_associate(cand)
+    pi = eis_gcd(EisensteinInt(p, 0), EisensteinInt(-c, 1))
+    if pi.norm() != p:
+        raise ArithmeticError(f"{pi} does not have norm {p}")
     pi_conj = pi.conj()
     if pi.b < 0:
         pi, pi_conj = pi_conj, pi
@@ -162,16 +155,22 @@ def split_prime(p: int) -> tuple[EisensteinInt, EisensteinInt]:
     return pi, pi_conj
 
 
+def _above(p: int) -> tuple[str, tuple[EisensteinInt, ...]]:
+    """How the rational prime p sits in Z[w]: its tag and the distinguished
+    irreducibles above it (beta for 3, p itself when inert, the split pair)."""
+    if p == 3:
+        return "ramified", (BETA,)
+    if p % 3 == 2:
+        return "inert", (EisensteinInt(p, 0),)
+    return "split", split_prime(p)
+
+
 def classify_rational_prime(p: int) -> PrimeClass:
     """Ramified / inert / split classification of a rational prime."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if p == 3:
-        return PrimeClass(p, "ramified")
-    if p % 3 == 2:
-        return PrimeClass(p, "inert")
-    pi, pi_bar = split_prime(p)
-    return PrimeClass(p, "split", pi, pi_bar)
+    tag, irrs = _above(p)
+    return PrimeClass(p, tag, *irrs) if tag == "split" else PrimeClass(p, tag)
 
 
 @dataclass(frozen=True)
@@ -214,32 +213,20 @@ class Factorization:
 def factor(x: EisensteinInt) -> Factorization:
     """Canonical factorization of a nonzero element of Z[w].
 
-    Method: factor N(x) over Z; the exponent of 3 in the norm is the beta
-    multiplicity, inert primes contribute half their (even) norm exponent,
-    and split prime exponents are distributed between pi and conj(pi) by
-    repeated exact division (valuation).  The unit left over at the end is
-    recorded.
+    Method: factor N(x) over Z; every irreducible of x lies above a prime p
+    of the norm, so one loop divides each irreducible above each such p out
+    of x as often as it goes (valuation) and records the exponent.  The
+    unit left over at the end is recorded.
     """
     if x.is_zero():
         raise ValueError("cannot factor zero")
     factors: list[tuple[EisensteinInt, int]] = []
     rest = x
-    for p, e in factor_int(x.norm()).items():
-        if p == 3:
-            rest = rest / BETA**e
-            factors.append((BETA, e))
-        elif p % 3 == 2:
-            if e % 2:
-                raise ArithmeticError("inert primes enter the norm to even exponents")
-            k = e // 2
-            rest = rest / EisensteinInt(p**k, 0)
-            factors.append((EisensteinInt(p, 0), k))
-        else:
-            pi, pi_bar = split_prime(p)
-            for irr in (pi, pi_bar):
-                k, rest = valuation(rest, irr)
-                if k:
-                    factors.append((irr, k))
+    for p in factor_int(x.norm()):
+        for irr in _above(p)[1]:
+            k, rest = valuation(rest, irr)
+            if k:
+                factors.append((irr, k))
     if not rest.is_unit():
         raise ArithmeticError(f"leftover {rest} is not a unit")
     factors.sort(key=lambda t: (t[0].norm(), t[0].a, t[0].b))

@@ -6,6 +6,7 @@ import inspect
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 
@@ -125,6 +126,54 @@ class TestFactor:
         assert code == 0
         doc = json.loads(out)
         assert set(doc) == {"unit", "factors"}
+
+
+class TestLeadingDash:
+    """An element that starts with '-' reads as an element, not as a flag,
+    without the -- separator; -h and the -- separator still work."""
+
+    def test_classify_unit(self, capsys):
+        code, out, _ = run(capsys, "classify", "-w")
+        assert code == 0
+        assert out.startswith("NoSolutions [Theorem 1.6]")
+
+    def test_factor(self, capsys):
+        code, out, _ = run(capsys, "factor", "-6+3*w")
+        assert code == 0
+        assert out.strip() == "-1-w * (1+2*w)^2 * (1+3*w)"
+
+    @pytest.mark.parametrize("argv", [
+        ("solve", "-1-9*w", "--method", "relation"),
+        ("search", "-18*w", "--budget-coord", "4", "--budget-denom", "1"),
+        ("descend", "-w", "2*w", "7"),
+        ("descend", "-2", "-1+w", "-5+6*w"),
+    ], ids=" ".join)
+    def test_other_subcommands(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_is_still_a_flag(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", flag])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: cubesum classify")
+
+
+def test_readme_command_examples(capsys):
+    """Every line of the README's command-line block, without its comment
+    and the leading `cubesum`, exits 0."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    assert len(lines) >= 11
+    for line in lines:
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "cubesum", line
+        assert main(argv[1:]) == 0, line
+        capsys.readouterr()
 
 
 class TestSplitPrimeAndReport:

@@ -60,6 +60,20 @@ GOLDEN = [
         },
     ),
     (
+        ("classify", "7", "--scope", "Q"),
+        0,
+        {
+            "input": "7",
+            "scope": "Q",
+            "canonical": {"unit": "1", "factors": [["-2-3*w", 1], ["1+3*w", 1]]},
+            "status": "LiteratureSolvable",
+            "rule": "literature",
+            "reason": "p = 7 = 7 mod 9: infinitely many rational representations of p and p² "
+                      "(Sylvester's conjecture, now established)",
+            "citation": "Elkies (announced); Dasgupta-Voight (under conditions)",
+        },
+    ),
+    (
         ("factor", "18*w"),
         0,
         {
@@ -185,6 +199,14 @@ DESCEND_GOLDEN = [
                          "(exponent not divisible by 3)"},
         ],
     ),
+    (
+        ("descend", "2", "1", "9"),
+        [
+            {"A": "8", "B": "1", "C": "-9", "norm_product": 5184},
+            {"A": "1+w", "B": "w", "C": "-1-2*w", "norm_product": 3},
+            {"terminal": "units: A and B are units"},
+        ],
+    ),
 ]
 
 
@@ -193,6 +215,40 @@ def test_descend_golden(capsys, argv, lines):
     code = main(list(argv))
     assert code == 0
     assert capsys.readouterr().out.splitlines() == [json.dumps(line) for line in lines]
+
+
+# text output: (argv, exit code, stdout lines, stderr lines)
+TEXT_GOLDEN = [
+    (("split-prime", "13"), 0, ["13 splits: pi = 4+3*w, conj = 1-3*w"], []),
+    (("split-prime", "3"), 0, ["3 ramifies: 3 = (-1) * (1+2*w)^2"], []),
+    (
+        ("report", "61"),
+        0,
+        [
+            "p = 61  (split, 7 mod 9)",
+            "  pi = 4+9*w",
+            "  condition (I): True",
+            "  Exceptional A: True via 4p = 1² + 243·1²",
+            "  Exceptional B: True",
+        ],
+        [],
+    ),
+    (("report", "2"), 0, ["p = 2  (inert, 2 mod 9)"], []),
+    (
+        ("solve", "5", "--method", "relation", "--budget-relation", "2"),
+        2,
+        [],
+        ["no relation found within the bound"],
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,code,out,err", TEXT_GOLDEN, ids=lambda v: " ".join(v) if isinstance(v, tuple) else "")
+def test_text_golden(capsys, argv, code, out, err):
+    assert main(list(argv)) == code
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == out
+    assert captured.err.splitlines() == err
 
 
 def test_tables_conditionI_rows(capsys):

@@ -120,6 +120,9 @@ def split_prime_by_scan(p):
 
 
 class TestSplitPrimeCornacchia:
+    """split_prime's gcd(p, w - c) split: the distinguished pair, checked
+    against a norm scan, on large primes, and on its input check."""
+
     def test_matches_scan_below_20000(self):
         count = 0
         for p in range(7, 20000, 6):
@@ -311,17 +314,17 @@ class TestInertResidueField:
 def test_factor_checks_survive_optimize():
     """The checks in factor and split_prime still raise under python -O,
     where assert statements are stripped: a valuation that divides nothing
-    out leaves 7 unfactored, and an identity canonical_associate leaves the
-    Cornacchia element 3 + 2w, which is not primary."""
+    out leaves 7 unfactored, and a gcd that returns w times the prime above
+    7 gives the associate 3 + w, which is not primary."""
     code = (
         "from cubesum import factorization\n"
-        "from cubesum.eisenstein import ONE, EisensteinInt\n"
+        "from cubesum.eisenstein import W, EisensteinInt, eis_gcd\n"
         "assert False, 'asserts must be stripped'\n"
         "def leftover():\n"
         "    factorization.valuation = lambda x, d: (0, x)\n"
         "    factorization.factor(EisensteinInt(7))\n"
         "def not_primary():\n"
-        "    factorization.canonical_associate = lambda x: (ONE, x)\n"
+        "    factorization.eis_gcd = lambda l, m: W * eis_gcd(l, m)\n"
         "    factorization.split_prime.cache_clear()\n"
         "    factorization.split_prime(7)\n"
         "for call, message in ((leftover, 'leftover 7 is not a unit'),\n"
