@@ -133,10 +133,8 @@ def lucas_triple_search(m: int, bound: int) -> tuple[int, int] | None:
     if m == 0:
         raise ValueError("target must be nonzero")
     for s in range(2, 2 * bound + 1):
-        for abs_a in range(1, min(s - 1, bound) + 1):
+        for abs_a in range(max(1, s - bound), min(s - 1, bound) + 1):
             abs_b = s - abs_a
-            if abs_b > bound:
-                continue
             for a in (-abs_a, abs_a):
                 for b in (-abs_b, abs_b):
                     c = -a - b

@@ -7,9 +7,9 @@ which cube_ap_exhaust reads off search_rational(2, bound).
 
   * search_rational: complete per denominator.  For x = a/d, y = b/d the
     sum a³ + b³ = M·d³ factors as (a+b)(a² - ab + b²), so a + b runs over
-    the divisors of M·d³ and each divisor leaves one quadratic in a whose
-    discriminant is tested for squareness.  No numerator box, so spread
-    witnesses like 17 = (18/7)³ - (1/7)³ appear at tiny budgets.
+    the divisors e of M·d³ with |e|³ <= 4|M|d³, each leaving one quadratic
+    in a whose discriminant is tested for squareness.  No numerator box, so
+    spread witnesses like 17 = (18/7)³ - (1/7)³ appear at tiny budgets.
   * search_eisenstein: the same divisor search in Z[w], complete inside a
     coordinate box per denominator; an empty result proves nothing.
   * relation_search: first (r, s, t) with w·r³ + v·s³ + M·t³ = 0.
@@ -28,7 +28,8 @@ classifier, passes one exact check, check_solution, which raises even
 under python -O.
 
 Every integer cube test (cube_roots' norm test, the Lucas scan) goes
-through one exact integer cube root, _exact_icbrt, and no float is used.
+through _exact_icbrt, which cubes the floor cube root _icbrt that also
+caps search_rational's divisors, and no float is used.
 Boxes are over the {w, v} coordinates; hit lists are ordered by
 denominator ascending, then numerators descending lexicographically, so
 identical budgets always yield identical ordered results regardless of how
@@ -71,23 +72,23 @@ class SearchBudget:
 _CUBES_MOD_819 = frozenset(k**3 % 819 for k in range(819))
 
 
-def _exact_icbrt(n: int) -> int | None:
-    """The integer k with k³ = n, or None when n is not a cube.
-
-    The residue test mod 819 turns most non-cubes away at once; for the
-    rest, integer Newton steps descend from the power of two above the
-    root to floor(∛|n|), whose cube is compared with |n|.  One path for
-    every size of n, and no float.
-    """
-    if n % 819 not in _CUBES_MOD_819:
-        return None
-    a = abs(n)
+def _icbrt(a: int) -> int:
+    """floor(∛a) for a >= 0, by integer Newton steps from above; no float."""
     if a <= 1:
-        return n
+        return a
     k = 1 << -(-a.bit_length() // 3)
     while (k1 := (2 * k + a // (k * k)) // 3) < k:
         k = k1
-    if k**3 != a:
+    return k
+
+
+def _exact_icbrt(n: int) -> int | None:
+    """The integer k with k³ = n, or None when n is not a cube: the residue
+    test mod 819 turns most non-cubes away, the rest cube _icbrt(|n|)."""
+    if n % 819 not in _CUBES_MOD_819:
+        return None
+    k = _icbrt(abs(n))
+    if k**3 != abs(n):
         return None
     return k if n > 0 else -k
 
@@ -166,11 +167,11 @@ def witness_sort_key(pair: tuple[KElement, KElement]):
     return (d, -x.num.a * sx, -x.num.b * sx, -y.num.a * sy, -y.num.b * sy)
 
 
-def _divisors(signs, target, denom, cap=None):
-    """The divisors u·∏ q^k of target·denom³, u = ±1 in signs, each once by
-    unique factorization, as int triples (a, b, N(a + b·w)); target and denom
-    are (prime, exponent) pairs over Z or Z[w].  With a cap, just those of
-    norm at most cap."""
+def _divisors(signs, target, denom, cap):
+    """The divisors u·∏ q^k of target·denom³ of norm at most cap, u = ±1 in
+    signs, each once by unique factorization, as int triples (a, b, N(a + b·w));
+    target and denom are (prime, exponent) pairs over Z or Z[w].  Each caller
+    takes cap from its equation; norms only grow, so partial products stop there."""
     exponents = dict(target)
     for q, k in denom:
         exponents[q] = exponents.get(q, 0) + 3 * k
@@ -184,7 +185,7 @@ def _divisors(signs, target, denom, cap=None):
             powers.append((a * qa - b * qb, a * qb + b * qa - b * qb, n * nq))
         divs = [(a * pa - b * pb, a * pb + b * pa - b * pb, n * pn)
                 for a, b, n in divs for pa, pb, pn in powers
-                if cap is None or n * pn <= cap]
+                if n * pn <= cap]
     return divs
 
 
@@ -193,6 +194,10 @@ def search_rational(m: int, denom_bound: int) -> list[tuple[KElement, KElement]]
 
     Complete for every denominator d <= denom_bound (tested against a naive
     double loop on small instances); an empty list is a valid result.
+
+    For e = a + b, f = a² - ab + b² = m·d³/e >= e²/4 gives |e|³ <= 4|m|d³,
+    the cap _divisors stops at, so 12f - 3e² >= 0 (else isqrt raises); its
+    root s = 3t with e² + 3t² = 4f, so e ≡ t mod 2 and 6 divides 3e ± s.
     """
     if m == 0:
         raise ValueError("target must be nonzero")
@@ -202,17 +207,12 @@ def search_rational(m: int, denom_bound: int) -> list[tuple[KElement, KElement]]
     hits: set[tuple[KElement, KElement]] = set()
     for d in range(1, denom_bound + 1):
         n = m * d**3
-        for e, _, _ in _divisors(sign, target, factor_int(d).items()):
+        for e, _, _ in _divisors(sign, target, factor_int(d).items(), _icbrt(4 * abs(n)) ** 2):
             disc = 12 * (n // e) - 3 * e * e
-            if disc < 0:
-                continue
             s = isqrt(disc)
             if s * s != disc:
                 continue
-            for num in (3 * e + s, 3 * e - s):
-                if num % 6:
-                    continue
-                a = num // 6
+            for a in ((3 * e + s) // 6, (3 * e - s) // 6):
                 b = e - a
                 if gcd(a, b, d) == 1:
                     hits.add((KElement(a, d), KElement(b, d)))

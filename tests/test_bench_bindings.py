@@ -1,17 +1,23 @@
-"""The cubesum names the benchmark tracer binds must keep resolving.
+"""What the benchmark reads from cubesum must keep holding.
 
 perfbench/tracer.py wraps cubesum functions by dotted name
-("module.function"); a refactor that renames or removes one would otherwise
-only fail when the benchmark runs.
+("module.function"), and perfbench/reference.json freezes the grid
+verdicts; a refactor that renames one of those functions, or changes a
+verdict or witness, would otherwise only fail when the benchmark runs.
 """
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import cubesum.factorization
+from cubesum.classifier import classify
+from cubesum.eisenstein import EisensteinInt
+from cubesum.search import SearchBudget
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def _load_tracer():
@@ -39,3 +45,25 @@ def test_split_prime_memo_controls():
     split_prime = cubesum.factorization.split_prime
     assert callable(split_prime.cache_info)
     assert callable(split_prime.cache_clear)
+
+
+def _k(x) -> list[int]:
+    return [x.num.a, x.num.b, x.den]
+
+
+def test_grid_sample_matches_frozen_reference():
+    # every 20th grid-q and every 40th grid-k key in the reference's order,
+    # recorded as perfbench/check.py's verdict_record does
+    reference = json.loads((PERFBENCH / "reference.json").read_text())
+    checked, mismatches = 0, []
+    for workload, step, scope in (("grid-q", 20, "Q"), ("grid-k", 40, "K")):
+        for key in list(reference[workload])[::step]:
+            v = classify(EisensteinInt(*map(int, key.split(","))), scope, SearchBudget())
+            witness = None if v.witness is None else [_k(v.witness[0]), _k(v.witness[1])]
+            trivial = None if v.trivial_solutions is None else [
+                [_k(x), _k(y)] for x, y in v.trivial_solutions]
+            record = [v.status, v.rule, witness, trivial]
+            checked += 1
+            if record != reference[workload][key]:
+                mismatches.append((workload, key, record))
+    assert (checked, mismatches) == (92, [])

@@ -254,6 +254,18 @@ class TestSearch:
         assert code == 2 and out == ""
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("solve 1/2 --method lucas", "--method lucas needs a rational integer target"),
+    ("solve 1/2 --method relation", "--method relation needs an integral target"),
+    ("solve 7 --method tangent --from 2", "expected 'x,y', got '2'"),
+    ("descend 2 1 9/2", "descent target must be integral"),
+    ("search 7/2", "search target must be integral"),
+])
+def test_input_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out, err) == (1, "", f"cubesum: error: {message}\n")
+
+
 class TestTables:
     def test_condition_I(self, capsys):
         code, out, _ = run(capsys, "tables", "conditionI", "--max", "73")

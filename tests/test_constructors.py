@@ -41,6 +41,7 @@ from cubesum.eisenstein import (
     unit_inverse,
 )
 from cubesum.factorization import Factorization, cube_split
+from cubesum.search import search_eisenstein
 
 
 def E(a, b=0):
@@ -355,6 +356,21 @@ class TestLucasTripleSearch:
         for m in range(-40, 41):
             if m:
                 assert lucas_triple_search(m, 16) == fraction_scan(m, 16), m
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Triple(E(0), E(1), E(-1), E(1)), "triple entries must be nonzero"),
+    (lambda: Triple(E(1), E(1), E(1), E(1)), "triple does not sum to zero"),
+    (lambda: lucas_witness(0, 3, 7), "degenerate triple"),
+    (lambda: lucas_triple_search(0, 5), "target must be nonzero"),
+    (lambda: search_eisenstein(E(0), 3, 3), "target must be nonzero"),
+    (lambda: secant_step(KQ(7), (KQ(2), KQ(-1)), (KQ(1), KQ(1))), "point is not on the curve"),
+    (lambda: triple_from_solution(KQ(2), KQ(1), E(7)), "not a solution of x³ + y³ = m"),
+])
+def test_public_input_checks(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
 
 
 class TestTangentSecant:

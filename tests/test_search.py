@@ -427,6 +427,13 @@ class TestSearchRational:
         with pytest.raises(ValueError):
             search_rational(0, 5)
 
+    def test_cap_edge_hits(self):
+        # a = b gives e = 2a and f = a², so |e|³ = 4|m·d³| exactly: the hit
+        # sits on the divisor cap, and a cap one too tight would miss it
+        assert (K(1), K(1)) in search_rational(2, 1)
+        assert (K(-1), K(-1)) in search_rational(-2, 1)
+        assert (K(2), K(2)) in search_rational(16, 3)
+
     def test_determinism(self):
         assert search_rational(91, 10) == search_rational(91, 10)
 
@@ -538,7 +545,7 @@ class TestDivisors:
             for d in (1, 2, 6, 35):
                 for signs in ((1,), (-1,), (1, -1)):
                     args = (factor_int(m).items(), factor_int(d).items())
-                    got = _divisors(signs, *args)
+                    got = _divisors(signs, *args, (m * d**3) ** 2)
                     assert all(b == 0 and n == a * a for a, b, n in got)
                     assert Counter(a for a, _, _ in got) == Counter(_object_divisors(signs, *args))
 
@@ -547,7 +554,7 @@ class TestDivisors:
         for m in (E(1), E(0, 18), E(1, 9), BETA, W * pi, E(30030), E(-7, 3)):
             for d in (1, 2, 6, 35):
                 args = (factor(m).factors, factor(E(d)).factors)
-                for cap in (None, 1, 7, 300, 10800):
+                for cap in ((m * d**3).norm(), 1, 7, 300, 10800):
                     got = _divisors((1, -1), *args, cap)
                     assert all(E(a, b).norm() == n for a, b, n in got)
                     want = _object_divisors((E(1), E(-1)), *args, cap)
@@ -556,7 +563,7 @@ class TestDivisors:
     def test_cap_zero_is_a_cap(self, monkeypatch):
         # a test of `not cap` read 0 as no cap, listing all 768 divisors
         target = factor(E(2 * 3 * 5 * 7 * 11 * 13)).factors
-        assert len(_divisors((1, -1), target, ())) == 768
+        assert len(_divisors((1, -1), target, (), 30030**2)) == 768
         assert _divisors((1, -1), target, (), 0) == []
         listed = []
 
