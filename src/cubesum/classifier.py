@@ -20,14 +20,14 @@ of the theorem that decided it:
   2.4  primary pi and pi² of norm = 1 mod 9 when p is not Exceptional A
 
 Where no theorem decides, the verdict is Unknown, and bounded searches
-try to upgrade it to HasSolutions.  They run in one order, stop at the
-first hit and run none twice: the rule's own construction (the Lucas scan
-for three-p, the relation search for both split-1mod9 rows), then the
-rational divisor search and the Lucas scan (rational targets only), then
-the coordinate-box search and the relation search (scope K only).  Within
-one search, hits are ordered by denominator, so the witness is
-deterministic.  Every witness and every trivial pair is re-verified
-exactly against the original target by search.check_solution.
+try to upgrade it to HasSolutions.  Each case builds one plan: the
+rational divisor search and the Lucas scan for a rational target, then
+the box and relation searches for scope K.  The rule's own construction
+(the Lucas scan for three-p, the relation search for both split-1mod9
+rows) leads the plan if the plan holds it; the first hit ends it and
+nothing runs twice.  Hits within one search are ordered by denominator,
+so the witness is deterministic.  Every witness and every trivial pair
+is re-verified exactly against the original target by check_solution.
 Existence results imported from the literature (Elkies, Dasgupta-Voight,
 Kriz) are reported as LiteratureSolvable and never claim a witness.
 """
@@ -191,11 +191,12 @@ class _Case:
 
     def search(self, reason: str, first: Callable[[_Case], Hit | None] | None = None) -> Verdict:
         """Unknown with this reason, upgraded to HasSolutions by the first
-        attempt that hits, in the order of the module docstring; first is
-        the rule's own construction."""
+        hit of the plan in the module docstring, built here from the case;
+        first, the rule's own construction, leads the plan if it is in it."""
         if self.budget is not None:
-            attempts = (first, _try_rational, _try_lucas, _try_box, _try_relation)
-            for attempt in dict.fromkeys(a for a in attempts if a is not None):
+            plan = ((_try_rational, _try_lucas) if self.rep.is_rational() else ()) + (
+                (_try_box, _try_relation) if self.scope == "K" else ())
+            for attempt in dict.fromkeys(a for a in (first, *plan) if a in plan):
                 hit = attempt(self)
                 if hit is not None:
                     rule, witness = hit
@@ -362,34 +363,21 @@ def match_rule(canon: CanonicalM) -> str:
 # -- orientation: sign and conjugation normalisation -------------------------
 
 
-def _lex_positive(x: EisensteinInt) -> bool:
-    return x.a > 0 or (x.a == 0 and x.b > 0)
+def _orient(m: EisensteinInt) -> tuple[EisensteinInt, tuple[int, bool]]:
+    """Representative of {±m, ±conj(m)} and the (sign, conj) sending its
+    solutions to solutions of m.
 
-
-_IDENT = lambda p: p
-_NEG = lambda p: (-p[0], -p[1])
-_CONJ = lambda p: (p[0].conj(), p[1].conj())
-_NEGCONJ = lambda p: (-p[0].conj(), -p[1].conj())
-
-
-def _orient(m: EisensteinInt) -> tuple[EisensteinInt, Callable[[Pair], Pair]]:
-    """Representative of {±m, ±conj(m)} and the map sending its solutions
-    to solutions of m.
-
-    The representative is the lexicographically smallest positive member,
-    so classify(-m) and classify(conj(m)) run the identical computation and
-    differ only by the (exact) witness transport.  Transform preference on
-    ties: identity, negation, conjugation, both.
+    The representative is the least member with (a, b) > (0, 0), so
+    classify(-m) and classify(conj(m)) run the identical computation and
+    differ only by the (exact) witness transport: conjugate the pair if
+    conj, then multiply by sign.  Preference on ties: identity, negation,
+    conjugation, both.
     """
-    candidates = [
-        (m, _IDENT),
-        (-m, _NEG),
-        (m.conj(), _CONJ),
-        (-m.conj(), _NEGCONJ),
-    ]
-    positives = [(x, t) for x, t in candidates if _lex_positive(x)]
+    candidates = [(s * (m.conj() if conj else m), (s, conj))
+                  for conj in (False, True) for s in (1, -1)]
     # min keeps the first of equal candidates, i.e. the earliest transform
-    return min(positives, key=lambda xt: (xt[0].a, xt[0].b))
+    return min(((x, t) for x, t in candidates if (x.a, x.b) > (0, 0)),
+               key=lambda xt: (xt[0].a, xt[0].b))
 
 
 # -- witness construction helpers --------------------------------------------
@@ -446,18 +434,18 @@ def classify(
     if scope == "Q" and not m_int.is_rational():
         raise ValueError("scope Q requires a rational target")
 
-    rep, transport = _orient(m_int)
+    rep, (sign, conj) = _orient(m_int)
     canon_rep = canonicalize(rep)
     kind, n, e = _shape(canon_rep)
     handler = _rule(kind, n, canon_rep.unit)[-1]
     verdict = handler(_Case(rep, canon_rep, n, e, scope, budget))
 
     def back(pair: Pair) -> Pair:
-        """A solution for rep as one for m, checked: the orientation
-        transport, then division by the denominator (solutions of n·d² are
+        """A solution for rep as one for m, checked: conjugation if conj,
+        the sign, then division by the denominator (solutions of n·d² are
         d times those of n/d)."""
-        x, y = transport(pair)
-        return check_solution((x / denominator, y / denominator), m, "witness")
+        x, y = (pair[0].conj(), pair[1].conj()) if conj else pair
+        return check_solution((x * sign / denominator, y * sign / denominator), m, "witness")
 
     witness = verdict.witness
     if witness is not None:
@@ -470,21 +458,16 @@ def classify(
 
 
 # -- the witness searches -----------------------------------------------------
-# Each takes the case and returns its Hit, or None when it misses or does
-# not apply: the rational search and the Lucas scan need a rational target,
-# the box and relation searches need scope K.
+# Each takes the case and returns its Hit, or None when it misses.  Where
+# each applies is decided once, by the plan in _Case.search.
 
 
 def _try_rational(c: _Case) -> Hit | None:
-    if not c.rep.is_rational():
-        return None
     hits = search_rational(c.rep.a, c.budget.denom)
     return ("rational-search", hits[0]) if hits else None
 
 
 def _try_lucas(c: _Case) -> Hit | None:
-    if not c.rep.is_rational():
-        return None
     # the Lucas scan has its own fixed bound, not a budget field
     pair = lucas_triple_search(c.rep.a, LUCAS_SEARCH_BOUND)
     if pair is None:
@@ -493,16 +476,12 @@ def _try_lucas(c: _Case) -> Hit | None:
 
 
 def _try_box(c: _Case) -> Hit | None:
-    if c.scope != "K":
-        return None
     hits = search_eisenstein(c.rep, c.budget.coord, c.budget.denom,
                              stop_at_first_denominator=True)
     return ("eisenstein-search", hits[0]) if hits else None
 
 
 def _try_relation(c: _Case) -> Hit | None:
-    if c.scope != "K":
-        return None
     rel = relation_search(c.rep, c.budget.relation)
     if rel is None:
         return None

@@ -268,7 +268,8 @@ def descent_step(t: Triple) -> Triple:
         )
     c = inv * c
 
-    m_core = cube_split(c)[1].value()  # the non-cube part of C, up to a unit
+    # C's non-cube part up to a unit: A, B unit·cube and A·B·C = M·k³ put C in M's class
+    m_core = cube_split(t.target)[1].value()
     for cand in (s, W * s, V * s):
         if m_core.divides(r + cand):
             s = cand

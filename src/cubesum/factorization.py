@@ -271,9 +271,11 @@ def residue_split(x: EisensteinInt, pi: EisensteinInt, p: int) -> int:
 
 
 def is_cube_mod_p(x: int, p: int) -> bool:
-    """Whether x is a cube in (Z/p)*, for p = 1 mod 3: x^((p-1)/3) = 1."""
+    """Whether x is a cube in (Z/p)*, for a prime p = 1 mod 3: x^((p-1)/3) = 1."""
     if p % 3 != 1:
         raise ValueError("p must be 1 mod 3 (otherwise every residue is a cube)")
+    if not is_prime(p):
+        raise ValueError("p must be prime (Euler's criterion needs a cyclic (Z/p)*)")
     if x % p == 0:
         raise ValueError("zero residue")
     return pow(x, (p - 1) // 3, p) == 1

@@ -52,13 +52,16 @@ def _k(x) -> list[int]:
 
 
 def test_grid_sample_matches_frozen_reference():
-    # every 20th grid-q and every 40th grid-k key in the reference's order,
-    # recorded as perfbench/check.py's verdict_record does
+    # every 20th grid-q, every 40th grid-k and every 50th theorems-large key
+    # in the reference's order (theorems-large without search), recorded as
+    # perfbench/check.py's verdict_record does
     reference = json.loads((PERFBENCH / "reference.json").read_text())
     checked, mismatches = 0, []
-    for workload, step, scope in (("grid-q", 20, "Q"), ("grid-k", 40, "K")):
+    for workload, step, scope, budget in (("grid-q", 20, "Q", SearchBudget()),
+                                          ("grid-k", 40, "K", SearchBudget()),
+                                          ("theorems-large", 50, "K", None)):
         for key in list(reference[workload])[::step]:
-            v = classify(EisensteinInt(*map(int, key.split(","))), scope, SearchBudget())
+            v = classify(EisensteinInt(*map(int, key.split(","))), scope, budget)
             witness = None if v.witness is None else [_k(v.witness[0]), _k(v.witness[1])]
             trivial = None if v.trivial_solutions is None else [
                 [_k(x), _k(y)] for x, y in v.trivial_solutions]
@@ -66,4 +69,4 @@ def test_grid_sample_matches_frozen_reference():
             checked += 1
             if record != reference[workload][key]:
                 mismatches.append((workload, key, record))
-    assert (checked, mismatches) == (92, [])
+    assert (checked, mismatches) == (104, [])

@@ -41,7 +41,7 @@ from cubesum.eisenstein import (
     unit_inverse,
 )
 from cubesum.factorization import Factorization, cube_split
-from cubesum.search import search_eisenstein
+from cubesum.search import search_eisenstein, search_rational
 
 
 def E(a, b=0):
@@ -210,6 +210,52 @@ class TestDescentParity:
                     c = E(a, b) ** 3 + s**3
                     if (a or b) and not c.is_zero():
                         assert cube_split(c)[1].factors, (a, b, s)
+
+
+def _c_in_target_class(t: Triple) -> bool:
+    """Whether A and B are unit times cube; if so, assert that C's non-cube
+    part is the target's, as descent_step assumes."""
+    try:
+        _unit_cube_parts(t.A, "A")
+        _unit_cube_parts(t.B, "B")
+    except TripleStructureError:
+        return False
+    assert cube_split(t.C)[1].factors == cube_split(t.target)[1].factors, t
+    return True
+
+
+class TestDescentCubeClass:
+    """A·B·C = M·k³ with A = i·r³ and B = i·s³ gives v_π(C) = v_π(M) mod 3
+    for every π, so descent_step may factor the target in place of C."""
+
+    def test_on_descent_traces(self):
+        checked = 0
+        for m in range(2, 400):
+            pairs = [(x, y) for x, y in search_rational(m, 12) if x != y and not (x * y).is_zero()]
+            for x, y in pairs[:3]:
+                checked += sum(map(_c_in_target_class, descent_trace(x, y, E(m)).steps))
+        assert checked > 150
+
+    def test_on_stepped_random_triples(self):
+        # criterion 10's triples (r³, s³, -r³ - s³) and the seeded corpus
+        # with its common factors, each stepped down until the descent stops
+        rng = random.Random(20)
+        starts = _seeded_triples(500, 11)
+        while len(starts) < 1_000:
+            r, s = (E(rng.randint(-20, 20), rng.randint(-20, 20)) for _ in "rs")
+            c = -(r**3) - s**3
+            if not (r * s * c).is_zero():
+                starts.append(Triple(r**3, s**3, c, c))
+        checked = 0
+        for t in starts:
+            t = reduce_triple(t)
+            while _c_in_target_class(t):
+                checked += 1
+                try:
+                    t = reduce_triple(descent_step(t))
+                except (TripleStructureError, DescentTerminal):
+                    break
+        assert checked > 1_000
 
 
 class TestSolutionFromRelation:

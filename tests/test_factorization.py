@@ -242,6 +242,12 @@ class TestCubesModP:
         with pytest.raises(ValueError):
             is_cube_mod_p(2, 5)
 
+    def test_composite_modulus_rejected(self):
+        # 8³ = 2 mod 10 and 12³ = 3 mod 25, where Euler's criterion would say no
+        for x, p in ((2, 10), (3, 25), (3, 91)):
+            with pytest.raises(ValueError, match="prime"):
+                is_cube_mod_p(x, p)
+
     def test_literal_cubes_soak(self):
         rng = random.Random(17)
         for p in (7, 13, 31, 61, 73):

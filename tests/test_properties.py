@@ -5,6 +5,7 @@ parse layer."""
 import contextlib
 import io
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cubesum import cli
@@ -171,6 +172,25 @@ def element_texts(max_size: int):
     return st.text(alphabet="0123456789wuv+-*/() ", max_size=max_size)
 
 
+# argv of every other subcommand from three element texts x, y, m and a
+# table size n; budgets of 1 keep each run small
+SUBCOMMAND_ARGV = {
+    "factor": lambda x, y, m, n: ["factor", m],
+    "split-prime": lambda x, y, m, n: ["split-prime", m],
+    "report": lambda x, y, m, n: ["report", m],
+    "split-prime-n": lambda x, y, m, n: ["split-prime", str(n)],
+    "report-n": lambda x, y, m, n: ["report", str(n)],
+    "solve-lucas": lambda x, y, m, n: ["solve", m, "--method", "lucas"],
+    "solve-relation": lambda x, y, m, n: ["solve", m, "--method", "relation",
+                                          "--budget-relation", "1"],
+    "solve-tangent": lambda x, y, m, n: ["solve", m, "--method", "tangent", "--from", f"{x},{y}"],
+    "search": lambda x, y, m, n: ["search", m, "--budget-denom", "1", "--budget-coord", "1"],
+    "descend": lambda x, y, m, n: ["descend", x, y, m],
+    "tables": lambda x, y, m, n: ["tables", ("conditionI", "excA", "excB", "excA-mod9-first5")[n % 4],
+                                  "--max", str(n)],
+}
+
+
 class TestParseFuzz:
     @settings(max_examples=300)
     @given(element_texts(12))
@@ -194,3 +214,15 @@ class TestParseFuzz:
             except SystemExit as exc:
                 code = exc.code
         assert code in (0, 1, 2), (text, code)
+
+    @pytest.mark.parametrize("template", list(SUBCOMMAND_ARGV.values()), ids=list(SUBCOMMAND_ARGV))
+    @settings(max_examples=40, deadline=None)
+    @given(element_texts(6), element_texts(6), element_texts(6), st.integers(-5, 300))
+    def test_subcommand_exits_with_a_contract_code(self, template, x, y, m, n):
+        argv = template(x, y, m, n)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2), (argv, code)
