@@ -28,8 +28,8 @@ from math import isqrt
 
 from .eisenstein import UNITS, EisensteinInt, format_eisenstein
 from .factorization import (
+    _euler_cube,
     classify_rational_prime,
-    is_cube_mod_p,
     is_prime,
     residue_split,
     split_prime,
@@ -43,10 +43,10 @@ def condition_I(p: int) -> bool:
     identification; path two applies the trace shortcut a + b.  The two
     must agree (ArithmeticError otherwise).
     """
-    pi, pi_bar = split_prime(p)
-    via_residue = is_cube_mod_p(residue_split(pi_bar, pi, p), p)
+    pi, pi_bar = split_prime(p)  # ValueError unless p is a split prime
+    via_residue = _euler_cube(residue_split(pi_bar, pi, p), p)
     a, b = pi.to_uv()
-    via_trace = is_cube_mod_p((a + b) % p, p)
+    via_trace = _euler_cube((a + b) % p, p)
     if via_residue != via_trace:
         raise ArithmeticError(f"condition (I) paths disagree at p={p}")
     return via_residue
@@ -85,7 +85,7 @@ def exceptional_A(p: int) -> tuple[bool, tuple[int, int] | None]:
 def exceptional_B(p: int) -> bool:
     """Whether 3 is a cube mod p."""
     split_prime(p)  # ValueError unless p is a split prime
-    return is_cube_mod_p(3, p)
+    return _euler_cube(3, p)
 
 
 @dataclass(frozen=True)

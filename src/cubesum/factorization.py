@@ -276,6 +276,12 @@ def is_cube_mod_p(x: int, p: int) -> bool:
         raise ValueError("p must be 1 mod 3 (otherwise every residue is a cube)")
     if not is_prime(p):
         raise ValueError("p must be prime (Euler's criterion needs a cyclic (Z/p)*)")
+    return _euler_cube(x, p)
+
+
+def _euler_cube(x: int, p: int) -> bool:
+    """Euler's criterion x^((p-1)/3) = 1 mod p, for a caller that has already
+    checked that p is a prime = 1 mod 3; ValueError for x = 0 mod p."""
     if x % p == 0:
         raise ValueError("zero residue")
     return pow(x, (p - 1) // 3, p) == 1

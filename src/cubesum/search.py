@@ -14,14 +14,24 @@ which cube_ap_exhaust reads off search_rational(2, bound).
     coordinate box per denominator; an empty result proves nothing.
   * relation_search: first (r, s, t) with w·r³ + v·s³ + M·t³ = 0.
 
+Both K searches skip, by an exact norm window, what no box point can reach.
+Box points have norm <= 3B² for the bound B.  For a hit (ξ, η),
+|ξ² - ξη + η²| <= 9B², so the divisor e = ξ + η of M·d³ has
+N(e) >= N(M)·d⁶/(81B⁴) as well as N(e) <= 12B²: search_eisenstein skips
+every divisor below that floor and stops at the first d whose floor passes
+12B².  In relation_search s³ is the right-hand side, so any right-hand side
+of norm above 27B⁶ has no cube root in the box and is never offered to
+cube_roots.
+
 Both K searches work up to the units ±{1, w, v} of Z[w].  A pair (ξ, η)
 sums to e exactly when (ζξ, ζη) sums to ζe, with the same cubes, for a
 cube root of unity ζ; so search_eisenstein solves the quadratic once per
 divisor orbit {e, we, ve} and rotates its roots into the box.  Associates
 ζr share r³ up to sign, so relation_search tries one r per associate
-class.  Both loop on plain int coordinates, building ring elements only
-for the hits, for each r³, and for the one argument of each square_roots
-or cube_roots call, which verify every root exactly.
+class, taken from a table built once per bound.  Both loop on plain int
+coordinates, building ring elements only for the hits, for each r³, and
+for the one argument of each square_roots or cube_roots call, which verify
+every root exactly.
 
 Every solution the package produces, from a search, a construction or the
 classifier, passes one exact check, check_solution, which raises even
@@ -39,6 +49,7 @@ the divisors are enumerated.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, isqrt
 
 from .eisenstein import (
@@ -240,6 +251,12 @@ def search_eisenstein(
     All of this runs on int coordinates, f = m·d³·conj(e)/N(e) by two
     integer divisions; square_roots verifies each root exactly.
 
+    A hit has |f| = |xi² - xi·eta + eta²| <= 9·bound², so N(f) <= 81·bound⁴
+    and N(e) = N(m)·d⁶/N(f) >= N(m)·d⁶/(81·bound⁴): divisors below that
+    floor are skipped before the division, and the d loop ends at the first
+    d whose floor exceeds the cap 12·bound², as it does for every larger d.
+    The test is kept multiplied out, so bound 0 needs no special case.
+
     With stop_at_first_denominator the search returns after the smallest
     denominator that yields hits; since the result order is denominator-
     major, the leading hit is the same either way.
@@ -247,11 +264,17 @@ def search_eisenstein(
     if m.is_zero():
         raise ValueError("target must be nonzero")
     target = factor(m).factors
+    nm, cap, f_cap = m.norm(), 12 * coord_bound**2, 81 * coord_bound**4
     hits: list[tuple[KElement, KElement]] = []
     for d in range(1, denom_bound + 1):
+        # N(e)·N(f) = N(m·d³), and a hit has N(e) <= cap, N(f) <= f_cap
+        nmd = nm * d**6
+        if cap * f_cap < nmd:
+            break
         ma, mb = m.a * d**3, m.b * d**3
-        for ea, eb, n in _divisors((1, -1), target, factor(EisensteinInt(d, 0)).factors,
-                                   12 * coord_bound**2):
+        for ea, eb, n in _divisors((1, -1), target, factor(EisensteinInt(d, 0)).factors, cap):
+            if n * f_cap < nmd:
+                continue
             # f = m·d³/e = m·d³·conj(e)/N(e), as in eisenstein._exact_quotient
             fa, ra = divmod(ma * (ea - eb) + mb * eb, n)
             fb, rb = divmod(mb * ea - ma * eb, n)
@@ -280,6 +303,23 @@ def search_eisenstein(
     return sorted(hits, key=witness_sort_key)
 
 
+@lru_cache(maxsize=8)
+def _associate_classes(bound: int) -> tuple[tuple[int, int, int, int], ...]:
+    """(r.a, r.b, r³.a, r³.b) for the first r of each associate class in
+    coordinate_spiral(bound), in that order; each class is cubed once."""
+    seen: set[tuple[int, int]] = set()
+    classes = []
+    for r in coordinate_spiral(bound):
+        a, b = r.a, r.b
+        if (a, b) in seen:
+            continue
+        # ±r, ±w·r = ±(-b + (a - b)·w), ±v·r = ±((b - a) - a·w)
+        seen.update(((a, b), (-a, -b), (-b, a - b), (b, b - a), (b - a, -a), (a - b, a)))
+        r3 = r.cube()
+        classes.append((a, b, r3.a, r3.b))
+    return tuple(classes)
+
+
 def relation_search(
     m: EisensteinInt, bound: int
 ) -> tuple[EisensteinInt, EisensteinInt, EisensteinInt] | None:
@@ -292,31 +332,35 @@ def relation_search(
     the relation through t³ alone, and the classical small relations all
     carry rational t.  Returns None when the box is exhausted.
 
-    Only the first r of each associate class is tried.  An associate ζ·r
+    Only the first r of each associate class is tried, from a table built
+    once per bound by _associate_classes.  An associate ζ·r
     has cube ±r³, and negating r³, s³ and t³ together keeps a relation,
     with -s in the box and -t in the t scan; so a later associate can only
     hit where the first one already has, and the first (r, s, t) is the one
     a scan over every r would return.
 
-    m·t³ is computed once per call, r³ by cube() and the right-hand side on
-    its int coordinates; cube_roots verifies each root exactly.
+    A box point s has N(s) <= 3·bound², so N(s³) <= 27·bound⁶: a right-hand
+    side of larger norm has no root in the box, and is skipped on its int
+    coordinates before cube_roots sees it.
+
+    m·t³ is computed once per call and the right-hand side on its int
+    coordinates; cube_roots verifies each root exactly.
     """
     if m.is_zero():
         raise ValueError("target must be nonzero")
     # v·s³ = -(w·r³ + m·t³), so s³ = -v·r³ - w·m·t³; -w·(a + b·w) = b + (b - a)·w
     wmt3s = [(t, m.b * t**3, (m.b - m.a) * t**3) for t in spiral(bound)]
-    seen: set[tuple[int, int]] = set()
-    for r in coordinate_spiral(bound):
-        r3 = r.cube()
-        ca, cb = r3.a, r3.b
-        if (ca, cb) in seen:
-            continue
-        seen.update(((ca, cb), (-ca, -cb)))
+    top = 27 * bound**6
+    for ra, rb, ca, cb in _associate_classes(bound):
         for t, ta, tb in wmt3s:
             # -v·r³ = (ca - cb) + ca·w
-            for s in cube_roots(EisensteinInt(ca - cb + ta, ca + tb)):
+            sa, sb = ca - cb + ta, ca + tb
+            if sa * sa - sa * sb + sb * sb > top:
+                continue
+            for s in cube_roots(EisensteinInt(sa, sb)):
                 if s.is_zero() or not in_coordinate_box(s, bound):
                     continue
+                r = EisensteinInt(ra, rb)
                 if not (W * r**3 + V * s**3 + m * t**3).is_zero():
                     raise ArithmeticError(f"relation ({r}, {s}, {t}) fails for {m}")
                 return r, s, EisensteinInt(t, 0)

@@ -15,8 +15,9 @@ from cubesum.criteria import (
     prime_report,
     split_primes_upto,
 )
+from cubesum import factorization
 from cubesum.eisenstein import UNITS
-from cubesum.factorization import is_cube_mod_p, residue_split, split_prime
+from cubesum.factorization import is_cube_mod_p, is_prime, residue_split, split_prime
 
 
 class TestConditionI:
@@ -44,6 +45,18 @@ class TestConditionI:
         # equal inside condition_I; this drives both on every split prime
         for p in split_primes_upto(4999):
             assert condition_I(p), f"condition (I) ought to hold at {p}"
+
+
+@pytest.mark.parametrize("predicate", [condition_I, exceptional_A, exceptional_B])
+def test_one_primality_test_per_prime(monkeypatch, predicate):
+    # split_prime validates p; the Euler tests behind it do not test it again
+    calls = []
+    monkeypatch.setattr(factorization, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    primes = (7, 61, 10**12 + 39)
+    for p in primes:
+        split_prime.cache_clear()
+        predicate(p)
+    assert calls == list(primes)
 
 
 class TestExceptionalA:

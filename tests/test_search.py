@@ -12,7 +12,8 @@ from math import gcd, isqrt
 
 import pytest
 
-from cubesum import search
+from cubesum import constructors, search
+from cubesum.classifier import classify
 from cubesum.eisenstein import (
     BETA,
     UNITS,
@@ -539,6 +540,36 @@ def _object_search_eisenstein(m, coord_bound, denom_bound, stop_at_first_denomin
     return sorted(hits, key=witness_sort_key)
 
 
+def _unwindowed_search_eisenstein(m, coord_bound, denom_bound, stop_at_first_denominator=False):
+    """search_eisenstein before its divisor norm window, kept as an oracle:
+    every divisor of norm <= 12·bound² goes to the quadratic, for every d."""
+    target = factor(m).factors
+    hits = []
+    for d in range(1, denom_bound + 1):
+        ma, mb = m.a * d**3, m.b * d**3
+        for ea, eb, n in _divisors((1, -1), target, factor(E(d)).factors, 12 * coord_bound**2):
+            fa, ra = divmod(ma * (ea - eb) + mb * eb, n)
+            fb, rb = divmod(mb * ea - ma * eb, n)
+            assert not (ra or rb)
+            for s in square_roots(E(12 * fa - 3 * (ea * ea - eb * eb),
+                                    12 * fb - 3 * (2 * ea - eb) * eb)):
+                na, nb = 3 * ea + s.a, 3 * eb + s.b
+                if na % 6 or nb % 6:
+                    continue
+                ua, ub = na // 6, nb // 6
+                va, vb = ea - ua, eb - ub
+                if gcd(ua, ub, va, vb, d) != 1:
+                    continue
+                for xa, xb, ya, yb in ((ua, ub, va, vb),
+                                       (-ub, ua - ub, -vb, va - vb),
+                                       (ub - ua, -ua, vb - va, -va)):
+                    if max(abs(xa), abs(xb - xa), abs(ya), abs(yb - ya)) <= coord_bound:
+                        hits.append((KElement(E(xa, xb), d), KElement(E(ya, yb), d)))
+        if hits and stop_at_first_denominator:
+            break
+    return sorted(hits, key=witness_sort_key)
+
+
 class TestDivisors:
     def test_matches_object_enumerator_over_z(self):
         for m in (1, -1, 12, -30, 97, 360, 30030):
@@ -628,7 +659,7 @@ class TestIntCoordinates:
         assert len(search_eisenstein(E(0, 18), 30, 5)) == 18
         assert len(products) <= 200
         products.clear()
-        # 3744 right-hand sides go to cube_roots (the object loops made 3924)
+        # 3690 right-hand sides go to cube_roots (the object loops made 3924)
         assert relation_search(E(3), 12) is None
         assert len(products) <= 10
 
@@ -729,6 +760,24 @@ def _object_relation_search(m, bound):
     return None
 
 
+def _unwindowed_relation_search(m, bound):
+    """relation_search before its right-hand-side norm window and class
+    table, kept as an oracle: every right-hand side goes to cube_roots."""
+    wmt3s = [(t, m.b * t**3, (m.b - m.a) * t**3) for t in spiral(bound)]
+    seen = set()
+    for r in coordinate_spiral(bound):
+        r3 = r.cube()
+        ca, cb = r3.a, r3.b
+        if (ca, cb) in seen:
+            continue
+        seen.update(((ca, cb), (-ca, -cb)))
+        for t, ta, tb in wmt3s:
+            for s in cube_roots(E(ca - cb + ta, ca + tb)):
+                if not s.is_zero() and in_coordinate_box(s, bound):
+                    return r, s, E(t)
+    return None
+
+
 class TestRelationSearch:
     def test_matches_every_r_oracle(self):
         pi, _ = split_prime(19)
@@ -743,12 +792,13 @@ class TestRelationSearch:
 
     def test_one_r_per_associate_class(self, monkeypatch):
         # E(3) has no relation in the box, so every class is tried against
-        # every t: 156 classes of the 624 box points, 24 values of t (trying
-        # every r made 14976 cube_roots calls)
+        # every t: 156 classes of the 624 box points, 24 values of t, less
+        # the 54 right-hand sides of norm above 27·12⁶ (trying every r made
+        # 14976 cube_roots calls, every class without the window 3744)
         calls = []
         monkeypatch.setattr(search, "cube_roots", lambda z: calls.append(z) or cube_roots(z))
         assert relation_search(E(3), 12) is None
-        assert len(calls) == 3744
+        assert len(calls) == 3690
 
     def test_remark_two_target(self):
         r, s, t = relation_search(E(1, 9), 12)
@@ -770,6 +820,66 @@ class TestRelationSearch:
     def test_determinism(self):
         assert relation_search(E(1, 9), 12) == relation_search(E(1, 9), 12)
         assert search_eisenstein(E(9), 4, 3) == search_eisenstein(E(9), 4, 3)
+
+
+_WINDOW_TARGETS = [E(a, b) for a in range(-8, 9) for b in range(-8, 9) if a or b]
+
+
+class TestNormWindows:
+    """The divisor window of search_eisenstein and the right-hand-side
+    window of relation_search drop only what no box point can reach."""
+
+    def test_eisenstein_matches_unwindowed(self):
+        found = 0
+        for m in _WINDOW_TARGETS:
+            for args in ((6, 4), (30, 50, True), (0, 3)):
+                got = search_eisenstein(m, *args)
+                assert got == _unwindowed_search_eisenstein(m, *args), (m, args)
+                found += bool(got)
+        assert found >= 40
+
+    def test_relation_matches_unwindowed(self):
+        found = 0
+        for m in _WINDOW_TARGETS:
+            for bound in (1, 5, 12):
+                got = relation_search(m, bound)
+                assert got == _unwindowed_relation_search(m, bound), (m, bound)
+                found += got is not None
+        assert found >= 40
+
+    def test_denominator_loop_ends_where_the_window_closes(self, monkeypatch):
+        # at bound 1 a hit needs N(3)·d⁶ <= 12·81, so only d = 1, 2 are listed
+        calls = []
+        monkeypatch.setattr(search, "_divisors", lambda *args: calls.append(args) or _divisors(*args))
+        assert search_eisenstein(E(3), 1, 50) == _unwindowed_search_eisenstein(E(3), 1, 50)
+        assert len(calls) == 2
+
+    def test_relation_on_the_window_edge(self):
+        # s at the box corner has N(s) = 3·B², so N(s³) = 27·B⁶ exactly: the
+        # first r and t meet it, and a window one smaller would skip it
+        for bound in (1, 2, 5, 12):
+            corner = EisensteinInt.from_uv(bound, -bound)
+            assert corner.norm() == 3 * bound**2
+            m = -(W + V * corner.cube())
+            assert relation_search(m, bound) == (E(1), corner, E(1))
+            assert _unwindowed_relation_search(m, bound) == (E(1), corner, E(1))
+
+    def test_classify_root_calls(self, monkeypatch):
+        # classify over |a|, |b| <= 5 at the default budget: 45100
+        # square_roots and 68486 cube_roots calls.  Without the divisor
+        # window it made 73636 square_roots calls, without the right-hand-side
+        # window 74994 cube_roots calls.
+        calls = Counter()
+        for module, name in ((search, "square_roots"), (search, "cube_roots"),
+                             (constructors, "cube_roots")):
+            root = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda z, root=root, name=name: calls.update((name,)) or root(z))
+        for a in range(-5, 6):
+            for b in range(-5, 6):
+                if a or b:
+                    classify(E(a, b), "K", SearchBudget())
+        assert sum(calls.values()) == 113586, calls
 
 
 class TestFlt3:
