@@ -1,13 +1,13 @@
 """Decide solvability of x³ + y³ = M over Q or K = Q(w), with citations.
 
-Solvability only depends on M up to nonzero cube factors (and -1 is a
-cube), so M is first reduced to a canonical form: a unit in {1, w, v}
-times squarefree-mod-cubes factor data (every exponent 1 or 2).  Each rule
-is a row of a fixed table keyed by the shape of that form: its kind (unit,
-beta, beta², p, beta·p, pi, pair, 3·pair or other), n mod 9 for n = p or
-N(pi), and whether its unit is 1.  The key space is finite, and a test
-shows that exactly one row matches each key.  Each verdict carries the tag
-of the theorem that decided it:
+Solvability depends on M only up to nonzero cube factors (-1 is a cube),
+so M is reduced to a canonical form, a unit in {1, w, v} times exponents
+1 or 2, read off one factorization of its oriented representative; the
+input's own form follows from it by conjugation.  Each rule is a row of a
+fixed table keyed by the shape of that form: its kind (unit, beta, beta²,
+p, beta·p, pi, pair, 3·pair or other), n mod 9 for n = p or N(pi), and
+whether its unit is 1; a test shows that exactly one row matches each key
+of this finite space.  Each verdict carries the tag of the deciding theorem:
 
   1.3  inert p = 2, 5 mod 9 (Pépin/Sylvester/Lucas; Euler/Legendre for 2, 4)
   1.4  split irreducible of norm = 4, 7 mod 9
@@ -51,7 +51,7 @@ from .eisenstein import (
     format_eisenstein,
     format_k,
 )
-from .factorization import Factorization, cube_split
+from .factorization import Factorization, cube_split, factor, split_cubes
 from .search import (
     SearchBudget,
     check_solution,
@@ -172,9 +172,10 @@ def _shape(canon: CanonicalM) -> tuple[str, int, int]:
 
 @dataclass(frozen=True)
 class _Case:
-    """What a rule handler decides on: the oriented target, its form, n, e."""
+    """What a rule handler decides on: the oriented target, its factors, form, n, e."""
 
     rep: EisensteinInt
+    factored: Factorization
     canon: CanonicalM
     n: int
     e: int
@@ -183,8 +184,8 @@ class _Case:
 
     @cached_property
     def root(self) -> EisensteinInt:
-        """The g with rep = g³·canon.value(), worked out once per case."""
-        return cube_split(self.rep)[0]
+        """The g with rep = g³·canon.value(), read off the factors once per case."""
+        return split_cubes(self.factored)[0]
 
     def verdict(self, status: str, tag: str, reason: str, **data) -> Verdict:
         return Verdict(status, tag, reason, self.canon, self.scope, **data)
@@ -380,6 +381,14 @@ def _orient(m: EisensteinInt) -> tuple[EisensteinInt, tuple[int, bool]]:
                key=lambda xt: (xt[0].a, xt[0].b))
 
 
+def _conj_class(canon: CanonicalM) -> CanonicalM:
+    """The cube class of conj(x) from that of x: conjugation sends beta to
+    -beta (-1 is a cube), an inert p to p, pi to pi_bar, and w to v."""
+    factors = sorted(((irr if irr == BETA else irr.conj(), e) for irr, e in canon.factors),
+                     key=lambda t: (t[0].norm(), t[0].a, t[0].b))  # Factorization's order
+    return Factorization(canon.unit.conj(), tuple(factors))
+
+
 # -- witness construction helpers --------------------------------------------
 
 
@@ -422,10 +431,10 @@ def classify(
 ) -> Verdict:
     """Theorem-cited verdict on x³ + y³ = m over the requested scope.
 
-    scope "Q" restricts to rational solutions (and requires a rational
-    target); every non-existence theorem is stated over K, hence applies
-    to Q directly.  budget=None disables the witness searches, leaving
-    theorem-undecided targets at Unknown.
+    scope "Q" restricts to rational solutions (and requires a rational target);
+    the theorems, stated over K, apply to Q directly.  Only the oriented target
+    is factored, once, and m's form is transported from its form.  budget=None
+    disables the witness searches, leaving theorem-undecided targets at Unknown.
     """
     if scope not in ("Q", "K"):
         raise ValueError("scope must be 'Q' or 'K'")
@@ -435,10 +444,11 @@ def classify(
         raise ValueError("scope Q requires a rational target")
 
     rep, (sign, conj) = _orient(m_int)
-    canon_rep = canonicalize(rep)
+    factored = factor(rep)
+    canon_rep = split_cubes(factored)[1]
     kind, n, e = _shape(canon_rep)
     handler = _rule(kind, n, canon_rep.unit)[-1]
-    verdict = handler(_Case(rep, canon_rep, n, e, scope, budget))
+    verdict = handler(_Case(rep, factored, canon_rep, n, e, scope, budget))
 
     def back(pair: Pair) -> Pair:
         """A solution for rep as one for m, checked: conjugation if conj,
@@ -454,7 +464,8 @@ def classify(
     if trivial is not None:
         trivial = tuple(p for p in map(back, trivial)
                         if scope == "K" or (p[0].is_rational() and p[1].is_rational()))
-    return replace(verdict, canonical=canonicalize(m), witness=witness, trivial_solutions=trivial)
+    canonical = _conj_class(canon_rep) if conj else canon_rep  # -1 is a cube
+    return replace(verdict, canonical=canonical, witness=witness, trivial_solutions=trivial)
 
 
 # -- the witness searches -----------------------------------------------------
@@ -477,7 +488,7 @@ def _try_lucas(c: _Case) -> Hit | None:
 
 def _try_box(c: _Case) -> Hit | None:
     hits = search_eisenstein(c.rep, c.budget.coord, c.budget.denom,
-                             stop_at_first_denominator=True)
+                             stop_at_first_denominator=True, _factored=c.factored)
     return ("eisenstein-search", hits[0]) if hits else None
 
 

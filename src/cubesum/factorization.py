@@ -26,6 +26,7 @@ from .eisenstein import (
     ONE,
     V,
     W,
+    _exact_quotient,
     eis_gcd,
     format_eisenstein,
     is_primary,
@@ -213,20 +214,22 @@ class Factorization:
 def factor(x: EisensteinInt) -> Factorization:
     """Canonical factorization of a nonzero element of Z[w].
 
-    Method: factor N(x) over Z; every irreducible of x lies above a prime p
-    of the norm, so one loop divides each irreducible above each such p out
-    of x as often as it goes (valuation) and records the exponent.  The
-    unit left over at the end is recorded.
+    Method: factor N(x) over Z; the exponent k of each prime p of the norm
+    fixes the powers above p: beta^k, p^(k/2) for inert p, pi^j·pi_bar^(k-j)
+    for split p with j by valuation.  Each power leaves x by one checked
+    exact quotient; the unit left over is recorded.
     """
     if x.is_zero():
         raise ValueError("cannot factor zero")
     factors: list[tuple[EisensteinInt, int]] = []
     rest = x
-    for p in factor_int(x.norm()):
-        for irr in _above(p)[1]:
-            k, rest = valuation(rest, irr)
-            if k:
-                factors.append((irr, k))
+    for p, k in factor_int(x.norm()).items():
+        tag, irrs = _above(p)
+        j, rest = valuation(rest, irrs[0]) if tag == "split" else (0, rest)
+        k = k // 2 if tag == "inert" else k - j  # N(p) = p², N(beta) = 3, N(pi) = p
+        if (rest := _exact_quotient(rest, irrs[-1] ** k)) is None:
+            raise ArithmeticError(f"{irrs[-1]}^{k} does not divide the cofactor of {x}")
+        factors += [(irr, e) for irr, e in ((irrs[0], j), (irrs[-1], k)) if e]
     if not rest.is_unit():
         raise ArithmeticError(f"leftover {rest} is not a unit")
     factors.sort(key=lambda t: (t[0].norm(), t[0].a, t[0].b))
@@ -237,14 +240,14 @@ def factor(x: EisensteinInt) -> Factorization:
 
 
 def cube_split(x: EisensteinInt) -> tuple[EisensteinInt, Factorization]:
-    """Write a nonzero x as root³ · rest.value(), with the unit of rest in
-    {1, w, v} and every exponent of rest 1 or 2.
+    """Write a nonzero x as root³ · rest.value(): split_cubes(factor(x))."""
+    return split_cubes(factor(x))
 
-    rest is the cube class of x: -1 is a cube, so a unit -1, -w or -v moves
-    its sign into the root.  x is a cube of Z[w] exactly when rest is
-    Factorization(1, ()).
-    """
-    f = factor(x)
+
+def split_cubes(f: Factorization) -> tuple[EisensteinInt, Factorization]:
+    """(root, rest) with f.value() = root³ · rest.value(), rest the cube class:
+    its unit in {1, w, v} (-1 is a cube, so a sign moves into the root), its
+    exponents 1 or 2, and Factorization(1, ()) exactly for a cube of Z[w]."""
     root = ONE
     for irr, e in f.factors:
         if e >= 3:

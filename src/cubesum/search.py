@@ -63,7 +63,7 @@ from .eisenstein import (
     in_coordinate_box,
     spiral,
 )
-from .factorization import factor, factor_int
+from .factorization import Factorization, factor, factor_int
 
 @dataclass(frozen=True)
 class SearchBudget:
@@ -235,6 +235,7 @@ def search_eisenstein(
     coord_bound: int,
     denom_bound: int,
     stop_at_first_denominator: bool = False,
+    *, _factored: Factorization | None = None,
 ) -> list[tuple[KElement, KElement]]:
     """Solutions of x³ + y³ = m with both numerators in the coordinate box.
 
@@ -249,7 +250,10 @@ def search_eisenstein(
     the box filter is applied to each rotation.
 
     All of this runs on int coordinates, f = m·d³·conj(e)/N(e) by two
-    integer divisions; square_roots verifies each root exactly.
+    integer divisions; square_roots verifies each root exactly.  m is
+    factored here unless the classifier passes its factors as the private
+    _factored; the factors of each d come from a table built once per bound,
+    up to the last d the window below lets through for N(m) = 1.
 
     A hit has |f| = |xi² - xi·eta + eta²| <= 9·bound², so N(f) <= 81·bound⁴
     and N(e) = N(m)·d⁶/N(f) >= N(m)·d⁶/(81·bound⁴): divisors below that
@@ -263,16 +267,17 @@ def search_eisenstein(
     """
     if m.is_zero():
         raise ValueError("target must be nonzero")
-    target = factor(m).factors
+    target = (factor(m) if _factored is None else _factored).factors
     nm, cap, f_cap = m.norm(), 12 * coord_bound**2, 81 * coord_bound**4
     hits: list[tuple[KElement, KElement]] = []
-    for d in range(1, denom_bound + 1):
+    d_top = min(denom_bound, _icbrt(isqrt(cap * f_cap)))
+    for d, d_factors in enumerate(_denominator_factors(d_top), 1):
         # N(e)·N(f) = N(m·d³), and a hit has N(e) <= cap, N(f) <= f_cap
         nmd = nm * d**6
         if cap * f_cap < nmd:
             break
         ma, mb = m.a * d**3, m.b * d**3
-        for ea, eb, n in _divisors((1, -1), target, factor(EisensteinInt(d, 0)).factors, cap):
+        for ea, eb, n in _divisors((1, -1), target, d_factors, cap):
             if n * f_cap < nmd:
                 continue
             # f = m·d³/e = m·d³·conj(e)/N(e), as in eisenstein._exact_quotient
@@ -301,6 +306,12 @@ def search_eisenstein(
         if hits and stop_at_first_denominator:
             break
     return sorted(hits, key=witness_sort_key)
+
+
+@lru_cache(maxsize=8)
+def _denominator_factors(bound: int) -> tuple[tuple[tuple[EisensteinInt, int], ...], ...]:
+    """The Z[w] factors of each rational d = 1, ..., bound, in that order."""
+    return tuple(factor(EisensteinInt(d, 0)).factors for d in range(1, bound + 1))
 
 
 @lru_cache(maxsize=8)

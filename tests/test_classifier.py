@@ -2,14 +2,15 @@
 
 import json
 import random
+from collections import Counter
 
 import pytest
 
-from cubesum import classifier
+from cubesum import classifier, factorization, search
 from cubesum.classifier import canonicalize, classify, match_rule
 from cubesum.eisenstein import BETA, EisensteinInt, KElement, ONE, V, W
-from cubesum.factorization import Factorization, cube_split
-from cubesum.search import SearchBudget
+from cubesum.factorization import Factorization, cube_split, factor
+from cubesum.search import SearchBudget, search_eisenstein
 
 
 def E(a, b=0):
@@ -327,7 +328,8 @@ def _case(m):
     rep, _ = classifier._orient(m)
     canon = canonicalize(rep)
     kind, n, e = classifier._shape(canon)
-    return classifier._rule(kind, n, canon.unit)[0], classifier._Case(rep, canon, n, e, "K", None)
+    case = classifier._Case(rep, factor(rep), canon, n, e, "K", None)
+    return classifier._rule(kind, n, canon.unit)[0], case
 
 
 # the rows that build solutions from the root: the cube, beta and 2 classes
@@ -428,7 +430,7 @@ ATTEMPT_ORDER = {
 @pytest.mark.parametrize("target, scope", list(ATTEMPT_ORDER), ids=str)
 def test_search_attempt_order(search_log, target, scope):
     rep = EisensteinInt(target) if isinstance(target, int) else target
-    case = classifier._Case(rep, canonicalize(rep), 1, 1, scope, SearchBudget())
+    case = classifier._Case(rep, factor(rep), canonicalize(rep), 1, 1, scope, SearchBudget())
     for first, expected in ATTEMPT_ORDER[(target, scope)].items():
         search_log.clear()
         verdict = case.search("reason", first and getattr(classifier, f"_try_{first}"))
@@ -462,3 +464,100 @@ def test_rule_first_attempt(search_log, rule):
     assert match_rule(canonicalize(target)) == rule
     assert classify(target, "K").status == "Unknown"
     assert search_log[0] == first
+
+
+# -- one factorization per classify -------------------------------------------
+
+
+def _orientations(x):
+    """x, -x, conj(x) and -conj(x): the targets _orient sends to one rep."""
+    return x, -x, x.conj(), -x.conj()
+
+
+class TestCanonicalTransport:
+    """classify reads the input's cube class off rep's through the
+    orientation; canonicalize, which factors the input itself, is the oracle."""
+
+    def test_grid(self):
+        for a in range(-20, 21):
+            for b in range(-20, 21):
+                if a or b:
+                    for x in _orientations(E(a, b)):
+                        assert classify(x, "K", None).canonical == canonicalize(x), x
+
+    def test_fractional_targets(self):
+        for d in (2, 3, 7, 9):
+            for a in range(-6, 7):
+                for b in range(-6, 7):
+                    if a or b:
+                        for x in _orientations(KElement(E(a, b), d)):
+                            assert classify(x, "K", None).canonical == canonicalize(x), x
+
+
+# The six theorem-decided forms of the benchmark's theorems-large workload,
+# on primes near 10⁵, with the theorem that decides each.
+LARGE_FORMS = {
+    E(300009): "Theorem 2.3",  # 3p, p split and not Exceptional
+    E(277, 345): "Theorem 2.4",  # primary pi of norm 1 mod 9, not Exceptional A
+    E(0, 100003): "Theorem 2.2",  # w·p, p split and 4 or 7 mod 9
+    E(100019): "Theorem 1.3",  # inert q = 2 or 5 mod 9
+    E(100019, 200038): "Theorem 2.1",  # beta·q, the same q
+    E(-309, -323): "Theorem 1.4",  # an associate of pi of norm 4 or 7 mod 9
+}
+
+
+@pytest.fixture
+def factor_calls(monkeypatch):
+    """Every factor call, at each module's name for it, as (module, argument)."""
+    calls = []
+    for module in (factorization, classifier, search):
+        name = module.__name__.rsplit(".", 1)[-1]
+
+        def counted(x, name=name, real=module.factor):
+            calls.append((name, x))
+            return real(x)
+
+        monkeypatch.setattr(module, "factor", counted)
+    return calls
+
+
+def test_one_factor_call_per_classify(factor_calls):
+    grid = [E(a, b) for a in range(-20, 21, 3) for b in range(-20, 21, 4) if a or b]
+    for target in [*LARGE_FORMS, *grid, KElement(E(2, 5), 7)]:
+        factor_calls.clear()
+        verdict = classify(target, "K", None)
+        assert [name for name, _ in factor_calls] == ["classifier"], target
+        assert verdict.rule == LARGE_FORMS.get(target, verdict.rule)
+    for n in range(1, 100):
+        factor_calls.clear()
+        classify(n, "Q", None)
+        assert len(factor_calls) == 1, n
+
+
+def test_box_search_factors_each_denominator_once(factor_calls):
+    # the default budget's table covers d <= 50; the target is never factored again
+    search._denominator_factors.cache_clear()
+    targets = [E(a, b) for a in range(-5, 6) for b in range(-5, 6) if a or b]
+    verdicts = [classify(t, "K") for t in targets]
+    assert "eisenstein-search" in {v.rule for v in verdicts}
+    assert Counter(name for name, _ in factor_calls) == {"classifier": len(targets), "search": 50}
+    assert [x for name, x in factor_calls if name == "search"] == [E(d) for d in range(1, 51)]
+
+
+def test_public_box_search_factors_its_target(factor_calls):
+    search._denominator_factors.cache_clear()
+    m = E(2, 5)
+    first = search_eisenstein(m, 4, 3)
+    # bound 4 lets no d past 12 through for any target, so the table stops at 3
+    assert factor_calls == [("search", m)] + [("search", E(d)) for d in (1, 2, 3)]
+    factor_calls.clear()
+    assert search_eisenstein(m, 4, 3) == first
+    assert factor_calls == [("search", m)]
+    factor_calls.clear()
+    assert search_eisenstein(m, 4, 3, _factored=factorization.factor(m)) == first
+    assert factor_calls == [("factorization", m)]
+
+    # 12⁶ <= 12·4²·81·4⁴ < 13⁶: past d = 12 even a unit target fails the window
+    factor_calls.clear()
+    search_eisenstein(W, 4, 50)
+    assert factor_calls == [("search", W)] + [("search", E(d)) for d in range(1, 13)]

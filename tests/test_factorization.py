@@ -319,21 +319,33 @@ class TestInertResidueField:
 
 def test_factor_checks_survive_optimize():
     """The checks in factor and split_prime still raise under python -O,
-    where assert statements are stripped: a valuation that divides nothing
-    out leaves 7 unfactored, and a gcd that returns w times the prime above
-    7 gives the associate 3 + w, which is not primary."""
+    where assert statements are stripped: a norm factorization that misses
+    the prime 7 leaves 7 unfactored, a valuation that divides nothing out
+    leaves pi_bar² to divide 7, and a gcd that returns w times the prime
+    above 7 gives the associate 3 + w, which is not primary."""
     code = (
         "from cubesum import factorization\n"
         "from cubesum.eisenstein import W, EisensteinInt, eis_gcd\n"
         "assert False, 'asserts must be stripped'\n"
+        "factor_int, valuation = factorization.factor_int, factorization.valuation\n"
         "def leftover():\n"
+        "    factorization.factor_int = lambda n: {}\n"
+        "    try:\n"
+        "        factorization.factor(EisensteinInt(7))\n"
+        "    finally:\n"
+        "        factorization.factor_int = factor_int\n"
+        "def not_exact():\n"
         "    factorization.valuation = lambda x, d: (0, x)\n"
-        "    factorization.factor(EisensteinInt(7))\n"
+        "    try:\n"
+        "        factorization.factor(EisensteinInt(7))\n"
+        "    finally:\n"
+        "        factorization.valuation = valuation\n"
         "def not_primary():\n"
         "    factorization.eis_gcd = lambda l, m: W * eis_gcd(l, m)\n"
         "    factorization.split_prime.cache_clear()\n"
         "    factorization.split_prime(7)\n"
         "for call, message in ((leftover, 'leftover 7 is not a unit'),\n"
+        "                      (not_exact, 'does not divide the cofactor of 7'),\n"
         "                      (not_primary, 'are not primary')):\n"
         "    try:\n"
         "        call()\n"

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cubesum import cli
-from cubesum.classifier import canonicalize
+from cubesum.classifier import canonicalize, classify
 from cubesum.constructors import is_cube
 from cubesum.eisenstein import (
     BETA,
@@ -165,6 +165,12 @@ class TestCubeClass:
         root, rest = cube_split(m)
         assert root**3 * rest.value() == m
         assert rest == canon
+
+    @given(k_elements.filter(lambda x: not x.is_zero()))
+    def test_classify_transports_the_cube_class(self, x):
+        # classify factors only the oriented target; canonicalize factors x
+        for y in (x, -x, x.conj(), -x.conj()):
+            assert classify(y, "K", None).canonical == canonicalize(y)
 
 
 # texts over the characters the element grammar uses, and the space
