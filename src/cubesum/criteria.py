@@ -4,88 +4,62 @@ Exceptional A / Exceptional B conditions.
 Write p = pi·conj(pi) with pi = 1 mod 3 primary.
 
   condition (I):   conj(pi) is a cube in the multiplicative group of O/pi.
-                   Equivalently (writing pi = a·w + b·v) a + b is a cube in
-                   (Z/p)*.  By cubic reciprocity (Eisenstein/Gauss) this in
-                   fact holds for every split p; the library checks it
-                   instance by instance rather than assuming it.
+                   By cubic reciprocity (Eisenstein/Gauss) this in fact
+                   holds for every split p; the library checks it instance
+                   by instance rather than assuming it.
 
-  Exceptional A:   some irreducible factor of p is congruent to a rational
-                   integer mod 9; equivalently 4p = x² + 243·y² is solvable.
+  Exceptional A:   some associate of pi is congruent to a rational integer
+                   mod 9; equivalently 4p = x² + 243·y² is solvable.
 
   Exceptional B:   3 is a cube mod p, i.e. 3^((p-1)/3) = 1 mod p.
 
-A and B are equivalent (again cubic reciprocity); every predicate here is
-computed along two independent paths, and a disagreement raises
-ArithmeticError (also under python -O), so a normalization bug shows up as
-a crash, never as a wrong table.
+A and B are equivalent (again cubic reciprocity).  Each predicate is computed
+once, from its definition: condition (I) and Exceptional B through the cubic
+residue character mod pi, Exceptional A from the associates of pi, with its
+witness read off in closed form and re-checked exactly.  The independent
+second paths (the a + b trace shortcut, the 4p = x² + 243y² scan) and cubic
+reciprocity itself are oracles in tests/test_criteria.py.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import isqrt
 
 from .eisenstein import UNITS, EisensteinInt, format_eisenstein
-from .factorization import (
-    _euler_cube,
-    classify_rational_prime,
-    is_prime,
-    residue_split,
-    split_prime,
-)
+from .factorization import _cubic_char, classify_rational_prime, is_prime, split_prime
 
 
 def condition_I(p: int) -> bool:
-    """Whether conj(pi) is a cube in (O/pi)*; computed two ways.
-
-    Path one reduces conj(pi) into Z/p through the residue-field
-    identification; path two applies the trace shortcut a + b.  The two
-    must agree (ArithmeticError otherwise).
-    """
+    """Whether conj(pi) is a cube in (O/pi)*: its cubic character mod pi is 1."""
     pi, pi_bar = split_prime(p)  # ValueError unless p is a split prime
-    via_residue = _euler_cube(residue_split(pi_bar, pi, p), p)
-    a, b = pi.to_uv()
-    via_trace = _euler_cube((a + b) % p, p)
-    if via_residue != via_trace:
-        raise ArithmeticError(f"condition (I) paths disagree at p={p}")
-    return via_residue
+    return _cubic_char(pi_bar, pi) == 0
 
 
 def exceptional_A(p: int) -> tuple[bool, tuple[int, int] | None]:
     """Exceptional A test with witness: (True, (x, y)) when 4p = x² + 243y².
 
-    Path one scans all six associates of pi for congruence to a rational
-    integer mod 9 (then cross-checks the primary-form shortcut: 9 | a - b
-    for the primary factor written as a·w + b·v; split_prime raises unless
-    pi is primary).  Path two searches the
-    quadratic form 4p = x² + 243y² exhaustively.  The paths must agree
-    (ArithmeticError otherwise).
+    By definition some associate zeta·pi = a + b·w has 9 | b.  The witness
+    is read off it: 4·N(a + b·w) = (2a - b)² + 3b², so x = |2a - b| and
+    y = |b|/9.  Only ±zeta·pi can have 9 | b (two such associates would put
+    9 | pi), so y is unique.  The witness equation is re-checked exactly
+    (ArithmeticError otherwise, also under python -O).
     """
-    pi, _ = split_prime(p)
-    via_mod9 = any((zeta * pi).b % 9 == 0 for zeta in UNITS)
-    a, b = pi.to_uv()
-    if via_mod9 != ((a - b) % 9 == 0):
-        raise ArithmeticError(f"mod-9 associate scan disagrees at p={p}")
-
-    witness = None
-    y = 1
-    while 243 * y * y <= 4 * p:
-        r = 4 * p - 243 * y * y
-        s = isqrt(r)
-        if s * s == r:
-            witness = (s, y)
-            break
-        y += 1
-    if via_mod9 != (witness is not None):
-        raise ArithmeticError(f"Exceptional A paths disagree at p={p}")
-    return via_mod9, witness
+    pi, _ = split_prime(p)  # ValueError unless p is a split prime
+    for zeta in UNITS:
+        assoc = zeta * pi
+        if assoc.b % 9 == 0:
+            x, y = abs(2 * assoc.a - assoc.b), abs(assoc.b) // 9
+            if x * x + 243 * y * y != 4 * p:
+                raise ArithmeticError(f"Exceptional A witness ({x}, {y}) fails 4·{p} = x² + 243y²")
+            return True, (x, y)
+    return False, None
 
 
 def exceptional_B(p: int) -> bool:
-    """Whether 3 is a cube mod p."""
-    split_prime(p)  # ValueError unless p is a split prime
-    return _euler_cube(3, p)
+    """Whether 3 is a cube mod p: its cubic character mod pi is 1."""
+    pi, _ = split_prime(p)  # ValueError unless p is a split prime
+    return _cubic_char(3, pi) == 0
 
 
 @dataclass(frozen=True)

@@ -267,24 +267,39 @@ def residue_split(x: EisensteinInt, pi: EisensteinInt, p: int) -> int:
     """
     if pi.norm() != p:
         raise ValueError("pi must have norm p")
-    if pi.b % p == 0:
-        raise ArithmeticError("not a split irreducible")  # cannot happen
+    if pi.b % p == 0:  # b² <= 4p/3 < p², so b = 0 and pi is rational
+        raise ValueError(f"{pi} is rational, not a split irreducible of norm {p}")
     c = (-pi.a * pow(pi.b, -1, p)) % p
     return (x.a + x.b * c) % p
+
+
+def _cubic_char(x: EisensteinInt | int, pi: EisensteinInt) -> int:
+    """The cubic residue character of x mod a split irreducible pi: the k in
+    {0, 1, 2} with x^((p-1)/3) = w^k mod pi, where p = N(pi) is prime.
+
+    Both sides are read in Z/p through residue_split, where w is c.  The
+    caller has validated p (split_prime does); a power that is not 1, c or
+    c² means pi is not irreducible of prime norm, and raises.
+    ValueError for x = 0 mod pi.
+    """
+    p = pi.norm()
+    r = residue_split(EisensteinInt(x) if isinstance(x, int) else x, pi, p)
+    if r == 0:
+        raise ValueError("zero residue")
+    c = residue_split(W, pi, p)
+    roots = (1, c, c * c % p)
+    e = pow(r, (p - 1) // 3, p)
+    if e not in roots:
+        raise ArithmeticError(f"{x}^((p-1)/3) mod {pi} is not a cube root of unity")
+    return roots.index(e)
 
 
 def is_cube_mod_p(x: int, p: int) -> bool:
     """Whether x is a cube in (Z/p)*, for a prime p = 1 mod 3: x^((p-1)/3) = 1."""
     if p % 3 != 1:
         raise ValueError("p must be 1 mod 3 (otherwise every residue is a cube)")
-    if not is_prime(p):
-        raise ValueError("p must be prime (Euler's criterion needs a cyclic (Z/p)*)")
-    return _euler_cube(x, p)
-
-
-def _euler_cube(x: int, p: int) -> bool:
-    """Euler's criterion x^((p-1)/3) = 1 mod p, for a caller that has already
-    checked that p is a prime = 1 mod 3; ValueError for x = 0 mod p."""
-    if x % p == 0:
-        raise ValueError("zero residue")
-    return pow(x, (p - 1) // 3, p) == 1
+    try:
+        pi, _ = split_prime(p)
+    except ValueError:
+        raise ValueError("p must be prime (Euler's criterion needs a cyclic (Z/p)*)") from None
+    return _cubic_char(x, pi) == 0

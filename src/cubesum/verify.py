@@ -153,7 +153,7 @@ def criterion_6_reciprocity_instances() -> str:
     count = 0
     for p in split_primes_upto(4999):
         _check(condition_I(p), f"condition (I) fails at {p}?!")
-        a, _ = exceptional_A(p)  # raises ArithmeticError if its two paths disagree
+        a, _ = exceptional_A(p)  # one definition each; the oracles live in tests/test_criteria.py
         b = exceptional_B(p)
         _check(a == b, f"Exceptional A/B disagree at {p}: A={a} B={b}")
         count += 1

@@ -743,21 +743,17 @@ def test_witness_checks_survive_optimize():
     where assert statements are stripped: a wrong rational-search hit in
     classify, a wrong Lucas pair in lucas_witness, a wrong case root in the
     beta construction reached through classify(9, 'K'), condition (I)
-    failing under Theorem 2.2, the two paths of condition (I) and of
-    Exceptional A disagreeing (a non-cube residue mod 7, a square-root
-    search that finds no 4·61 = 1 + 243), a relation mapped back with a
-    wrong Cramer determinant, and a tangent and a secant point computed
-    with a division that is off by one."""
+    failing under Theorem 2.2, a relation mapped back with a wrong Cramer
+    determinant, and a tangent and a secant point computed with a division
+    that is off by one."""
     code = (
-        "from cubesum import classifier, constructors, criteria\n"
+        "from cubesum import classifier, constructors\n"
         "from cubesum.eisenstein import ONE, EisensteinInt, KElement\n"
         "assert False, 'asserts must be stripped'\n"
         "classifier.search_rational = lambda m, d: [(KElement(1), KElement(1))]\n"
         "constructors.lucas_pair = lambda a, b: (1, 1)\n"
         "classifier._Case.root = property(lambda case: ONE)\n"
         "classifier.condition_I = lambda p: False\n"
-        "criteria.residue_split = lambda x, pi, p: 2\n"
-        "criteria.isqrt = lambda n: 0\n"
         "constructors.BETA = ONE\n"
         "one, m = EisensteinInt(1, 0), EisensteinInt(1, 9)\n"
         "seven, p1 = KElement(7), (KElement(2), KElement(-1))\n"
@@ -773,8 +769,6 @@ def test_witness_checks_survive_optimize():
         "                      (lambda: constructors.lucas_witness(-3, -61, 183), 'does not sum to'),\n"
         "                      (lambda: classifier.classify(9, 'K'), 'beta witness'),\n"
         "                      (lambda: classifier.classify(EisensteinInt(0, 7), 'K'), 'condition (I)'),\n"
-        "                      (lambda: criteria.condition_I(7), 'paths disagree at p=7'),\n"
-        "                      (lambda: criteria.exceptional_A(61), 'paths disagree at p=61'),\n"
         "                      (lambda: constructors.solution_from_relation(2 * one, -one, -one, m),\n"
         "                       'constructed pair'),\n"
         "                      (lambda: corrupt(lambda: constructors.tangent_step(seven, p1)),\n"

@@ -1,6 +1,15 @@
-"""Condition (I) and the Exceptional A / B predicates, with dual paths."""
+"""Condition (I) and the Exceptional A / B predicates.
+
+Each predicate computes its definition once; the independent second paths
+live here as oracles: the a + b trace shortcut for condition (I), the
+4p = x² + 243y² scan for Exceptional A, and cubic reciprocity for the
+character behind both.
+"""
 
 import json
+import random
+import time
+from math import isqrt
 
 import pytest
 
@@ -16,8 +25,22 @@ from cubesum.criteria import (
     split_primes_upto,
 )
 from cubesum import factorization
-from cubesum.eisenstein import UNITS
-from cubesum.factorization import is_cube_mod_p, is_prime, residue_split, split_prime
+from cubesum.eisenstein import UNITS, W, EisensteinInt
+from cubesum.factorization import _cubic_char, is_cube_mod_p, is_prime, residue_split, split_prime
+
+
+def form_scan(p):
+    """Oracle for Exceptional A: the first y with 4p = x² + 243y²."""
+    witness = None
+    y = 1
+    while 243 * y * y <= 4 * p:
+        r = 4 * p - 243 * y * y
+        s = isqrt(r)
+        if s * s == r:
+            witness = (s, y)
+            break
+        y += 1
+    return witness is not None, witness
 
 
 class TestConditionI:
@@ -40,14 +63,21 @@ class TestConditionI:
         with pytest.raises(ValueError):
             condition_I(3)
 
-    def test_dual_paths_agree_below_5000(self):
-        # the residue-field path and the a+b trace shortcut are asserted
-        # equal inside condition_I; this drives both on every split prime
-        for p in split_primes_upto(4999):
-            assert condition_I(p), f"condition (I) ought to hold at {p}"
+    def test_dual_paths_agree_below_20000(self):
+        # oracle: on pi = a·w + b·v, conj(pi) is a cube mod pi exactly when
+        # the trace shortcut a + b is a cube mod p
+        for p in split_primes_upto(19999):
+            a, b = split_prime(p)[0].to_uv()
+            via_trace = pow(a + b, (p - 1) // 3, p) == 1
+            assert condition_I(p) == via_trace, p
+            assert via_trace, f"condition (I) ought to hold at {p}"
 
 
-@pytest.mark.parametrize("predicate", [condition_I, exceptional_A, exceptional_B])
+def is_2_a_cube(p):
+    return is_cube_mod_p(2, p)
+
+
+@pytest.mark.parametrize("predicate", [condition_I, exceptional_A, exceptional_B, is_2_a_cube])
 def test_one_primality_test_per_prime(monkeypatch, predicate):
     # split_prime validates p; the Euler tests behind it do not test it again
     calls = []
@@ -71,9 +101,13 @@ class TestExceptionalA:
         assert exceptional_A(97) == (False, None)
 
     def test_witness_equation(self):
-        for p in exceptional_A_set(600):
-            flag, (x, y) = exceptional_A(p)
-            assert flag and x**2 + 243 * y**2 == 4 * p
+        # oracles: the closed-form witness is the scan's, flag and (x, y),
+        # and the flag is the primary-form shortcut 9 | a - b on pi = a·w + b·v
+        for p in split_primes_upto(19999):
+            a, b = split_prime(p)[0].to_uv()
+            got = exceptional_A(p)
+            assert got == form_scan(p), p
+            assert got[0] == ((a - b) % 9 == 0), p
 
     def test_set_below_200(self):
         assert exceptional_A_set(200) == [61, 67, 73, 103, 151, 193]
@@ -85,6 +119,55 @@ class TestExceptionalA:
             pi, _ = split_prime(p)
             any_assoc = any((zeta * pi).b % 9 == 0 for zeta in UNITS)
             assert any_assoc == exceptional_A(p)[0]
+
+
+def test_criteria_finish_at_25_digits():
+    # the Exceptional A form scan ran past 10 s here: y up to √(4p/243)
+    p = 10**24 + 177
+    assert is_prime(p) and p % 9 == 7
+    for predicate in (condition_I, exceptional_A, exceptional_B):
+        start = time.perf_counter()
+        predicate(p)
+        assert time.perf_counter() - start < 1.0, predicate.__name__
+
+
+class TestCubicCharacter:
+    # every distinguished irreducible of prime norm below 400
+    PIS = [pi for p in split_primes_upto(400) for pi in split_prime(p)]
+
+    def test_reciprocity(self):
+        # chi_pi(lam) = chi_lam(pi) for primary pi, lam of different norms
+        pairs = 0
+        for pi in self.PIS:
+            for lam in self.PIS:
+                if pi.norm() != lam.norm():
+                    assert _cubic_char(lam, pi) == _cubic_char(pi, lam), (pi, lam)
+                    pairs += 1
+        assert pairs == 5328
+
+    def test_multiplicative(self):
+        rng = random.Random(23)
+        for pi in self.PIS:
+            for _ in range(20):
+                x, y = (EisensteinInt(rng.randint(-99, 99), rng.randint(-99, 99)) for _ in "xy")
+                if residue_split(x * y, pi, pi.norm()) == 0:
+                    continue
+                assert _cubic_char(x * y, pi) == (_cubic_char(x, pi) + _cubic_char(y, pi)) % 3
+
+    def test_cubes_and_w(self):
+        # oracle by enumeration: trivial exactly on the cubes of Z/p, and
+        # chi_pi(w) = (p - 1)/3 mod 3, since w^((p-1)/3) is w to that power
+        for pi in self.PIS[:12]:
+            p = pi.norm()
+            cubes = {pow(z, 3, p) for z in range(1, p)}
+            for x in range(1, p):
+                assert (_cubic_char(x, pi) == 0) == (x in cubes), (x, pi)
+            assert _cubic_char(W, pi) == (p - 1) // 3 % 3
+
+    def test_zero_residue_rejected(self):
+        pi, _ = split_prime(7)
+        with pytest.raises(ValueError, match="zero residue"):
+            _cubic_char(pi * EisensteinInt(2, 5), pi)
 
 
 class TestExceptionalB:

@@ -215,6 +215,13 @@ class TestResidueSplit:
             assert residue_split(pi, pi, p) == 0
             assert residue_split(ONE, pi, p) == 1
 
+    def test_rational_pi_rejected(self):
+        # N(pi) = p and p | pi.b force pi.b = 0: a caller's bad argument
+        for pi, p in ((E(2), 4), (E(3), 9)):
+            for x in (ONE, W, E(5, 7)):
+                with pytest.raises(ValueError, match="not a split irreducible"):
+                    residue_split(x, pi, p)
+
     def test_ring_homomorphism_soak(self):
         rng = random.Random(16)
         for p in (7, 13, 31, 61):
@@ -321,10 +328,13 @@ def test_factor_checks_survive_optimize():
     """The checks in factor and split_prime still raise under python -O,
     where assert statements are stripped: a norm factorization that misses
     the prime 7 leaves 7 unfactored, a valuation that divides nothing out
-    leaves pi_bar² to divide 7, and a gcd that returns w times the prime
-    above 7 gives the associate 3 + w, which is not primary."""
+    leaves pi_bar² to divide 7, a gcd that returns w times the prime
+    above 7 gives the associate 3 + w, which is not primary, and a forged
+    prime above 61 of norm 73 gives Exceptional A a witness for 4·73, not
+    4·61; the cubic character mod 1 + 5w, of composite norm 21, is not a
+    cube root of unity."""
     code = (
-        "from cubesum import factorization\n"
+        "from cubesum import criteria, factorization\n"
         "from cubesum.eisenstein import W, EisensteinInt, eis_gcd\n"
         "assert False, 'asserts must be stripped'\n"
         "factor_int, valuation = factorization.factor_int, factorization.valuation\n"
@@ -344,9 +354,19 @@ def test_factor_checks_survive_optimize():
         "    factorization.eis_gcd = lambda l, m: W * eis_gcd(l, m)\n"
         "    factorization.split_prime.cache_clear()\n"
         "    factorization.split_prime(7)\n"
+        "def forged(predicate, pi):\n"
+        "    criteria.split_prime = lambda p: (pi, pi.conj())\n"
+        "    try:\n"
+        "        predicate(61)\n"
+        "    finally:\n"
+        "        criteria.split_prime = factorization.split_prime\n"
         "for call, message in ((leftover, 'leftover 7 is not a unit'),\n"
         "                      (not_exact, 'does not divide the cofactor of 7'),\n"
-        "                      (not_primary, 'are not primary')):\n"
+        "                      (not_primary, 'are not primary'),\n"
+        "                      (lambda: forged(criteria.exceptional_A, EisensteinInt(1, 9)),\n"
+        "                       'fails 4·61 = x² + 243y²'),\n"
+        "                      (lambda: forged(criteria.condition_I, EisensteinInt(1, 5)),\n"
+        "                       'is not a cube root of unity')):\n"
         "    try:\n"
         "        call()\n"
         "    except ArithmeticError as err:\n"
