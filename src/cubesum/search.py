@@ -14,24 +14,24 @@ which cube_ap_exhaust reads off search_rational(2, bound).
     coordinate box per denominator; an empty result proves nothing.
   * relation_search: first (r, s, t) with w·r³ + v·s³ + M·t³ = 0.
 
-Both K searches skip, by an exact norm window, what no box point can reach.
-Box points have norm <= 3B² for the bound B.  For a hit (ξ, η),
+search_eisenstein skips, by an exact norm window, what no box point can
+reach.  Box points have norm <= 3B² for the bound B.  For a hit (ξ, η),
 |ξ² - ξη + η²| <= 9B², so the divisor e = ξ + η of M·d³ has
 N(e) >= N(M)·d⁶/(81B⁴) as well as N(e) <= 12B²: search_eisenstein skips
 every divisor below that floor and stops at the first d whose floor passes
-12B².  In relation_search s³ is the right-hand side, so any right-hand side
-of norm above 27B⁶ has no cube root in the box and is never offered to
-cube_roots.
+12B².  relation_search needs no window: it looks each right-hand side up
+in a table of the box's cubes, built once per bound, so one that is no box
+point's cube costs a single dict lookup.
 
 Both K searches work up to the units ±{1, w, v} of Z[w].  A pair (ξ, η)
 sums to e exactly when (ζξ, ζη) sums to ζe, with the same cubes, for a
 cube root of unity ζ; so search_eisenstein solves the quadratic once per
 divisor orbit {e, we, ve} and rotates its roots into the box.  Associates
 ζr share r³ up to sign, so relation_search tries one r per associate
-class, taken from a table built once per bound.  Both loop on plain int
-coordinates, building ring elements only for the hits, for each r³, and
-for the one argument of each square_roots or cube_roots call, which verify
-every root exactly.
+class, read off the same table.  Both loop on plain int coordinates,
+building ring elements only for the hits and for the one argument of each
+square_roots call, which verifies every root exactly; relation_search
+re-checks the relation it returns.
 
 Every solution the package produces, from a search, a construction or the
 classifier, passes one exact check, check_solution, which raises even
@@ -60,7 +60,6 @@ from .eisenstein import (
     W,
     coordinate_box,
     coordinate_spiral,
-    in_coordinate_box,
     spiral,
 )
 from .factorization import Factorization, factor, factor_int
@@ -216,9 +215,9 @@ def search_rational(m: int, denom_bound: int) -> list[tuple[KElement, KElement]]
     # a² - ab + b² > 0, so a + b carries the sign of m
     sign = (1 if m > 0 else -1,)
     hits: set[tuple[KElement, KElement]] = set()
-    for d in range(1, denom_bound + 1):
+    for d, d_factors in enumerate(_integer_factors(denom_bound), 1):
         n = m * d**3
-        for e, _, _ in _divisors(sign, target, factor_int(d).items(), _icbrt(4 * abs(n)) ** 2):
+        for e, _, _ in _divisors(sign, target, d_factors, _icbrt(4 * abs(n)) ** 2):
             disc = 12 * (n // e) - 3 * e * e
             s = isqrt(disc)
             if s * s != disc:
@@ -315,20 +314,28 @@ def _denominator_factors(bound: int) -> tuple[tuple[tuple[EisensteinInt, int], .
 
 
 @lru_cache(maxsize=8)
-def _associate_classes(bound: int) -> tuple[tuple[int, int, int, int], ...]:
-    """(r.a, r.b, r³.a, r³.b) for the first r of each associate class in
-    coordinate_spiral(bound), in that order; each class is cubed once."""
-    seen: set[tuple[int, int]] = set()
+def _integer_factors(bound: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The prime factors of each integer d = 1, ..., bound, in that order."""
+    return tuple(tuple(factor_int(d).items()) for d in range(1, bound + 1))
+
+
+@lru_cache(maxsize=8)
+def _box_cubes(bound: int) -> tuple[tuple[tuple[int, int, int, int], ...],
+                                    dict[tuple[int, int], tuple[int, int]]]:
+    """The cubes of the box, from one pass over coordinate_spiral(bound):
+    (r.a, r.b, r³.a, r³.b) for the first r of each associate class, in that
+    order, and a dict from the cube (c.a, c.b) of every nonzero box point
+    to the (a, b)-least box point with that cube.  The associates ±ζ·r cube
+    to ±r³, so r opens a class when neither r³ nor -r³ is a key yet."""
     classes = []
+    roots: dict[tuple[int, int], tuple[int, int]] = {}
     for r in coordinate_spiral(bound):
-        a, b = r.a, r.b
-        if (a, b) in seen:
-            continue
-        # ±r, ±w·r = ±(-b + (a - b)·w), ±v·r = ±((b - a) - a·w)
-        seen.update(((a, b), (-a, -b), (-b, a - b), (b, b - a), (b - a, -a), (a - b, a)))
-        r3 = r.cube()
-        classes.append((a, b, r3.a, r3.b))
-    return tuple(classes)
+        c = r.cube()
+        key = (c.a, c.b)
+        if key not in roots and (-c.a, -c.b) not in roots:
+            classes.append((r.a, r.b, c.a, c.b))
+        roots[key] = min(roots.get(key, (r.a, r.b)), (r.a, r.b))
+    return tuple(classes), roots
 
 
 def relation_search(
@@ -337,44 +344,37 @@ def relation_search(
     """First (r, s, t), all nonzero, with w·r³ + v·s³ + m·t³ = 0.
 
     Fixed scan order: r over the coordinate box by growing radius, t over
-    the rational integers by magnitude; s is recovered by exact cube-root
-    extraction (v·s³ = -(w·r³ + m·t³), and v⁻¹ = w), the lexicographically
-    least root winning.  The t slot scans rational integers only: t enters
-    the relation through t³ alone, and the classical small relations all
-    carry rational t.  Returns None when the box is exhausted.
+    the rational integers by magnitude; s is the (a, b)-least box point with
+    s³ = -w·(w·r³ + m·t³) (v·s³ = -(w·r³ + m·t³), and v⁻¹ = w), the root
+    cube_roots would list first.  The t slot scans rational integers only:
+    t enters the relation through t³ alone, and the classical small
+    relations all carry rational t.  Returns None when the box is exhausted.
 
-    Only the first r of each associate class is tried, from a table built
-    once per bound by _associate_classes.  An associate ζ·r
+    Only the first r of each associate class is tried.  An associate ζ·r
     has cube ±r³, and negating r³, s³ and t³ together keeps a relation,
     with -s in the box and -t in the t scan; so a later associate can only
     hit where the first one already has, and the first (r, s, t) is the one
     a scan over every r would return.
 
-    A box point s has N(s) <= 3·bound², so N(s³) <= 27·bound⁶: a right-hand
-    side of larger norm has no root in the box, and is skipped on its int
-    coordinates before cube_roots sees it.
-
-    m·t³ is computed once per call and the right-hand side on its int
-    coordinates; cube_roots verifies each root exactly.
+    The classes and s come from one table per bound, _box_cubes: each
+    (class, t) candidate costs one lookup of its right-hand side on int
+    coordinates, and ring elements are built only for a hit, whose relation
+    is re-checked exactly.
     """
     if m.is_zero():
         raise ValueError("target must be nonzero")
     # v·s³ = -(w·r³ + m·t³), so s³ = -v·r³ - w·m·t³; -w·(a + b·w) = b + (b - a)·w
     wmt3s = [(t, m.b * t**3, (m.b - m.a) * t**3) for t in spiral(bound)]
-    top = 27 * bound**6
-    for ra, rb, ca, cb in _associate_classes(bound):
+    classes, roots = _box_cubes(bound)
+    for ra, rb, ca, cb in classes:
         for t, ta, tb in wmt3s:
             # -v·r³ = (ca - cb) + ca·w
-            sa, sb = ca - cb + ta, ca + tb
-            if sa * sa - sa * sb + sb * sb > top:
+            if (s := roots.get((ca - cb + ta, ca + tb))) is None:
                 continue
-            for s in cube_roots(EisensteinInt(sa, sb)):
-                if s.is_zero() or not in_coordinate_box(s, bound):
-                    continue
-                r = EisensteinInt(ra, rb)
-                if not (W * r**3 + V * s**3 + m * t**3).is_zero():
-                    raise ArithmeticError(f"relation ({r}, {s}, {t}) fails for {m}")
-                return r, s, EisensteinInt(t, 0)
+            r, s, t = EisensteinInt(ra, rb), EisensteinInt(*s), EisensteinInt(t, 0)
+            if not (W * r**3 + V * s**3 + m * t**3).is_zero():
+                raise ArithmeticError(f"relation ({r}, {s}, {t}) fails for {m}")
+            return r, s, t
     return None
 
 

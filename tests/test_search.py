@@ -310,14 +310,17 @@ def test_search_hits_verified_without_assert():
     wrong square root in the Eisenstein search, a factorization with a
     non-divisor in the rational search (e = 2 against 9 leaves f = 9 // 2
     = 4, and the square 12·4 - 3·2² = 6² gives the pair (2, 0)), and a
-    wrong in-box cube root in the relation search."""
+    wrong s planted in the relation search's cube table: s = 1 under every
+    right-hand side s³ = -v·r³ - w·3·t³ of the first class r."""
     code = (
         "from cubesum import search\n"
-        "from cubesum.eisenstein import EisensteinInt as E\n"
+        "from cubesum.eisenstein import EisensteinInt as E, spiral\n"
         "assert False, 'asserts must be stripped'\n"
         "search.square_roots = lambda z: [E(3)]\n"
         "search.factor_int = lambda n: {2: 1}\n"
-        "search.cube_roots = lambda z: [E(1)]\n"
+        "classes, roots = search._box_cubes(2)\n"
+        "_, _, ca, cb = classes[0]\n"
+        "roots.update({(ca - cb, ca - 3 * t**3): (1, 0) for t in spiral(2)})\n"
         "for call, message in ((lambda: search.search_eisenstein(E(2), 3, 1), 'does not sum to'),\n"
         "                      (lambda: search.search_rational(9, 1), 'does not sum to'),\n"
         "                      (lambda: search.relation_search(E(3), 2), 'fails for 3')):\n"
@@ -659,7 +662,8 @@ class TestIntCoordinates:
         assert len(search_eisenstein(E(0, 18), 30, 5)) == 18
         assert len(products) <= 200
         products.clear()
-        # 3690 right-hand sides go to cube_roots (the object loops made 3924)
+        # 3744 right-hand sides are looked up (the object loops made 3924
+        # cube_roots calls)
         assert relation_search(E(3), 12) is None
         assert len(products) <= 10
 
@@ -778,6 +782,9 @@ def _unwindowed_relation_search(m, bound):
     return None
 
 
+_WINDOW_TARGETS = [E(a, b) for a in range(-8, 9) for b in range(-8, 9) if a or b]
+
+
 class TestRelationSearch:
     def test_matches_every_r_oracle(self):
         pi, _ = split_prime(19)
@@ -792,13 +799,45 @@ class TestRelationSearch:
 
     def test_one_r_per_associate_class(self, monkeypatch):
         # E(3) has no relation in the box, so every class is tried against
-        # every t: 156 classes of the 624 box points, 24 values of t, less
-        # the 54 right-hand sides of norm above 27·12⁶ (trying every r made
-        # 14976 cube_roots calls, every class without the window 3744)
+        # every t: 156 classes of the 624 box points, 24 values of t, one
+        # table lookup each (trying every r made 14976 cube_roots calls)
+        lookups = []
+
+        class Counted(dict):
+            def get(self, key, default=None):
+                lookups.append(key)
+                return super().get(key, default)
+
+        classes, roots = search._box_cubes(12)
+        monkeypatch.setattr(search, "_box_cubes", lambda bound: (classes, Counted(roots)))
+        assert relation_search(E(3), 12) is None
+        assert len(classes) == 156
+        assert len(lookups) == 3744
+
+    def test_matches_unwindowed(self):
+        found = 0
+        for m in _WINDOW_TARGETS:
+            for bound in (1, 5, 12):
+                got = relation_search(m, bound)
+                assert got == _unwindowed_relation_search(m, bound), (m, bound)
+                found += got is not None
+        assert found >= 40
+
+    def test_cube_table(self, monkeypatch):
+        # every nonzero box point's cube is a key, and its value is the root
+        # cube_roots lists first in the box, so no search needs cube_roots
         calls = []
         monkeypatch.setattr(search, "cube_roots", lambda z: calls.append(z) or cube_roots(z))
-        assert relation_search(E(3), 12) is None
-        assert len(calls) == 3690
+        for bound in (1, 2, 5, 12):
+            _, roots = search._box_cubes(bound)
+            cubes = {p.cube() for p in coordinate_box(bound) if not p.is_zero()}
+            assert set(roots) == {(c.a, c.b) for c in cubes}
+            for c in cubes:
+                first = next(s for s in cube_roots(c) if not s.is_zero() and in_coordinate_box(s, bound))
+                assert E(*roots[c.a, c.b]) == first, (bound, c)
+            found = [relation_search(m, bound) for m in _WINDOW_TARGETS]
+            assert any(found) and None in found
+        assert calls == []
 
     def test_remark_two_target(self):
         r, s, t = relation_search(E(1, 9), 12)
@@ -822,12 +861,9 @@ class TestRelationSearch:
         assert search_eisenstein(E(9), 4, 3) == search_eisenstein(E(9), 4, 3)
 
 
-_WINDOW_TARGETS = [E(a, b) for a in range(-8, 9) for b in range(-8, 9) if a or b]
-
-
 class TestNormWindows:
-    """The divisor window of search_eisenstein and the right-hand-side
-    window of relation_search drop only what no box point can reach."""
+    """The divisor window of search_eisenstein drops only what no box point
+    can reach, and relation_search reaches s on the box's corner."""
 
     def test_eisenstein_matches_unwindowed(self):
         found = 0
@@ -836,15 +872,6 @@ class TestNormWindows:
                 got = search_eisenstein(m, *args)
                 assert got == _unwindowed_search_eisenstein(m, *args), (m, args)
                 found += bool(got)
-        assert found >= 40
-
-    def test_relation_matches_unwindowed(self):
-        found = 0
-        for m in _WINDOW_TARGETS:
-            for bound in (1, 5, 12):
-                got = relation_search(m, bound)
-                assert got == _unwindowed_relation_search(m, bound), (m, bound)
-                found += got is not None
         assert found >= 40
 
     def test_denominator_loop_ends_where_the_window_closes(self, monkeypatch):
@@ -866,9 +893,10 @@ class TestNormWindows:
 
     def test_classify_root_calls(self, monkeypatch):
         # classify over |a|, |b| <= 5 at the default budget: 45100
-        # square_roots and 68486 cube_roots calls.  Without the divisor
-        # window it made 73636 square_roots calls, without the right-hand-side
-        # window 74994 cube_roots calls.
+        # square_roots calls and no cube_roots call.  Without the divisor
+        # window it made 73636 square_roots calls; the relation search made
+        # 68486 cube_roots calls before its cube table, 74994 before its
+        # right-hand-side window.
         calls = Counter()
         for module, name in ((search, "square_roots"), (search, "cube_roots"),
                              (constructors, "cube_roots")):
@@ -879,7 +907,7 @@ class TestNormWindows:
             for b in range(-5, 6):
                 if a or b:
                     classify(E(a, b), "K", SearchBudget())
-        assert sum(calls.values()) == 113586, calls
+        assert calls == Counter(square_roots=45100), calls
 
 
 class TestFlt3:
