@@ -23,7 +23,7 @@ print("factor(7)   =", factor(EisensteinInt(7, 0)))
 
 # the residue field O/pi has p elements; w maps to a root of z² + z + 1
 pi, _ = split_prime(7)
-c = residue_split(EisensteinInt(0, 1), pi, 7)
+c = residue_split(EisensteinInt(0, 1), pi)
 print(f"\nw maps to {c} in O/({pi}); check: {c}² + {c} + 1 = {(c*c + c + 1) % 7} mod 7")
 
 # cubes mod p, decided by one modular exponentiation

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Callable
 
 from .criteria import condition_I, exceptional_A, exceptional_B
@@ -51,7 +50,7 @@ from .eisenstein import (
     format_eisenstein,
     format_k,
 )
-from .factorization import Factorization, cube_split, factor, split_cubes
+from .factorization import Factorization, factor, split_cubes
 from .search import (
     SearchBudget,
     check_solution,
@@ -65,7 +64,7 @@ LUCAS_SEARCH_BOUND = 100  # integer triple scan radius for the 3p construction
 Pair = tuple[KElement, KElement]
 Hit = tuple[str, Pair]  # a search's rule tag and witness
 
-# M up to cube factors: the rest of cube_split, with unit in {1, w, v} and
+# M up to cube factors: the rest of split_cubes, with unit in {1, w, v} and
 # exponents 1 or 2.  M and its canonical value differ by a nonzero cube of K
 # times ±1, so solvability over K (and over Q, for the theorem-backed
 # verdicts) is a property of this form alone.  Canonicalisation is idempotent.
@@ -76,9 +75,9 @@ def canonicalize(m: "EisensteinInt | KElement | int") -> CanonicalM:
     """Cube-class reduction of a nonzero target.
 
     A fractional target n/d is lifted to n·d² (the same cube class), whose
-    cube_split rest is the canonical form.
+    cube class is the canonical form.
     """
-    return cube_split(_integral_target(m))[1]
+    return split_cubes(factor(_integral_target(m)))[1]
 
 
 def _integral_target(m: "EisensteinInt | KElement | int") -> EisensteinInt:
@@ -172,20 +171,17 @@ def _shape(canon: CanonicalM) -> tuple[str, int, int]:
 
 @dataclass(frozen=True)
 class _Case:
-    """What a rule handler decides on: the oriented target, its factors, form, n, e."""
+    """What a rule handler decides on: the oriented target, its factors, the
+    root g with rep = g³·canon.value(), its form, n and e."""
 
     rep: EisensteinInt
     factored: Factorization
+    root: EisensteinInt
     canon: CanonicalM
     n: int
     e: int
     scope: str
     budget: SearchBudget | None
-
-    @cached_property
-    def root(self) -> EisensteinInt:
-        """The g with rep = g³·canon.value(), read off the factors once per case."""
-        return split_cubes(self.factored)[0]
 
     def verdict(self, status: str, tag: str, reason: str, **data) -> Verdict:
         return Verdict(status, tag, reason, self.canon, self.scope, **data)
@@ -305,7 +301,7 @@ _UNIT_1, _TWISTED, _ANY_UNIT = (ONE,), (W, V), (ONE, W, V)
 # handler).  The handler returns the verdict citing the deciding theorem,
 # or runs the bounded searches where no theorem decides.  A rule that
 # covers two keys of different kinds or residues takes two rows.  Exactly
-# one row matches each key that _shape and cube_split can produce;
+# one row matches each key that _shape and split_cubes can produce;
 # tests/test_classifier.py checks that over the whole finite key space.
 _RULES = (
     ("trivial-cube", "unit", _ANY_N, _UNIT_1,
@@ -445,10 +441,10 @@ def classify(
 
     rep, (sign, conj) = _orient(m_int)
     factored = factor(rep)
-    canon_rep = split_cubes(factored)[1]
+    root, canon_rep = split_cubes(factored)
     kind, n, e = _shape(canon_rep)
     handler = _rule(kind, n, canon_rep.unit)[-1]
-    verdict = handler(_Case(rep, factored, canon_rep, n, e, scope, budget))
+    verdict = handler(_Case(rep, factored, root, canon_rep, n, e, scope, budget))
 
     def back(pair: Pair) -> Pair:
         """A solution for rep as one for m, checked: conjugation if conj,

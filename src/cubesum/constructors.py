@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .eisenstein import BETA, ONE, EisensteinInt, KElement, V, W, eis_gcd, unit_inverse
-from .factorization import cube_split
+from .factorization import factor, split_cubes
 from .search import _exact_icbrt, check_solution, cube_roots
 
 
@@ -225,7 +225,7 @@ def reduce_triple(t: Triple) -> Triple:
 
 def _unit_cube_parts(x: EisensteinInt, label: str) -> tuple[EisensteinInt, EisensteinInt]:
     """Write x = i·r³ with i in {1, w, v}; raise naming the obstruction."""
-    r, rest = cube_split(x)
+    r, rest = split_cubes(factor(x))
     if rest.factors:
         irr, e = rest.factors[0]
         raise TripleStructureError(
@@ -269,7 +269,7 @@ def descent_step(t: Triple) -> Triple:
     c = inv * c
 
     # C's non-cube part up to a unit: A, B unit·cube and A·B·C = M·k³ put C in M's class
-    m_core = cube_split(t.target)[1].value()
+    m_core = split_cubes(factor(t.target))[1].value()
     for cand in (s, W * s, V * s):
         if m_core.divides(r + cand):
             s = cand

@@ -522,11 +522,6 @@ def coordinate_box(bound: int) -> Iterator[EisensteinInt]:
             yield EisensteinInt.from_uv(a, b)
 
 
-def in_coordinate_box(x: EisensteinInt, bound: int) -> bool:
-    a, b = x.to_uv()
-    return abs(a) <= bound and abs(b) <= bound
-
-
 def spiral(bound: int) -> Iterator[int]:
     """Nonzero integers ordered by magnitude: 1, -1, 2, -2, ..."""
     for k in range(1, bound + 1):

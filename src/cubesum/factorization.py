@@ -239,11 +239,6 @@ def factor(x: EisensteinInt) -> Factorization:
     return f
 
 
-def cube_split(x: EisensteinInt) -> tuple[EisensteinInt, Factorization]:
-    """Write a nonzero x as root³ · rest.value(): split_cubes(factor(x))."""
-    return split_cubes(factor(x))
-
-
 def split_cubes(f: Factorization) -> tuple[EisensteinInt, Factorization]:
     """(root, rest) with f.value() = root³ · rest.value(), rest the cube class:
     its unit in {1, w, v} (-1 is a cube, so a sign moves into the root), its
@@ -258,15 +253,14 @@ def split_cubes(f: Factorization) -> tuple[EisensteinInt, Factorization]:
     return root, Factorization(unit, tuple((irr, e % 3) for irr, e in f.factors if e % 3))
 
 
-def residue_split(x: EisensteinInt, pi: EisensteinInt, p: int) -> int:
-    """Image of x in the residue field O/pi identified with Z/p.
+def residue_split(x: EisensteinInt, pi: EisensteinInt) -> int:
+    """Image of x in the residue field O/pi identified with Z/p, p = N(pi).
 
     For pi = a + b·w the identification sends w to c = -a·b⁻¹ mod p, the
     root of z² + z + 1 carried by pi.  Ring homomorphism: addition and
     multiplication commute with reduction.
     """
-    if pi.norm() != p:
-        raise ValueError("pi must have norm p")
+    p = pi.norm()
     if pi.b % p == 0:  # b² <= 4p/3 < p², so b = 0 and pi is rational
         raise ValueError(f"{pi} is rational, not a split irreducible of norm {p}")
     c = (-pi.a * pow(pi.b, -1, p)) % p
@@ -283,10 +277,10 @@ def _cubic_char(x: EisensteinInt | int, pi: EisensteinInt) -> int:
     ValueError for x = 0 mod pi.
     """
     p = pi.norm()
-    r = residue_split(EisensteinInt(x) if isinstance(x, int) else x, pi, p)
+    r = residue_split(EisensteinInt(x) if isinstance(x, int) else x, pi)
     if r == 0:
         raise ValueError("zero residue")
-    c = residue_split(W, pi, p)
+    c = residue_split(W, pi)
     roots = (1, c, c * c % p)
     e = pow(r, (p - 1) // 3, p)
     if e not in roots:

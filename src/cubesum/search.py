@@ -19,9 +19,10 @@ reach.  Box points have norm <= 3B² for the bound B.  For a hit (ξ, η),
 |ξ² - ξη + η²| <= 9B², so the divisor e = ξ + η of M·d³ has
 N(e) >= N(M)·d⁶/(81B⁴) as well as N(e) <= 12B²: search_eisenstein skips
 every divisor below that floor and stops at the first d whose floor passes
-12B².  relation_search needs no window: it looks each right-hand side up
-in a table of the box's cubes, built once per bound, so one that is no box
-point's cube costs a single dict lookup.
+12B², before factoring it: both divisor searches factor each d only when
+their loop reaches it, memoised per d.  relation_search needs no window:
+it looks each right-hand side up in a table of the box's cubes, built once
+per bound, so one that is no box point's cube costs a single dict lookup.
 
 Both K searches work up to the units ±{1, w, v} of Z[w].  A pair (ξ, η)
 sums to e exactly when (ζξ, ζη) sums to ζe, with the same cubes, for a
@@ -215,9 +216,9 @@ def search_rational(m: int, denom_bound: int) -> list[tuple[KElement, KElement]]
     # a² - ab + b² > 0, so a + b carries the sign of m
     sign = (1 if m > 0 else -1,)
     hits: set[tuple[KElement, KElement]] = set()
-    for d, d_factors in enumerate(_integer_factors(denom_bound), 1):
+    for d in range(1, denom_bound + 1):
         n = m * d**3
-        for e, _, _ in _divisors(sign, target, d_factors, _icbrt(4 * abs(n)) ** 2):
+        for e, _, _ in _divisors(sign, target, _integer_factors(d), _icbrt(4 * abs(n)) ** 2):
             disc = 12 * (n // e) - 3 * e * e
             s = isqrt(disc)
             if s * s != disc:
@@ -251,8 +252,7 @@ def search_eisenstein(
     All of this runs on int coordinates, f = m·d³·conj(e)/N(e) by two
     integer divisions; square_roots verifies each root exactly.  m is
     factored here unless the classifier passes its factors as the private
-    _factored; the factors of each d come from a table built once per bound,
-    up to the last d the window below lets through for N(m) = 1.
+    _factored; each d is factored when the loop reaches it, memoised per d.
 
     A hit has |f| = |xi² - xi·eta + eta²| <= 9·bound², so N(f) <= 81·bound⁴
     and N(e) = N(m)·d⁶/N(f) >= N(m)·d⁶/(81·bound⁴): divisors below that
@@ -269,14 +269,13 @@ def search_eisenstein(
     target = (factor(m) if _factored is None else _factored).factors
     nm, cap, f_cap = m.norm(), 12 * coord_bound**2, 81 * coord_bound**4
     hits: list[tuple[KElement, KElement]] = []
-    d_top = min(denom_bound, _icbrt(isqrt(cap * f_cap)))
-    for d, d_factors in enumerate(_denominator_factors(d_top), 1):
+    for d in range(1, denom_bound + 1):
         # N(e)·N(f) = N(m·d³), and a hit has N(e) <= cap, N(f) <= f_cap
         nmd = nm * d**6
         if cap * f_cap < nmd:
             break
         ma, mb = m.a * d**3, m.b * d**3
-        for ea, eb, n in _divisors((1, -1), target, d_factors, cap):
+        for ea, eb, n in _divisors((1, -1), target, _denominator_factors(d), cap):
             if n * f_cap < nmd:
                 continue
             # f = m·d³/e = m·d³·conj(e)/N(e), as in eisenstein._exact_quotient
@@ -307,16 +306,16 @@ def search_eisenstein(
     return sorted(hits, key=witness_sort_key)
 
 
-@lru_cache(maxsize=8)
-def _denominator_factors(bound: int) -> tuple[tuple[tuple[EisensteinInt, int], ...], ...]:
-    """The Z[w] factors of each rational d = 1, ..., bound, in that order."""
-    return tuple(factor(EisensteinInt(d, 0)).factors for d in range(1, bound + 1))
+@lru_cache(maxsize=1024)
+def _denominator_factors(d: int) -> tuple[tuple[EisensteinInt, int], ...]:
+    """The Z[w] factors of the rational integer d, memoised per d."""
+    return factor(EisensteinInt(d, 0)).factors
 
 
-@lru_cache(maxsize=8)
-def _integer_factors(bound: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The prime factors of each integer d = 1, ..., bound, in that order."""
-    return tuple(tuple(factor_int(d).items()) for d in range(1, bound + 1))
+@lru_cache(maxsize=1024)  # every d up to cube_ap_exhaust's 1000
+def _integer_factors(d: int) -> tuple[tuple[int, int], ...]:
+    """The prime factors of the integer d, memoised per d."""
+    return tuple(factor_int(d).items())
 
 
 @lru_cache(maxsize=8)

@@ -6,10 +6,10 @@ from collections import Counter
 
 import pytest
 
-from cubesum import classifier, factorization, search
+from cubesum import classifier, constructors, factorization, search
 from cubesum.classifier import canonicalize, classify, match_rule
 from cubesum.eisenstein import BETA, EisensteinInt, KElement, ONE, V, W
-from cubesum.factorization import Factorization, cube_split, factor
+from cubesum.factorization import Factorization, factor, split_cubes
 from cubesum.search import SearchBudget, search_eisenstein
 
 
@@ -316,20 +316,33 @@ class TestInvariances:
 
 def _exact_cube_root(x):
     """The cube root the classifier took before _Case.root, kept as an
-    oracle: cube_split of x, which must be a cube."""
-    root, rest = cube_split(x)
+    oracle: the root of x's cube split, where x must be a cube."""
+    root, rest = split_cubes(factor(x))
     if rest != Factorization(ONE, ()):
         raise ValueError(f"{x} is not a cube (cube class {rest})")
     return root
 
 
-def _case(m):
-    """The rule name and the _Case that classify(m, "K", None) decides on."""
-    rep, _ = classifier._orient(m)
-    canon = canonicalize(rep)
-    kind, n, e = classifier._shape(canon)
-    case = classifier._Case(rep, factor(rep), canon, n, e, "K", None)
-    return classifier._rule(kind, n, canon.unit)[0], case
+@pytest.fixture
+def case_of(monkeypatch):
+    """m -> the rule name and the _Case that classify(m, "K", None) hands
+    its handler, caught by a spy on the row that _rule returns."""
+    cases = []
+    rule = classifier._rule
+
+    def spied(*key):
+        row = rule(*key)
+        return (*row[:-1], lambda c: cases.append((row[0], c)) or row[-1](c))
+
+    monkeypatch.setattr(classifier, "_rule", spied)
+
+    def case_of(m):
+        cases.clear()
+        classify(m, "K", None)
+        (named_case,) = cases
+        return named_case
+
+    return case_of
 
 
 # the rows that build solutions from the root: the cube, beta and 2 classes
@@ -338,24 +351,22 @@ _TWO_CLASS = Factorization(ONE, ((E(2), 1),))
 
 class TestCaseRoot:
     def _check(self, case):
-        root = case.root
-        assert root == _exact_cube_root(case.rep / case.canon.value()), case.rep
-        assert root**3 * case.canon.value() == case.rep
-        assert case.root is root  # worked out once per case
+        assert case.root == _exact_cube_root(case.rep / case.canon.value()), case.rep
+        assert case.root**3 * case.canon.value() == case.rep
 
-    def test_matches_parent_root_on_the_grid(self):
+    def test_matches_parent_root_on_the_grid(self, case_of):
         checked = 0
         for a in range(-60, 61):
             for b in range(-60, 61):
                 if a == 0 and b == 0:
                     continue
-                rule, case = _case(E(a, b))
+                rule, case = case_of(E(a, b))
                 if rule in ("trivial-cube", "beta-solvable") or case.canon == _TWO_CLASS:
                     self._check(case)
                     checked += 1
         assert checked == 44
 
-    def test_matches_parent_root_on_constructed_targets(self):
+    def test_matches_parent_root_on_constructed_targets(self, case_of):
         rows = {ONE: "trivial-cube", BETA: "beta-solvable", E(2): "inert-25"}
         for a in range(-10, 11):
             for b in range(-10, 11):
@@ -363,7 +374,7 @@ class TestCaseRoot:
                 if g.is_zero():
                     continue
                 for x, row in rows.items():
-                    rule, case = _case(g**3 * x)
+                    rule, case = case_of(g**3 * x)
                     assert rule == row
                     self._check(case)
 
@@ -430,7 +441,9 @@ ATTEMPT_ORDER = {
 @pytest.mark.parametrize("target, scope", list(ATTEMPT_ORDER), ids=str)
 def test_search_attempt_order(search_log, target, scope):
     rep = EisensteinInt(target) if isinstance(target, int) else target
-    case = classifier._Case(rep, factor(rep), canonicalize(rep), 1, 1, scope, SearchBudget())
+    factored = factor(rep)
+    root, canon = split_cubes(factored)
+    case = classifier._Case(rep, factored, root, canon, 1, 1, scope, SearchBudget())
     for first, expected in ATTEMPT_ORDER[(target, scope)].items():
         search_log.clear()
         verdict = case.search("reason", first and getattr(classifier, f"_try_{first}"))
@@ -534,8 +547,32 @@ def test_one_factor_call_per_classify(factor_calls):
         assert len(factor_calls) == 1, n
 
 
+@pytest.fixture
+def split_calls(monkeypatch):
+    """Every split_cubes call, at each module's name for it."""
+    calls = []
+    for module in (factorization, classifier, constructors):
+        monkeypatch.setattr(module, "split_cubes",
+                            lambda f, real=module.split_cubes: calls.append(f) or real(f))
+    return calls
+
+
+def test_one_cube_split_per_classify(split_calls):
+    # the grid, the large forms, and the rows that read the root: cubes,
+    # the beta class and the class of 2 (trivial-cube, beta-solvable, inert-25)
+    grid = [E(a, b) for a in range(-20, 21, 3) for b in range(-20, 21, 4) if a or b]
+    rooted = {g**3 * x: row for g in (E(1), E(-2), E(2, 1), E(-3, 5))
+              for x, row in ((ONE, "trivial-cube"), (BETA, "beta-solvable"), (E(2), "inert-25"))}
+    for target in [*LARGE_FORMS, *grid, *rooted]:
+        split_calls.clear()
+        classify(target, "K", None)
+        assert len(split_calls) == 1, target
+    assert {match_rule(canonicalize(t)) for t in rooted} == set(rooted.values())
+
+
 def test_box_search_factors_each_denominator_once(factor_calls):
-    # the default budget's table covers d <= 50; the target is never factored again
+    # the default budget reaches every d <= 50, each factored once; the target
+    # is never factored again
     search._denominator_factors.cache_clear()
     targets = [E(a, b) for a in range(-5, 6) for b in range(-5, 6) if a or b]
     verdicts = [classify(t, "K") for t in targets]
@@ -548,7 +585,7 @@ def test_public_box_search_factors_its_target(factor_calls):
     search._denominator_factors.cache_clear()
     m = E(2, 5)
     first = search_eisenstein(m, 4, 3)
-    # bound 4 lets no d past 12 through for any target, so the table stops at 3
+    # each d the loop reaches is factored there, once
     assert factor_calls == [("search", m)] + [("search", E(d)) for d in (1, 2, 3)]
     factor_calls.clear()
     assert search_eisenstein(m, 4, 3) == first
@@ -557,7 +594,8 @@ def test_public_box_search_factors_its_target(factor_calls):
     assert search_eisenstein(m, 4, 3, _factored=factorization.factor(m)) == first
     assert factor_calls == [("factorization", m)]
 
-    # 12⁶ <= 12·4²·81·4⁴ < 13⁶: past d = 12 even a unit target fails the window
+    # 12⁶ <= 12·4²·81·4⁴ < 13⁶: past d = 12 even a unit target fails the
+    # window, which stops the loop before d = 13 is factored; d <= 3 are memoised
     factor_calls.clear()
     search_eisenstein(W, 4, 50)
-    assert factor_calls == [("search", W)] + [("search", E(d)) for d in range(1, 13)]
+    assert factor_calls == [("search", W)] + [("search", E(d)) for d in range(4, 13)]

@@ -40,7 +40,7 @@ from cubesum.eisenstein import (
     is_primary,
     unit_inverse,
 )
-from cubesum.factorization import Factorization, cube_split
+from cubesum.factorization import Factorization, factor, split_cubes
 from cubesum.search import search_eisenstein, search_rational
 
 
@@ -122,7 +122,7 @@ def _beta_variant_descent_step(t: Triple) -> Triple:
         raise TripleStructureError(
             f"triple not in descent form: unit mismatch i != j (j/i = {j})"
         )
-    c_root, c_rest = cube_split(c)
+    c_root, c_rest = split_cubes(factor(c))
     m_core = c_rest.value()
     for cand in (s, W * s, V * s):
         if m_core.divides(r + cand):
@@ -201,7 +201,7 @@ class TestDescentParity:
                 descent_step(t)
             except (TripleStructureError, DescentTerminal):
                 continue
-            assert cube_split(reduce_triple(t).C)[1].factors, t
+            assert split_cubes(factor(reduce_triple(t).C))[1].factors, t
             stepped += 1
         assert stepped > 200
         for a in range(-6, 7):
@@ -209,7 +209,7 @@ class TestDescentParity:
                 for s in (ONE, E(2), BETA, E(2, 5)):
                     c = E(a, b) ** 3 + s**3
                     if (a or b) and not c.is_zero():
-                        assert cube_split(c)[1].factors, (a, b, s)
+                        assert split_cubes(factor(c))[1].factors, (a, b, s)
 
 
 def _c_in_target_class(t: Triple) -> bool:
@@ -220,7 +220,7 @@ def _c_in_target_class(t: Triple) -> bool:
         _unit_cube_parts(t.B, "B")
     except TripleStructureError:
         return False
-    assert cube_split(t.C)[1].factors == cube_split(t.target)[1].factors, t
+    assert split_cubes(factor(t.C))[1].factors == split_cubes(factor(t.target))[1].factors, t
     return True
 
 
@@ -704,8 +704,8 @@ class TestCubeTripleStructure:
 
     def test_is_cube_agrees_with_cube_split(self):
         # the factoring route: x is a cube when its cube class is trivial
-        def via_cube_split(x):
-            return cube_split(x)[1] == Factorization(ONE, ())
+        def via_factoring(x):
+            return split_cubes(factor(x))[1] == Factorization(ONE, ())
 
         for a in range(-30, 31):
             for b in range(-30, 31):
@@ -714,7 +714,7 @@ class TestCubeTripleStructure:
                     continue
                 c = x.cube()
                 for y in (x, c, W * c, V * c):
-                    assert is_cube(y) == via_cube_split(y), y
+                    assert is_cube(y) == via_factoring(y), y
 
 
 def test_is_cube_of_large_cube_does_not_factor():
@@ -741,9 +741,9 @@ def test_is_cube_of_large_cube_does_not_factor():
 def test_witness_checks_survive_optimize():
     """A wrong witness or a failed premise still raises under python -O,
     where assert statements are stripped: a wrong rational-search hit in
-    classify, a wrong Lucas pair in lucas_witness, a wrong case root in the
-    beta construction reached through classify(9, 'K'), condition (I)
-    failing under Theorem 2.2, a relation mapped back with a wrong Cramer
+    classify, a wrong Lucas pair in lucas_witness, a wrong root from
+    classify's cube split in the beta construction for classify(9, 'K'),
+    condition (I) failing under Theorem 2.2, a relation mapped back with a wrong Cramer
     determinant, and a tangent and a secant point computed with a division
     that is off by one."""
     code = (
@@ -752,7 +752,8 @@ def test_witness_checks_survive_optimize():
         "assert False, 'asserts must be stripped'\n"
         "classifier.search_rational = lambda m, d: [(KElement(1), KElement(1))]\n"
         "constructors.lucas_pair = lambda a, b: (1, 1)\n"
-        "classifier._Case.root = property(lambda case: ONE)\n"
+        "split = classifier.split_cubes\n"
+        "classifier.split_cubes = lambda f: (ONE, split(f)[1])\n"
         "classifier.condition_I = lambda p: False\n"
         "constructors.BETA = ONE\n"
         "one, m = EisensteinInt(1, 0), EisensteinInt(1, 9)\n"

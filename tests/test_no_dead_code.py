@@ -1,0 +1,43 @@
+"""No dead code at the top level: every function and class defined in
+src/cubesum is used by the program, is public (in cubesum.__all__), or is a
+name the benchmark's tracer wraps (perfbench/tracer.py SPANNED, AGGREGATED).
+A use is a name or an attribute in some module's code; an import alone is
+not a use."""
+
+import ast
+from pathlib import Path
+
+import cubesum
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "cubesum"
+
+
+def _traced() -> set[tuple[str, str]]:
+    """The (module, name) pairs of the tracer's SPANNED and AGGREGATED."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    names = [ast.literal_eval(node.value) for node in tree.body
+             if isinstance(node, ast.Assign)
+             and any(isinstance(t, ast.Name) and t.id in ("SPANNED", "AGGREGATED")
+                     for t in node.targets)]
+    assert len(names) == 2
+    return {tuple(dotted.split(".")) for group in names for dotted in group}
+
+
+def _dead() -> list[str]:
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    used = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    kept = used | set(cubesum.__all__)
+    traced = _traced()
+    return [f"{module}.py:{node.lineno}: {node.name}"
+            for module, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name not in kept and (module, node.name) not in traced]
+
+
+def test_every_top_level_definition_is_used():
+    assert _dead() == []

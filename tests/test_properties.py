@@ -26,7 +26,7 @@ from cubesum.eisenstein import (
     format_eisenstein,
     format_k,
 )
-from cubesum.factorization import cube_split, factor
+from cubesum.factorization import factor, split_cubes
 from cubesum.search import cube_roots
 
 
@@ -162,7 +162,7 @@ class TestCubeClass:
         assert canon.unit in (ONE, EisensteinInt(0, 1), EisensteinInt(-1, -1))
         for _, e in canon.factors:
             assert e in (1, 2)
-        root, rest = cube_split(m)
+        root, rest = split_cubes(factor(m))
         assert root**3 * rest.value() == m
         assert rest == canon
 

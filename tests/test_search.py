@@ -23,7 +23,6 @@ from cubesum.eisenstein import (
     W,
     coordinate_box,
     coordinate_spiral,
-    in_coordinate_box,
     spiral,
 )
 from cubesum.factorization import factor, factor_int, split_prime
@@ -49,6 +48,12 @@ def E(a, b=0):
 
 def K(a, d=1):
     return KElement(E(a) if isinstance(a, int) else a, d)
+
+
+def in_coordinate_box(x, bound):
+    """Whether x = a·w + b·v has |a|, |b| <= bound, the oracles' box test."""
+    a, b = x.to_uv()
+    return abs(a) <= bound and abs(b) <= bound
 
 
 def _float_icbrt(n: int) -> int:
@@ -839,6 +844,16 @@ class TestRelationSearch:
             assert any(found) and None in found
         assert calls == []
 
+    def test_relation_on_the_box_corner(self):
+        # s at the box corner has the largest norm in the box, 3·B², and the
+        # table holds the corner's cube: the first r and t meet it there
+        for bound in (1, 2, 5, 12):
+            corner = EisensteinInt.from_uv(bound, -bound)
+            assert corner.norm() == 3 * bound**2
+            m = -(W + V * corner.cube())
+            assert relation_search(m, bound) == (E(1), corner, E(1))
+            assert _unwindowed_relation_search(m, bound) == (E(1), corner, E(1))
+
     def test_remark_two_target(self):
         r, s, t = relation_search(E(1, 9), 12)
         assert (r, s, t) == (E(2), E(-1), E(-1))
@@ -863,7 +878,7 @@ class TestRelationSearch:
 
 class TestNormWindows:
     """The divisor window of search_eisenstein drops only what no box point
-    can reach, and relation_search reaches s on the box's corner."""
+    can reach."""
 
     def test_eisenstein_matches_unwindowed(self):
         found = 0
@@ -880,16 +895,6 @@ class TestNormWindows:
         monkeypatch.setattr(search, "_divisors", lambda *args: calls.append(args) or _divisors(*args))
         assert search_eisenstein(E(3), 1, 50) == _unwindowed_search_eisenstein(E(3), 1, 50)
         assert len(calls) == 2
-
-    def test_relation_on_the_window_edge(self):
-        # s at the box corner has N(s) = 3·B², so N(s³) = 27·B⁶ exactly: the
-        # first r and t meet it, and a window one smaller would skip it
-        for bound in (1, 2, 5, 12):
-            corner = EisensteinInt.from_uv(bound, -bound)
-            assert corner.norm() == 3 * bound**2
-            m = -(W + V * corner.cube())
-            assert relation_search(m, bound) == (E(1), corner, E(1))
-            assert _unwindowed_relation_search(m, bound) == (E(1), corner, E(1))
 
     def test_classify_root_calls(self, monkeypatch):
         # classify over |a|, |b| <= 5 at the default budget: 45100
@@ -908,6 +913,36 @@ class TestNormWindows:
                 if a or b:
                     classify(E(a, b), "K", SearchBudget())
         assert calls == Counter(square_roots=45100), calls
+
+
+class _StopFactoring(Exception):
+    pass
+
+
+@pytest.mark.parametrize("run", [lambda: search_rational(7, 10**12),
+                                 lambda: search_eisenstein(W, 4, 10**9)],
+                         ids=["rational", "eisenstein"])
+def test_denominators_factored_as_the_loop_reaches_them(monkeypatch, run):
+    # the target, then d = 1 and its divisors, then d = 2: each d is factored
+    # only when the loop reaches it, so a huge bound costs nothing up front
+    log = []
+
+    def logged(name, real):
+        def call(*args):
+            log.append(name)
+            if log.count("factor") == 3:
+                raise _StopFactoring
+            return real(*args)
+        return call
+
+    for name in ("factor", "factor_int"):
+        monkeypatch.setattr(search, name, logged("factor", getattr(search, name)))
+    monkeypatch.setattr(search, "_divisors", logged("divisors", _divisors))
+    search._integer_factors.cache_clear()
+    search._denominator_factors.cache_clear()
+    with pytest.raises(_StopFactoring):
+        run()
+    assert log == ["factor", "factor", "divisors", "factor"]
 
 
 class TestFlt3:
