@@ -171,11 +171,10 @@ def _shape(canon: CanonicalM) -> tuple[str, int, int]:
 
 @dataclass(frozen=True)
 class _Case:
-    """What a rule handler decides on: the oriented target, its factors, the
-    root g with rep = g³·canon.value(), its form, n and e."""
+    """What a rule handler decides on: the oriented target, the root g with
+    rep = g³·canon.value(), its form, n and e."""
 
     rep: EisensteinInt
-    factored: Factorization
     root: EisensteinInt
     canon: CanonicalM
     n: int
@@ -440,11 +439,10 @@ def classify(
         raise ValueError("scope Q requires a rational target")
 
     rep, (sign, conj) = _orient(m_int)
-    factored = factor(rep)
-    root, canon_rep = split_cubes(factored)
+    root, canon_rep = split_cubes(factor(rep))
     kind, n, e = _shape(canon_rep)
     handler = _rule(kind, n, canon_rep.unit)[-1]
-    verdict = handler(_Case(rep, factored, root, canon_rep, n, e, scope, budget))
+    verdict = handler(_Case(rep, root, canon_rep, n, e, scope, budget))
 
     def back(pair: Pair) -> Pair:
         """A solution for rep as one for m, checked: conjugation if conj,
@@ -484,7 +482,7 @@ def _try_lucas(c: _Case) -> Hit | None:
 
 def _try_box(c: _Case) -> Hit | None:
     hits = search_eisenstein(c.rep, c.budget.coord, c.budget.denom,
-                             stop_at_first_denominator=True, _factored=c.factored)
+                             stop_at_first_denominator=True)
     return ("eisenstein-search", hits[0]) if hits else None
 
 

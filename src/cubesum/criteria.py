@@ -15,8 +15,8 @@ Write p = pi·conj(pi) with pi = 1 mod 3 primary.
 
 A and B are equivalent (again cubic reciprocity).  Each predicate is computed
 once, from its definition: condition (I) and Exceptional B through the cubic
-residue character mod pi, Exceptional A from the associates of pi, with its
-witness read off in closed form and re-checked exactly.  The independent
+residue character mod pi, Exceptional A from pi's w-coordinate mod 9, with
+its witness read off in closed form and re-checked exactly.  The independent
 second paths (the a + b trace shortcut, the 4p = x² + 243y² scan) and cubic
 reciprocity itself are oracles in tests/test_criteria.py.
 """
@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .eisenstein import UNITS, EisensteinInt, format_eisenstein
+from .eisenstein import EisensteinInt, format_eisenstein
 from .factorization import _cubic_char, classify_rational_prime, is_prime, split_prime
 
 
@@ -39,21 +39,19 @@ def condition_I(p: int) -> bool:
 def exceptional_A(p: int) -> tuple[bool, tuple[int, int] | None]:
     """Exceptional A test with witness: (True, (x, y)) when 4p = x² + 243y².
 
-    By definition some associate zeta·pi = a + b·w has 9 | b.  The witness
-    is read off it: 4·N(a + b·w) = (2a - b)² + 3b², so x = |2a - b| and
-    y = |b|/9.  Only ±zeta·pi can have 9 | b (two such associates would put
-    9 | pi), so y is unique.  The witness equation is re-checked exactly
-    (ArithmeticError otherwise, also under python -O).
+    By definition some associate zeta·pi = a + b·w has 9 | b.  The primary
+    pi has 3 | b, while ±w·pi and ±v·pi have b = ±1 mod 3, so only ±pi
+    can: the test is 9 | pi.b.  The witness is read off pi: 4·N(a + b·w) =
+    (2a - b)² + 3b², so x = |2a - b| and y = |b|/9.  The witness equation
+    is re-checked exactly (ArithmeticError otherwise, also under python -O).
     """
     pi, _ = split_prime(p)  # ValueError unless p is a split prime
-    for zeta in UNITS:
-        assoc = zeta * pi
-        if assoc.b % 9 == 0:
-            x, y = abs(2 * assoc.a - assoc.b), abs(assoc.b) // 9
-            if x * x + 243 * y * y != 4 * p:
-                raise ArithmeticError(f"Exceptional A witness ({x}, {y}) fails 4·{p} = x² + 243y²")
-            return True, (x, y)
-    return False, None
+    if pi.b % 9:
+        return False, None
+    x, y = abs(2 * pi.a - pi.b), abs(pi.b) // 9
+    if x * x + 243 * y * y != 4 * p:
+        raise ArithmeticError(f"Exceptional A witness ({x}, {y}) fails 4·{p} = x² + 243y²")
+    return True, (x, y)
 
 
 def exceptional_B(p: int) -> bool:

@@ -261,8 +261,9 @@ def residue_split(x: EisensteinInt, pi: EisensteinInt) -> int:
     multiplication commute with reduction.
     """
     p = pi.norm()
-    if pi.b % p == 0:  # b² <= 4p/3 < p², so b = 0 and pi is rational
-        raise ValueError(f"{pi} is rational, not a split irreducible of norm {p}")
+    # 0 and the units have norm <= 1; else b² <= 4p/3 < p², so p | b means b = 0
+    if p <= 1 or pi.b % p == 0:
+        raise ValueError(f"{pi} is not a split irreducible (norm {p})")
     c = (-pi.a * pow(pi.b, -1, p)) % p
     return (x.a + x.b * c) % p
 

@@ -19,10 +19,11 @@ reach.  Box points have norm <= 3B² for the bound B.  For a hit (ξ, η),
 |ξ² - ξη + η²| <= 9B², so the divisor e = ξ + η of M·d³ has
 N(e) >= N(M)·d⁶/(81B⁴) as well as N(e) <= 12B²: search_eisenstein skips
 every divisor below that floor and stops at the first d whose floor passes
-12B², before factoring it: both divisor searches factor each d only when
-their loop reaches it, memoised per d.  relation_search needs no window:
-it looks each right-hand side up in a table of the box's cubes, built once
-per bound, so one that is no box point's cube costs a single dict lookup.
+12B², so a target past it at d = 1 is never factored.  Both divisor
+searches factor their own target, and each d only when their loop reaches
+it, memoised per d.  relation_search needs no window: it looks each
+right-hand side up in a table of the box's cubes, built once per bound, so
+one that is no box point's cube costs a single dict lookup.
 
 Both K searches work up to the units ±{1, w, v} of Z[w].  A pair (ξ, η)
 sums to e exactly when (ζξ, ζη) sums to ζe, with the same cubes, for a
@@ -63,7 +64,7 @@ from .eisenstein import (
     coordinate_spiral,
     spiral,
 )
-from .factorization import Factorization, factor, factor_int
+from .factorization import factor, factor_int
 
 @dataclass(frozen=True)
 class SearchBudget:
@@ -235,7 +236,6 @@ def search_eisenstein(
     coord_bound: int,
     denom_bound: int,
     stop_at_first_denominator: bool = False,
-    *, _factored: Factorization | None = None,
 ) -> list[tuple[KElement, KElement]]:
     """Solutions of x³ + y³ = m with both numerators in the coordinate box.
 
@@ -251,8 +251,9 @@ def search_eisenstein(
 
     All of this runs on int coordinates, f = m·d³·conj(e)/N(e) by two
     integer divisions; square_roots verifies each root exactly.  m is
-    factored here unless the classifier passes its factors as the private
-    _factored; each d is factored when the loop reaches it, memoised per d.
+    factored once d = 1 passes the window below, so a target no box pair
+    can reach costs no factoring; each d is factored when the loop reaches
+    it, memoised per d.
 
     A hit has |f| = |xi² - xi·eta + eta²| <= 9·bound², so N(f) <= 81·bound⁴
     and N(e) = N(m)·d⁶/N(f) >= N(m)·d⁶/(81·bound⁴): divisors below that
@@ -266,7 +267,6 @@ def search_eisenstein(
     """
     if m.is_zero():
         raise ValueError("target must be nonzero")
-    target = (factor(m) if _factored is None else _factored).factors
     nm, cap, f_cap = m.norm(), 12 * coord_bound**2, 81 * coord_bound**4
     hits: list[tuple[KElement, KElement]] = []
     for d in range(1, denom_bound + 1):
@@ -274,6 +274,8 @@ def search_eisenstein(
         nmd = nm * d**6
         if cap * f_cap < nmd:
             break
+        if d == 1:
+            target = factor(m).factors
         ma, mb = m.a * d**3, m.b * d**3
         for ea, eb, n in _divisors((1, -1), target, _denominator_factors(d), cap):
             if n * f_cap < nmd:

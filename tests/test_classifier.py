@@ -441,9 +441,8 @@ ATTEMPT_ORDER = {
 @pytest.mark.parametrize("target, scope", list(ATTEMPT_ORDER), ids=str)
 def test_search_attempt_order(search_log, target, scope):
     rep = EisensteinInt(target) if isinstance(target, int) else target
-    factored = factor(rep)
-    root, canon = split_cubes(factored)
-    case = classifier._Case(rep, factored, root, canon, 1, 1, scope, SearchBudget())
+    root, canon = split_cubes(factor(rep))
+    case = classifier._Case(rep, root, canon, 1, 1, scope, SearchBudget())
     for first, expected in ATTEMPT_ORDER[(target, scope)].items():
         search_log.clear()
         verdict = case.search("reason", first and getattr(classifier, f"_try_{first}"))
@@ -570,15 +569,21 @@ def test_one_cube_split_per_classify(split_calls):
     assert {match_rule(canonicalize(t)) for t in rooted} == set(rooted.values())
 
 
-def test_box_search_factors_each_denominator_once(factor_calls):
-    # the default budget reaches every d <= 50, each factored once; the target
-    # is never factored again
+def test_box_search_factors_each_denominator_once(factor_calls, monkeypatch):
+    # the default budget reaches every d <= 50, each factored once; each box
+    # search factors its own target once, as classify does
     search._denominator_factors.cache_clear()
+    searched = []
+    monkeypatch.setattr(classifier, "search_eisenstein",
+                        lambda m, *args, real=search_eisenstein, **kw:
+                        searched.append(m) or real(m, *args, **kw))
     targets = [E(a, b) for a in range(-5, 6) for b in range(-5, 6) if a or b]
     verdicts = [classify(t, "K") for t in targets]
     assert "eisenstein-search" in {v.rule for v in verdicts}
-    assert Counter(name for name, _ in factor_calls) == {"classifier": len(targets), "search": 50}
-    assert [x for name, x in factor_calls if name == "search"] == [E(d) for d in range(1, 51)]
+    assert Counter(name for name, _ in factor_calls) == {
+        "classifier": len(targets), "search": 50 + len(searched)}
+    assert Counter(x for name, x in factor_calls if name == "search") == (
+        Counter(searched) + Counter(E(d) for d in range(1, 51)))
 
 
 def test_public_box_search_factors_its_target(factor_calls):
@@ -590,9 +595,6 @@ def test_public_box_search_factors_its_target(factor_calls):
     factor_calls.clear()
     assert search_eisenstein(m, 4, 3) == first
     assert factor_calls == [("search", m)]
-    factor_calls.clear()
-    assert search_eisenstein(m, 4, 3, _factored=factorization.factor(m)) == first
-    assert factor_calls == [("factorization", m)]
 
     # 12⁶ <= 12·4²·81·4⁴ < 13⁶: past d = 12 even a unit target fails the
     # window, which stops the loop before d = 13 is factored; d <= 3 are memoised

@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from cubesum import cli
+from cubesum import cli, search
 from cubesum.cli import main
 
 
@@ -252,6 +252,14 @@ class TestSearch:
     def test_empty_exits_2(self, capsys):
         code, out, err = run(capsys, "search", "5", "--budget-denom", "10")
         assert code == 2 and out == ""
+
+    def test_target_past_the_window_is_not_factored(self, capsys, monkeypatch):
+        # norm about 1.1e30, the product of two 16-digit split primes: far
+        # past the default box's norm window, so the search ends unfactored
+        monkeypatch.setattr(search, "factor", lambda m: pytest.fail(f"factored {m}"))
+        code, out, err = run(capsys, "search", "110093519217817+1099512921229224*w")
+        assert code == 2 and out == ""
+        assert "no solutions within the budget" in err
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -216,8 +216,9 @@ class TestResidueSplit:
             assert residue_split(ONE, pi) == 1
 
     def test_rational_pi_rejected(self):
-        # N(pi) = p and p | pi.b force pi.b = 0: a caller's bad argument
-        for pi in (E(2), E(3)):
+        # N(pi) = p and p | pi.b force pi.b = 0, and 0 and the units have
+        # N(pi) <= 1: a caller's bad argument
+        for pi in (E(2), E(3), W, -ONE, E(0, 0)):
             for x in (ONE, W, E(5, 7)):
                 with pytest.raises(ValueError, match="not a split irreducible"):
                     residue_split(x, pi)

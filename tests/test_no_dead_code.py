@@ -2,7 +2,8 @@
 src/cubesum is used by the program, is public (in cubesum.__all__), or is a
 name the benchmark's tracer wraps (perfbench/tracer.py SPANNED, AGGREGATED).
 A use is a name or an attribute in some module's code; an import alone is
-not a use."""
+not a use.  And no private plumbing through the public surface: no public
+function takes a parameter whose name starts with an underscore."""
 
 import ast
 from pathlib import Path
@@ -24,9 +25,13 @@ def _traced() -> set[tuple[str, str]]:
     return {tuple(dotted.split(".")) for group in names for dotted in group}
 
 
+def _trees() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(SRC.glob("*.py"))}
+
+
 def _dead() -> list[str]:
-    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(SRC.glob("*.py"))}
+    trees = _trees()
     used = {node.id if isinstance(node, ast.Name) else node.attr
             for tree in trees.values() for node in ast.walk(tree)
             if isinstance(node, ast.Attribute)
@@ -41,3 +46,17 @@ def _dead() -> list[str]:
 
 def test_every_top_level_definition_is_used():
     assert _dead() == []
+
+
+def _private_parameters() -> list[str]:
+    """Each parameter named _x of a top-level function in cubesum.__all__."""
+    return [f"{module}.py:{node.lineno}: {node.name}({arg.arg})"
+            for module, tree in _trees().items() for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name in cubesum.__all__
+            for arg in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs,
+                        node.args.vararg, node.args.kwarg)
+            if arg is not None and arg.arg.startswith("_")]
+
+
+def test_no_public_function_takes_a_private_parameter():
+    assert _private_parameters() == []

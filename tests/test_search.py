@@ -945,6 +945,13 @@ def test_denominators_factored_as_the_loop_reaches_them(monkeypatch, run):
     assert log == ["factor", "factor", "divisors", "factor"]
 
 
+def test_window_tested_before_the_target_is_factored(monkeypatch):
+    # N(40) = 1600 > 12·1²·81·1⁴ = 972: no d passes the window, so the
+    # search returns without factoring its target
+    monkeypatch.setattr(search, "factor", lambda m: pytest.fail(f"factored {m}"))
+    assert search_eisenstein(EisensteinInt(40, 0), 1, 50) == []
+
+
 class TestFlt3:
     def test_empty_small(self):
         assert flt3_exhaust(1) == []
