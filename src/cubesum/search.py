@@ -11,7 +11,10 @@ which cube_ap_exhaust reads off search_rational(2, bound).
     in a whose discriminant is tested for squareness.  No numerator box, so
     spread witnesses like 17 = (18/7)³ - (1/7)³ appear at tiny budgets.
   * search_eisenstein: the same divisor search in Z[w], complete inside a
-    coordinate box per denominator; an empty result proves nothing.
+    coordinate box per denominator; an empty result proves nothing.  For
+    f = M·d³/e the quadratic gives ξ = (e ± √((4f - e²)/3))/2, and since a
+    hit has 4f - e² = 3(ξ - η)², a divisor e is skipped unless 3 divides
+    both coordinates of 4f - e².
   * relation_search: first (r, s, t) with w·r³ + v·s³ + M·t³ = 0.
 
 search_eisenstein skips, by an exact norm window, what no box point can
@@ -241,8 +244,10 @@ def search_eisenstein(
 
     search_rational's divisor search in Z[w]: e = xi + eta runs over the
     divisors of m·d³ of norm <= 12·bound² (box points have norm <= 3·bound²),
-    f = m·d³/e and xi = (3e ± √(12f - 3e²))/6; filtered to the box, this is
+    f = m·d³/e and xi = (e ± √((4f - e²)/3))/2; filtered to the box, this is
     the naive double box scan, complete inside the box per denominator.
+    A hit has 4f - e² = 3(xi - eta)², so a divisor e for which 3 does not
+    divide both coordinates of 4f - e² is skipped before any square root.
 
     The quadratic is solved once per orbit {e, w·e, v·e}: e runs over the
     divisors times ±1 only, and each root (xi, eta) for e gives the roots
@@ -285,13 +290,16 @@ def search_eisenstein(
             fb, rb = divmod(mb * ea - ma * eb, n)
             if ra or rb:
                 raise ArithmeticError(f"{EisensteinInt(ea, eb)} does not divide {m}·{d}³")
-            # 12f - 3e², with e² = (ea² - eb²) + (2·ea - eb)·eb·w
-            for s in square_roots(EisensteinInt(12 * fa - 3 * (ea * ea - eb * eb),
-                                                12 * fb - 3 * (2 * ea - eb) * eb)):
-                na, nb = 3 * ea + s.a, 3 * eb + s.b
-                if na % 6 or nb % 6:
+            # a hit has 4f - e² = 3r² with r = xi - eta,
+            # where e² = (ea² - eb²) + (2·ea - eb)·eb·w
+            za, zb = 4 * fa - (ea * ea - eb * eb), 4 * fb - (2 * ea - eb) * eb
+            if za % 3 or zb % 3:
+                continue
+            for r in square_roots(EisensteinInt(za // 3, zb // 3)):
+                na, nb = ea + r.a, eb + r.b
+                if na % 2 or nb % 2:
                     continue
-                ua, ub = na // 6, nb // 6
+                ua, ub = na // 2, nb // 2
                 va, vb = ea - ua, eb - ub
                 if gcd(ua, ub, va, vb, d) != 1:
                     continue

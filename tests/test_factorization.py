@@ -6,12 +6,14 @@ import random
 import subprocess
 import sys
 import time
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 
+from cubesum import factorization
 from cubesum.eisenstein import BETA, EisensteinInt, ONE, UNITS, W, canonical_associate, is_primary
 from cubesum.factorization import (
+    _pollard_rho,
     classify_rational_prime,
     factor,
     factor_int,
@@ -65,6 +67,94 @@ class TestFactorInt:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             factor_int(0)
+
+
+def pollard_rho_floyd(n):
+    """Pollard rho before Brent's variant, kept as an oracle: Floyd's cycle
+    search, one gcd per step."""
+    for c in range(1, 50):
+        x = y = 2
+        d = 1
+        while d == 1:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            d = gcd(x - y, n)
+        if d != n:
+            return d
+    raise ArithmeticError(f"rho failed on {n}")
+
+
+def factor_int_floyd(n):
+    """factor_int before Brent's rho, kept as an oracle: trial division by
+    every integer below 1000, then Floyd's rho."""
+    out = {}
+    for p in range(2, 1000):
+        if p * p > n:
+            break
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if is_prime(m):
+            out[m] = out.get(m, 0) + 1
+            continue
+        d = pollard_rho_floyd(m)
+        stack += [d, m // d]
+    return dict(sorted(out.items()))
+
+
+def _primes(rng, lo, hi, count):
+    out = []
+    while len(out) < count:
+        p = rng.randrange(lo, hi)
+        if is_prime(p):
+            out.append(p)
+    return out
+
+
+# 1009·1049 and 1013·1019 close their cycle inside one batch of 128 steps
+SMALL_PRODUCTS = (1009 * 1049, 1013 * 1019)
+
+
+class TestBrentRho:
+    """Brent's rho against the Floyd loop it replaced, on a seeded corpus."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        rng = random.Random(27)
+        large = _primes(rng, 10**8, 10**9, 3)  # theorems-large's primes
+        mid = _primes(rng, 1000, 10**6, 6)
+        composites = [p * p for p in large]
+        composites += [p * q for p, q in zip(mid[::2], mid[1::2])]
+        composites += [p * p * q for p, q in zip(mid[1::2], mid[::2])]
+        composites += [p**3 for p in mid[:2]]
+        composites += SMALL_PRODUCTS
+        norms = [k * p * p for p in large for k in (9, 3)]  # and p², above
+        return composites, norms
+
+    def test_factor_int_matches_floyd(self, corpus):
+        composites, norms = corpus
+        for n in composites + norms:
+            assert factor_int(n) == factor_int_floyd(n), n
+
+    def test_rho_returns_a_proper_divisor(self, corpus):
+        composites, _ = corpus
+        for n in composites:
+            d = _pollard_rho(n)
+            assert 1 < d < n and n % d == 0, (n, d)
+
+    @pytest.mark.parametrize("n", SMALL_PRODUCTS)
+    def test_batch_meeting_n_is_replayed(self, monkeypatch, n):
+        seen = []
+        monkeypatch.setattr(factorization, "gcd", lambda a, b: seen.append(gcd(a, b)) or seen[-1])
+        batched = _pollard_rho(n)
+        assert n in seen  # a batch's gcd met n, so the replay ran
+        # one gcd per step finds the replay's factor, with the same c
+        monkeypatch.setattr(factorization, "_RHO_BATCH", 1)
+        assert _pollard_rho(n) == batched
 
 
 class TestClassifyRationalPrime:

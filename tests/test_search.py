@@ -725,11 +725,12 @@ class TestSearchEisenstein:
         assert found > 50
 
     def test_one_quadratic_per_divisor_orbit(self, monkeypatch):
-        # the six-unit loop made 624 square_roots calls here
+        # the six-unit loop made 624 square_roots calls here, and one
+        # quadratic per orbit made 208 before the mod-3 test on 4f - e²
         calls = []
         monkeypatch.setattr(search, "square_roots", lambda z: calls.append(z) or square_roots(z))
         assert search_eisenstein(E(0, 18), 30, 5)
-        assert len(calls) == 208
+        assert len(calls) == 104
 
     def test_stop_at_first_denominator_keeps_leading_hit(self):
         full = search_eisenstein(E(9), 4, 3)
@@ -897,9 +898,10 @@ class TestNormWindows:
         assert len(calls) == 2
 
     def test_classify_root_calls(self, monkeypatch):
-        # classify over |a|, |b| <= 5 at the default budget: 45100
-        # square_roots calls and no cube_roots call.  Without the divisor
-        # window it made 73636 square_roots calls; the relation search made
+        # classify over |a|, |b| <= 5 at the default budget: 15472
+        # square_roots calls and no cube_roots call.  Without the mod-3 test
+        # on 4f - e² it made 45100 square_roots calls, and without the divisor
+        # window 73636; the relation search made
         # 68486 cube_roots calls before its cube table, 74994 before its
         # right-hand-side window.
         calls = Counter()
@@ -912,7 +914,7 @@ class TestNormWindows:
             for b in range(-5, 6):
                 if a or b:
                     classify(E(a, b), "K", SearchBudget())
-        assert calls == Counter(square_roots=45100), calls
+        assert calls == Counter(square_roots=15472), calls
 
 
 class _StopFactoring(Exception):
