@@ -8,8 +8,9 @@ which cube_ap_exhaust reads off search_rational(2, bound).
   * search_rational: complete per denominator.  For x = a/d, y = b/d the
     sum a³ + b³ = M·d³ factors as (a+b)(a² - ab + b²), so a + b runs over
     the divisors e of M·d³ with |e|³ <= 4|M|d³, each leaving one quadratic
-    in a whose discriminant is tested for squareness.  No numerator box, so
-    spread witnesses like 17 = (18/7)³ - (1/7)³ appear at tiny budgets.
+    in a whose discriminant is tested for squareness; the two factors share
+    no prime but 3 and those of gcd(a, b), which prunes e.  No numerator
+    box, so spread witnesses like 17 = (18/7)³ - (1/7)³ appear at tiny budgets.
   * search_eisenstein: the same divisor search in Z[w], complete inside a
     coordinate box per denominator; an empty result proves nothing.  For
     f = M·d³/e the quadratic gives ξ = (e ± √((4f - e²)/3))/2, and since a
@@ -43,8 +44,9 @@ classifier, passes one exact check, check_solution, which raises even
 under python -O.
 
 Every integer cube test (cube_roots' norm test, the Lucas scan) goes
-through _exact_icbrt, which cubes the floor cube root _icbrt that also
-caps search_rational's divisors, and no float is used.
+through _exact_icbrt: residues mod 819 and 703 sieve out most non-cubes,
+then it cubes the floor cube root _icbrt that also caps search_rational's
+divisors, and no float is used.
 Boxes are over the {w, v} coordinates; hit lists are ordered by
 denominator ascending, then numerators descending lexicographically, so
 identical budgets always yield identical ordered results regardless of how
@@ -83,8 +85,9 @@ class SearchBudget:
             raise ValueError("budget bounds must be >= 1")
 
 
-# a cube is one of these 45 residues mod 819 = 7·9·13
+# a cube is one of these 45 residues mod 819 = 7·9·13 and 91 mod 703 = 19·37
 _CUBES_MOD_819 = frozenset(k**3 % 819 for k in range(819))
+_CUBES_MOD_703 = frozenset(k**3 % 703 for k in range(703))
 
 
 def _icbrt(a: int) -> int:
@@ -99,8 +102,9 @@ def _icbrt(a: int) -> int:
 
 def _exact_icbrt(n: int) -> int | None:
     """The integer k with k³ = n, or None when n is not a cube: the residue
-    test mod 819 turns most non-cubes away, the rest cube _icbrt(|n|)."""
-    if n % 819 not in _CUBES_MOD_819:
+    tests mod 819 and 703 pass 45·91 residues of 819·703, about 1 in 141,
+    and turn most non-cubes away; the rest cube _icbrt(|n|)."""
+    if n % 819 not in _CUBES_MOD_819 or n % 703 not in _CUBES_MOD_703:
         return None
     k = _icbrt(abs(n))
     if k**3 != abs(n):
@@ -182,11 +186,16 @@ def witness_sort_key(pair: tuple[KElement, KElement]):
     return (d, -x.num.a * sx, -x.num.b * sx, -y.num.a * sy, -y.num.b * sy)
 
 
-def _divisors(signs, target, denom, cap):
+def _divisors(signs, target, denom, cap, primitive=False):
     """The divisors u·∏ q^k of target·denom³ of norm at most cap, u = ±1 in
     signs, each once by unique factorization, as int triples (a, b, N(a + b·w));
     target and denom are (prime, exponent) pairs over Z or Z[w].  Each caller
-    takes cap from its equation; norms only grow, so partial products stop there."""
+    takes cap from its equation; norms only grow, so partial products stop there.
+
+    With primitive, for rational primes, only the e = a + b of a primitive
+    a³ + b³ = target·d³ are listed.  gcd(e, a² - ab + b²) divides 3·gcd(a, b)²,
+    so a prime q != 3 with v = v_q(target·d³) and j = v_q(gcd(a, b)) has
+    v_q(e) = j or v - 2j, 3j <= v; gcd(a, b, d) = 1 makes j = 0 when q | d."""
     exponents = dict(target)
     for q, k in denom:
         exponents[q] = exponents.get(q, 0) + 3 * k
@@ -198,6 +207,9 @@ def _divisors(signs, target, denom, cap):
         for _ in range(top):
             a, b, n = powers[-1]
             powers.append((a * qa - b * qb, a * qb + b * qa - b * qb, n * nq))
+        if primitive and q != 3:
+            js = (0,) if q in dict(denom) else range(top // 3 + 1)
+            powers = [powers[k] for k in sorted({k for j in js for k in (j, top - 2 * j)})]
         divs = [(a * pa - b * pb, a * pb + b * pa - b * pb, n * pn)
                 for a, b, n in divs for pa, pb, pn in powers
                 if n * pn <= cap]
@@ -213,6 +225,7 @@ def search_rational(m: int, denom_bound: int) -> list[tuple[KElement, KElement]]
     For e = a + b, f = a² - ab + b² = m·d³/e >= e²/4 gives |e|³ <= 4|m|d³,
     the cap _divisors stops at, so 12f - 3e² >= 0 (else isqrt raises); its
     root s = 3t with e² + 3t² = 4f, so e ≡ t mod 2 and 6 divides 3e ± s.
+    _divisors lists only the e that a hit with gcd(a, b, d) = 1 can have.
     """
     if m == 0:
         raise ValueError("target must be nonzero")
@@ -222,7 +235,9 @@ def search_rational(m: int, denom_bound: int) -> list[tuple[KElement, KElement]]
     hits: set[tuple[KElement, KElement]] = set()
     for d in range(1, denom_bound + 1):
         n = m * d**3
-        for e, _, _ in _divisors(sign, target, _integer_factors(d), _icbrt(4 * abs(n)) ** 2):
+        factors = (_integer_factors if d <= 1024 else _integer_factors.__wrapped__)(d)
+        # primitive = True: only the exponents a primitive a + b can have
+        for e, _, _ in _divisors(sign, target, factors, _icbrt(4 * abs(n)) ** 2, True):
             disc = 12 * (n // e) - 3 * e * e
             s = isqrt(disc)
             if s * s != disc:
@@ -282,7 +297,8 @@ def search_eisenstein(
         if d == 1:
             target = factor(m).factors
         ma, mb = m.a * d**3, m.b * d**3
-        for ea, eb, n in _divisors((1, -1), target, _denominator_factors(d), cap):
+        factors = (_denominator_factors if d <= 1024 else _denominator_factors.__wrapped__)(d)
+        for ea, eb, n in _divisors((1, -1), target, factors, cap):
             if n * f_cap < nmd:
                 continue
             # f = m·d³/e = m·d³·conj(e)/N(e), as in eisenstein._exact_quotient
@@ -316,13 +332,15 @@ def search_eisenstein(
     return sorted(hits, key=witness_sort_key)
 
 
+# The searches memoise d <= 1024 (cube_ap_exhaust's d <= 1000) and call __wrapped__
+# above: a d loop longer than the memo would evict each d before its reuse.
 @lru_cache(maxsize=1024)
 def _denominator_factors(d: int) -> tuple[tuple[EisensteinInt, int], ...]:
     """The Z[w] factors of the rational integer d, memoised per d."""
     return factor(EisensteinInt(d, 0)).factors
 
 
-@lru_cache(maxsize=1024)  # every d up to cube_ap_exhaust's 1000
+@lru_cache(maxsize=1024)
 def _integer_factors(d: int) -> tuple[tuple[int, int], ...]:
     """The prime factors of the integer d, memoised per d."""
     return tuple(factor_int(d).items())

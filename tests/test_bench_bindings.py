@@ -70,3 +70,20 @@ def test_grid_sample_matches_frozen_reference():
             if record != reference[workload][key]:
                 mismatches.append((workload, key, record))
     assert (checked, mismatches) == (104, [])
+
+
+def test_grid_q_searches_match_frozen_reference():
+    # every grid-q target the frozen reference decides by a rational search
+    # or a Lucas construction, and every 10th Unknown, whose searches run
+    # to the end of their budget: the witness searches' denser check
+    grid_q = json.loads((PERFBENCH / "reference.json").read_text())["grid-q"]
+    found = [key for key, record in grid_q.items()
+             if record[1] in ("rational-search", "Lucas-construction")]
+    keys = found + [key for key, record in grid_q.items() if record[0] == "Unknown"][::10]
+    mismatches = []
+    for key in keys:
+        v = classify(EisensteinInt(*map(int, key.split(","))), "Q", SearchBudget())
+        witness = None if v.witness is None else [_k(v.witness[0]), _k(v.witness[1])]
+        if [v.status, v.rule, witness] != grid_q[key][:3]:
+            mismatches.append((key, v.status, v.rule, witness))
+    assert (len(found), mismatches) == (297, [])

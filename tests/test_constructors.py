@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from cubesum import constructors
+from cubesum import constructors, search
 from cubesum.constructors import (
     DescentTerminal,
     Triple,
@@ -402,6 +402,34 @@ class TestLucasTripleSearch:
         for m in range(-40, 41):
             if m:
                 assert lucas_triple_search(m, 16) == fraction_scan(m, 16), m
+
+
+def _one_modulus_lucas_triple_search(m: int, bound: int):
+    """lucas_triple_search with the cube test it had before the mod-703
+    sieve, residues mod 819 and then _icbrt, kept as an oracle."""
+    for s in range(2, 2 * bound + 1):
+        for abs_a in range(max(1, s - bound), min(s - 1, bound) + 1):
+            abs_b = s - abs_a
+            for a in (-abs_a, abs_a):
+                for b in (-abs_b, abs_b):
+                    n = abs(a * b * (-a - b) * m * m)
+                    if n and n % 819 in search._CUBES_MOD_819 and search._icbrt(n) ** 3 == n:
+                        return a, b
+    return None
+
+
+@pytest.mark.parametrize("targets, bound", [
+    (range(-400, 401), 1), (range(-400, 401), 3), (range(-400, 401), 7),
+    (random.Random(28).sample(range(1, 401), 4), 100),
+])
+def test_lucas_scan_matches_one_modulus_oracle(targets, bound):
+    found = 0
+    for m in targets:
+        if m:
+            got = lucas_triple_search(m, bound)
+            assert got == _one_modulus_lucas_triple_search(m, bound), m
+            found += got is not None
+    assert found
 
 
 @pytest.mark.parametrize("call, message", [

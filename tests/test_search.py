@@ -117,6 +117,17 @@ class TestIcbrt:
         for k in range(-3000, 3001):
             assert _exact_icbrt(k**3) == k
 
+    def test_sieve_matches_plain_cube_test(self):
+        # the residue tests mod 819 and 703 must turn no cube away
+        def plain(n):
+            k = search._icbrt(abs(n))
+            return None if k**3 != abs(n) else k if n >= 0 else -k
+
+        ns = list(range(-10**5, 10**5 + 1)) + _around_cubes(range(10**4))
+        ns += [s * (c + e) for c in (2**53, 10**30) for e in range(-500, 501) for s in (1, -1)]
+        ns += _around_cubes((208063, 208064, 10**10 - 1, 10**10, 10**10 + 1))
+        assert [n for n in ns if _exact_icbrt(n) != plain(n)] == []
+
     def test_lucas_shaped(self):
         # n = a·b·c·m² as lucas_triple_search builds it, nonzero cubes among them
         rng = random.Random(7)
@@ -312,9 +323,10 @@ def test_roots_verified_without_assert():
 
 def test_search_hits_verified_without_assert():
     """A hit that does not sum to the target raises under python -O: a
-    wrong square root in the Eisenstein search, a factorization with a
-    non-divisor in the rational search (e = 2 against 9 leaves f = 9 // 2
-    = 4, and the square 12·4 - 3·2² = 6² gives the pair (2, 0)), and a
+    wrong square root in the Eisenstein search, a factorization of the
+    target 9 with a non-divisor in the rational search (e = 2 against 9
+    leaves f = 9 // 2 = 4, and the square 12·4 - 3·2² = 6² gives the pair
+    (2, 0); d = 1 keeps its empty factorization, so 2 is no prime of d), and a
     wrong s planted in the relation search's cube table: s = 1 under every
     right-hand side s³ = -v·r³ - w·3·t³ of the first class r."""
     code = (
@@ -322,7 +334,7 @@ def test_search_hits_verified_without_assert():
         "from cubesum.eisenstein import EisensteinInt as E, spiral\n"
         "assert False, 'asserts must be stripped'\n"
         "search.square_roots = lambda z: [E(3)]\n"
-        "search.factor_int = lambda n: {2: 1}\n"
+        "search.factor_int = lambda n: {2: 1} if n == 9 else {}\n"
         "classes, roots = search._box_cubes(2)\n"
         "_, _, ca, cb = classes[0]\n"
         "roots.update({(ca - cb, ca - 3 * t**3): (1, 0) for t in spiral(2)})\n"
@@ -404,6 +416,25 @@ def naive_rational_search(m: int, denom_bound: int):
     return hits
 
 
+def _unpruned_search_rational(m: int, denom_bound: int):
+    """search_rational before its divisor list kept only the exponents a
+    primitive a + b can have, kept as an oracle: every divisor of m·d³
+    under the cap is tried."""
+    target = factor_int(m).items()
+    hits = set()
+    for d in range(1, denom_bound + 1):
+        n = m * d**3
+        cap = search._icbrt(4 * abs(n)) ** 2
+        for e, _, _ in _divisors((1 if m > 0 else -1,), target, factor_int(d).items(), cap):
+            disc = 12 * (n // e) - 3 * e * e
+            s = isqrt(disc)
+            if s * s == disc:
+                for a in ((3 * e + s) // 6, (3 * e - s) // 6):
+                    if gcd(a, e - a, d) == 1:
+                        hits.add((K(a, d), K(e - a, d)))
+    return sorted(hits, key=witness_sort_key)
+
+
 class TestSearchRational:
     def test_seven(self):
         hits = {(str(x), str(y)) for x, y in search_rational(7, 5)}
@@ -435,6 +466,23 @@ class TestSearchRational:
     def test_zero_target_rejected(self):
         with pytest.raises(ValueError):
             search_rational(0, 5)
+
+    @pytest.mark.parametrize("targets, bound", [
+        (range(-1500, 1501), 12),
+        (range(-300, 301), 30),
+        ([k * c**3 for k in (1, 2, 3, 7, 9, 17, 19, 37, 65, 91) for c in (2, 3, 5, 6, 7, 10)], 12),
+    ], ids=["1500-at-12", "300-at-30", "k-times-cubes"])
+    def test_pruned_divisors_match_unpruned(self, targets, bound):
+        # the primitive exponents of a + b lose no hit: 3 keeps every
+        # exponent, and a prime of m alone takes j = v(gcd(a, b)) >= 1,
+        # as 56 = 4³ + (-2)³ does with e = 2
+        found = 0
+        for m in targets:
+            if m:
+                got = search_rational(m, bound)
+                assert got == _unpruned_search_rational(m, bound), m
+                found += bool(got)
+        assert found > 10
 
     def test_cap_edge_hits(self):
         # a = b gives e = 2a and f = a², so |e|³ = 4|m·d³| exactly: the hit
@@ -945,6 +993,18 @@ def test_denominators_factored_as_the_loop_reaches_them(monkeypatch, run):
     with pytest.raises(_StopFactoring):
         run()
     assert log == ["factor", "factor", "divisors", "factor"]
+
+
+def test_memo_keeps_the_small_denominators(monkeypatch):
+    # an LRU memo of 1024 entries under a loop over 2000 d evicts each d
+    # before its reuse; the memo holds d <= 1024, so a second run factors
+    # only its target and the larger d
+    search_rational(7, 2000)
+    factored = []
+    real = search.factor_int
+    monkeypatch.setattr(search, "factor_int", lambda n: factored.append(n) or real(n))
+    search_rational(7, 2000)
+    assert factored == [7, *range(1025, 2001)]
 
 
 def test_window_tested_before_the_target_is_factored(monkeypatch):
