@@ -50,7 +50,7 @@ from .eisenstein import (
     format_eisenstein,
     format_k,
 )
-from .factorization import Factorization, factor, split_cubes
+from .factorization import Factorization, _factor_order, factor, split_cubes
 from .search import (
     SearchBudget,
     check_solution,
@@ -380,7 +380,7 @@ def _conj_class(canon: CanonicalM) -> CanonicalM:
     """The cube class of conj(x) from that of x: conjugation sends beta to
     -beta (-1 is a cube), an inert p to p, pi to pi_bar, and w to v."""
     factors = sorted(((irr if irr == BETA else irr.conj(), e) for irr, e in canon.factors),
-                     key=lambda t: (t[0].norm(), t[0].a, t[0].b))  # Factorization's order
+                     key=_factor_order)
     return Factorization(canon.unit.conj(), tuple(factors))
 
 

@@ -34,11 +34,11 @@ from .eisenstein import (
     valuation,
 )
 
-# The first twelve primes: trial divisors, then Miller-Rabin witnesses.
-# Deterministic Miller-Rabin: this witness set is exact for n < 3.3·10²⁴,
-# far beyond anything this library factors.  Above that it degrades to a
-# (very strong) probabilistic test with the same witnesses.
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first thirteen primes: trial divisors, then Miller-Rabin witnesses,
+# exact below ψ₁₃ = 3317044064679887385961981 ≈ 3.3·10²⁴ (the bases up to 37
+# fail at ψ₁₂ ≈ 3.2·10²³), far beyond anything this library factors; above
+# that, a (very strong) probabilistic test with the same witnesses.
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
@@ -204,6 +204,11 @@ def classify_rational_prime(p: int) -> PrimeClass:
     return PrimeClass(p, tag, *irrs) if tag == "split" else PrimeClass(p, tag)
 
 
+def _factor_order(entry: tuple[EisensteinInt, int]) -> tuple[int, int, int]:
+    """Factorization's order of (irreducible, exponent) entries: (norm, a, b)."""
+    return entry[0].norm(), entry[0].a, entry[0].b
+
+
 @dataclass(frozen=True)
 class Factorization:
     """unit · product of powers of distinguished irreducibles.
@@ -262,7 +267,7 @@ def factor(x: EisensteinInt) -> Factorization:
         factors += [(irr, e) for irr, e in ((irrs[0], j), (irrs[-1], k)) if e]
     if not rest.is_unit():
         raise ArithmeticError(f"leftover {rest} is not a unit")
-    factors.sort(key=lambda t: (t[0].norm(), t[0].a, t[0].b))
+    factors.sort(key=_factor_order)
     f = Factorization(rest, tuple(factors))
     if f.value() != x:
         raise ArithmeticError(f"factorization {f} does not multiply back to {x}")

@@ -24,8 +24,9 @@ reach.  Box points have norm <= 3B² for the bound B.  For a hit (ξ, η),
 N(e) >= N(M)·d⁶/(81B⁴) as well as N(e) <= 12B²: search_eisenstein skips
 every divisor below that floor and stops at the first d whose floor passes
 12B², so a target past it at d = 1 is never factored.  Both divisor
-searches factor their own target, and each d only when their loop reaches
-it, memoised per d.  relation_search needs no window: it looks each
+searches factor their own target, and each d over Z when their loop
+reaches it, in one shared memo of the last 1024 d; the box search reads
+d's Z[w] primes off those.  relation_search needs no window: it looks each
 right-hand side up in a table of the box's cubes, built once per bound, so
 one that is no box point's cube costs a single dict lookup.
 
@@ -69,7 +70,7 @@ from .eisenstein import (
     coordinate_spiral,
     spiral,
 )
-from .factorization import factor, factor_int
+from .factorization import _above, factor, factor_int
 
 @dataclass(frozen=True)
 class SearchBudget:
@@ -189,8 +190,9 @@ def witness_sort_key(pair: tuple[KElement, KElement]):
 def _divisors(signs, target, denom, cap, primitive=False):
     """The divisors u·∏ q^k of target·denom³ of norm at most cap, u = ±1 in
     signs, each once by unique factorization, as int triples (a, b, N(a + b·w));
-    target and denom are (prime, exponent) pairs over Z or Z[w].  Each caller
-    takes cap from its equation; norms only grow, so partial products stop there.
+    target and denom are (prime, exponent) pairs over Z or Z[w], denom d's
+    from the memo over Z.  Each caller takes cap from its equation; norms
+    only grow, so partial products stop there.
 
     With primitive, for rational primes, only the e = a + b of a primitive
     a³ + b³ = target·d³ are listed.  gcd(e, a² - ab + b²) divides 3·gcd(a, b)²,
@@ -235,9 +237,8 @@ def search_rational(m: int, denom_bound: int) -> list[tuple[KElement, KElement]]
     hits: set[tuple[KElement, KElement]] = set()
     for d in range(1, denom_bound + 1):
         n = m * d**3
-        factors = (_integer_factors if d <= 1024 else _integer_factors.__wrapped__)(d)
         # primitive = True: only the exponents a primitive a + b can have
-        for e, _, _ in _divisors(sign, target, factors, _icbrt(4 * abs(n)) ** 2, True):
+        for e, _, _ in _divisors(sign, target, _integer_factors(d), _icbrt(4 * abs(n)) ** 2, True):
             disc = 12 * (n // e) - 3 * e * e
             s = isqrt(disc)
             if s * s != disc:
@@ -272,8 +273,8 @@ def search_eisenstein(
     All of this runs on int coordinates, f = m·d³·conj(e)/N(e) by two
     integer divisions; square_roots verifies each root exactly.  m is
     factored once d = 1 passes the window below, so a target no box pair
-    can reach costs no factoring; each d is factored when the loop reaches
-    it, memoised per d.
+    can reach costs no factoring; each d, factored over Z when the loop
+    reaches it, is lifted by _above: 3 = -beta², p inert, p = pi·pi_bar.
 
     A hit has |f| = |xi² - xi·eta + eta²| <= 9·bound², so N(f) <= 81·bound⁴
     and N(e) = N(m)·d⁶/N(f) >= N(m)·d⁶/(81·bound⁴): divisors below that
@@ -297,7 +298,8 @@ def search_eisenstein(
         if d == 1:
             target = factor(m).factors
         ma, mb = m.a * d**3, m.b * d**3
-        factors = (_denominator_factors if d <= 1024 else _denominator_factors.__wrapped__)(d)
+        factors = [(irr, 2 * k if p == 3 else k)
+                   for p, k in _integer_factors(d) for irr in _above(p)[1]]
         for ea, eb, n in _divisors((1, -1), target, factors, cap):
             if n * f_cap < nmd:
                 continue
@@ -332,17 +334,9 @@ def search_eisenstein(
     return sorted(hits, key=witness_sort_key)
 
 
-# The searches memoise d <= 1024 (cube_ap_exhaust's d <= 1000) and call __wrapped__
-# above: a d loop longer than the memo would evict each d before its reuse.
-@lru_cache(maxsize=1024)
-def _denominator_factors(d: int) -> tuple[tuple[EisensteinInt, int], ...]:
-    """The Z[w] factors of the rational integer d, memoised per d."""
-    return factor(EisensteinInt(d, 0)).factors
-
-
 @lru_cache(maxsize=1024)
 def _integer_factors(d: int) -> tuple[tuple[int, int], ...]:
-    """The prime factors of the integer d, memoised per d."""
+    """The prime factors of the integer d, memoised per d for both searches."""
     return tuple(factor_int(d).items())
 
 

@@ -569,10 +569,21 @@ def test_one_cube_split_per_classify(split_calls):
     assert {match_rule(canonicalize(t)) for t in rooted} == set(rooted.values())
 
 
-def test_box_search_factors_each_denominator_once(factor_calls, monkeypatch):
-    # the default budget reaches every d <= 50, each factored once; each box
-    # search factors its own target once, as classify does
-    search._denominator_factors.cache_clear()
+@pytest.fixture
+def factor_int_calls(monkeypatch):
+    """Every factor_int call at search's name for it: the searches' targets
+    over Z and each denominator d."""
+    search._integer_factors.cache_clear()
+    calls = []
+    monkeypatch.setattr(search, "factor_int",
+                        lambda n, real=search.factor_int: calls.append(n) or real(n))
+    return calls
+
+
+def test_box_search_factors_each_denominator_once(factor_calls, factor_int_calls, monkeypatch):
+    # the default budget reaches every d <= 50, each factored over Z once,
+    # in loop order; each box search factors its own target once, as
+    # classify does
     searched = []
     monkeypatch.setattr(classifier, "search_eisenstein",
                         lambda m, *args, real=search_eisenstein, **kw:
@@ -581,23 +592,27 @@ def test_box_search_factors_each_denominator_once(factor_calls, monkeypatch):
     verdicts = [classify(t, "K") for t in targets]
     assert "eisenstein-search" in {v.rule for v in verdicts}
     assert Counter(name for name, _ in factor_calls) == {
-        "classifier": len(targets), "search": 50 + len(searched)}
-    assert Counter(x for name, x in factor_calls if name == "search") == (
-        Counter(searched) + Counter(E(d) for d in range(1, 51)))
+        "classifier": len(targets), "search": len(searched)}
+    assert Counter(x for name, x in factor_calls if name == "search") == Counter(searched)
+    assert factor_int_calls == list(range(1, 51))
 
 
-def test_public_box_search_factors_its_target(factor_calls):
-    search._denominator_factors.cache_clear()
+def test_public_box_search_factors_its_target(factor_calls, factor_int_calls):
     m = E(2, 5)
     first = search_eisenstein(m, 4, 3)
-    # each d the loop reaches is factored there, once
-    assert factor_calls == [("search", m)] + [("search", E(d)) for d in (1, 2, 3)]
+    # factor runs on the target only; each d the loop reaches is factored
+    # over Z there, once
+    assert factor_calls == [("search", m)]
+    assert factor_int_calls == [1, 2, 3]
     factor_calls.clear()
+    factor_int_calls.clear()
     assert search_eisenstein(m, 4, 3) == first
     assert factor_calls == [("search", m)]
+    assert factor_int_calls == []
 
     # 12⁶ <= 12·4²·81·4⁴ < 13⁶: past d = 12 even a unit target fails the
     # window, which stops the loop before d = 13 is factored; d <= 3 are memoised
     factor_calls.clear()
     search_eisenstein(W, 4, 50)
-    assert factor_calls == [("search", W)] + [("search", E(d)) for d in range(4, 13)]
+    assert factor_calls == [("search", W)]
+    assert factor_int_calls == list(range(4, 13))

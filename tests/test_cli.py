@@ -190,6 +190,14 @@ class TestSplitPrimeAndReport:
         code, _, err = run(capsys, "split-prime", "6")
         assert code == 1 and "prime" in err
 
+    @pytest.mark.parametrize("command", ["split-prime", "report"])
+    def test_strong_pseudoprime_is_not_prime(self, capsys, command):
+        # 399165290221·798330580441 passes Miller-Rabin to every base up to 37
+        psi_12 = "318665857834031151167461"
+        code, out, err = run(capsys, command, psi_12)
+        assert code == 1 and out == ""
+        assert err.strip() == f"cubesum: error: {psi_12} is not prime"
+
     def test_report_json(self, capsys):
         code, out, _ = run(capsys, "report", "61", "--json")
         doc = json.loads(out)

@@ -51,6 +51,14 @@ class TestIsPrime:
         assert is_prime(10**12 + 39)
         assert not is_prime(10**12 + 37)
 
+    def test_strong_pseudoprime_to_the_bases_up_to_37(self):
+        # psi_12, the least strong pseudoprime to every prime base up to 37:
+        # the base 41 exposes it
+        psi_12 = 318665857834031151167461
+        assert psi_12 == 399165290221 * 798330580441
+        assert is_prime(399165290221) and is_prime(798330580441)
+        assert not is_prime(psi_12)
+
 
 class TestFactorInt:
     def test_round_trip_soak(self):

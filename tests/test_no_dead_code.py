@@ -3,7 +3,8 @@ src/cubesum is used by the program, is public (in cubesum.__all__), or is a
 name the benchmark's tracer wraps (perfbench/tracer.py SPANNED, AGGREGATED).
 A use is a name or an attribute in some module's code; an import alone is
 not a use.  And no private plumbing through the public surface: no public
-function takes a parameter whose name starts with an underscore."""
+function takes a parameter whose name starts with an underscore, no code
+reads a memo's __wrapped__, and every lru_cache has an integer maxsize."""
 
 import ast
 from pathlib import Path
@@ -60,3 +61,39 @@ def _private_parameters() -> list[str]:
 
 def test_no_public_function_takes_a_private_parameter():
     assert _private_parameters() == []
+
+
+def _memo_bypasses() -> list[str]:
+    """Each read of __wrapped__ in src/cubesum: a call that goes round its
+    own memo is a second path to the same value."""
+    return [f"{module}.py:{node.lineno}"
+            for module, tree in _trees().items() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "__wrapped__"
+            or isinstance(node, ast.Constant) and node.value == "__wrapped__"]
+
+
+def test_no_memo_is_bypassed():
+    assert _memo_bypasses() == []
+
+
+def _unbounded_memos() -> list[str]:
+    """Each lru_cache in src/cubesum without an integer maxsize, so that no
+    budget can grow a memo without bound."""
+    out = []
+    for module, tree in _trees().items():
+        calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        for node in ast.walk(tree):
+            if (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute) else None) != "lru_cache":
+                continue
+            call = calls.get(id(node))
+            sizes = [*call.args[:1], *(k.value for k in call.keywords if k.arg == "maxsize")
+                     ] if call else []
+            if not (len(sizes) == 1 and isinstance(sizes[0], ast.Constant)
+                    and type(sizes[0].value) is int):
+                out.append(f"{module}.py:{node.lineno}")
+    return out
+
+
+def test_every_memo_is_bounded():
+    assert _unbounded_memos() == []

@@ -989,22 +989,9 @@ def test_denominators_factored_as_the_loop_reaches_them(monkeypatch, run):
         monkeypatch.setattr(search, name, logged("factor", getattr(search, name)))
     monkeypatch.setattr(search, "_divisors", logged("divisors", _divisors))
     search._integer_factors.cache_clear()
-    search._denominator_factors.cache_clear()
     with pytest.raises(_StopFactoring):
         run()
     assert log == ["factor", "factor", "divisors", "factor"]
-
-
-def test_memo_keeps_the_small_denominators(monkeypatch):
-    # an LRU memo of 1024 entries under a loop over 2000 d evicts each d
-    # before its reuse; the memo holds d <= 1024, so a second run factors
-    # only its target and the larger d
-    search_rational(7, 2000)
-    factored = []
-    real = search.factor_int
-    monkeypatch.setattr(search, "factor_int", lambda n: factored.append(n) or real(n))
-    search_rational(7, 2000)
-    assert factored == [7, *range(1025, 2001)]
 
 
 def test_window_tested_before_the_target_is_factored(monkeypatch):
@@ -1012,6 +999,19 @@ def test_window_tested_before_the_target_is_factored(monkeypatch):
     # search returns without factoring its target
     monkeypatch.setattr(search, "factor", lambda m: pytest.fail(f"factored {m}"))
     assert search_eisenstein(EisensteinInt(40, 0), 1, 50) == []
+
+
+def test_denominators_lifted_to_z_w(monkeypatch):
+    # the box search lifts each d's factors over Z to Z[w]; factoring d as
+    # an element of Z[w] is the reference.  12·1000²·81·1000⁴ >= 3000⁶, so
+    # a unit target at bound 1000 keeps the loop open to d = 3000
+    lifted = []
+    monkeypatch.setattr(search, "_divisors",
+                        lambda signs, target, denom, cap: lifted.append(denom) or [])
+    assert search_eisenstein(E(1), 1000, 3000) == []
+    assert len(lifted) == 3000
+    for d, factors in enumerate(lifted, 1):
+        assert Counter(factors) == Counter(factor(E(d)).factors), d
 
 
 class TestFlt3:
