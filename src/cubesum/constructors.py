@@ -22,7 +22,7 @@ from math import gcd
 
 from .eisenstein import BETA, ONE, EisensteinInt, KElement, V, W, eis_gcd, unit_inverse
 from .factorization import factor, split_cubes
-from .search import _exact_icbrt, check_solution, cube_roots
+from .search import _CUBES_MOD_703, _CUBES_MOD_819, _cube_sieve, _exact_icbrt, check_solution, cube_roots
 
 
 class TripleStructureError(ValueError):
@@ -129,9 +129,12 @@ def lucas_triple_search(m: int, bound: int) -> tuple[int, int] | None:
 
     Within one magnitude class the negative candidate is scanned first.
     abc/m = abc·m²/m³ is a rational cube exactly when abc·m² is an integer cube.
+    Only a p = abc that passes both residue tests in _cube_sieve(m²) is cubed.
     """
     if m == 0:
         raise ValueError("target must be nonzero")
+    sieve_819 = _cube_sieve(m * m, 819, _CUBES_MOD_819)
+    sieve_703 = _cube_sieve(m * m, 703, _CUBES_MOD_703)
     for s in range(2, 2 * bound + 1):
         for abs_a in range(max(1, s - bound), min(s - 1, bound) + 1):
             abs_b = s - abs_a
@@ -140,7 +143,9 @@ def lucas_triple_search(m: int, bound: int) -> tuple[int, int] | None:
                     c = -a - b
                     if c == 0:
                         continue
-                    if _exact_icbrt(a * b * c * m * m) is not None:
+                    p = a * b * c
+                    if (sieve_819[p % 819] and sieve_703[p % 703]
+                            and _exact_icbrt(p * m * m) is not None):
                         return a, b
     return None
 

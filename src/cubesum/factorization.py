@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 
 from .eisenstein import (
     BETA,
@@ -36,13 +36,70 @@ from .eisenstein import (
 
 # The first thirteen primes: trial divisors, then Miller-Rabin witnesses,
 # exact below ψ₁₃ = 3317044064679887385961981 ≈ 3.3·10²⁴ (the bases up to 37
-# fail at ψ₁₂ ≈ 3.2·10²³), far beyond anything this library factors; above
-# that, a (very strong) probabilistic test with the same witnesses.
+# fail at ψ₁₂ ≈ 3.2·10²³), far beyond anything this library factors; from
+# ψ₁₃ on, which passes all thirteen, the strong Lucas test joins them (BPSW).
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0, by quadratic reciprocity."""
+    a %= n
+    j = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                j = -j
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            j = -j
+        a %= n
+    return j if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test of odd n > 1 (Baillie-Wagstaff 1980).
+
+    Selfridge's parameters: the first D in 5, -7, 9, -11, ... with
+    (D/n) = -1, P = 1, Q = (1 - D)/4 (a square n has no such D).  With
+    n + 1 = d·2^s, n passes when U_d = 0 or V_(d·2^r) = 0 for some r < s,
+    for the Lucas sequences U, V of (P, Q) mod n.
+    """
+    if isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:
+            return abs(D) == n
+        D = -D - 2 if D > 0 else 2 - D
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    U, V, Qk = 1, 1, Q % n  # U_1, V_1 and Q^1 for P = 1
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V = (U + V) % n, (D * U + V) % n  # twice U_(k+1), V_(k+1)
+            U = (U + n * (U % 2)) // 2
+            V = (V + n * (V % 2)) // 2
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test for desk-scale integers."""
+    """Primality test: deterministic Miller-Rabin below ψ₁₃, where its
+    thirteen bases are proven exact, and BPSW (Miller-Rabin to base 2 among
+    them, then the strong Lucas test) from ψ₁₃ on; no BPSW pseudoprime is
+    known."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -62,7 +119,7 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _PSI_13 or _strong_lucas(n)
 
 
 # factor_int's trial divisors: the 168 primes below 1000.

@@ -44,10 +44,10 @@ Every solution the package produces, from a search, a construction or the
 classifier, passes one exact check, check_solution, which raises even
 under python -O.
 
-Every integer cube test (cube_roots' norm test, the Lucas scan) goes
-through _exact_icbrt: residues mod 819 and 703 sieve out most non-cubes,
-then it cubes the floor cube root _icbrt that also caps search_rational's
-divisors, and no float is used.
+Every integer cube test (cube_roots' norm test; the Lucas scan, once p = abc
+passes the same tests in _cube_sieve(m²)) goes through _exact_icbrt: residues
+mod 819 and 703 sieve out most non-cubes, then it cubes _icbrt, the floor
+cube root that also caps search_rational's divisors; no float is used.
 Boxes are over the {w, v} coordinates; hit lists are ordered by
 denominator ascending, then numerators descending lexicographically, so
 identical budgets always yield identical ordered results regardless of how
@@ -111,6 +111,16 @@ def _exact_icbrt(n: int) -> int | None:
     if k**3 != abs(n):
         return None
     return k if n > 0 else -k
+
+
+def _cube_sieve(k: int, q: int, cubes: frozenset[int]) -> bytearray:
+    """Table of _exact_icbrt's residue test mod q for p·k, indexed by p mod q:
+    t·k ≡ r (mod q) iff g | r and t ≡ (r/g)·(k/g)⁻¹ (mod q/g), g = gcd(k, q)."""
+    g = gcd(k, q)
+    table, inverse = bytearray(q // g), pow(k // g, -1, q // g)
+    for r in cubes.intersection(range(0, q, g)):
+        table[r // g * inverse % (q // g)] = 1
+    return table * g
 
 
 def cube_roots(z: EisensteinInt) -> list[EisensteinInt]:

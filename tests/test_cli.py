@@ -198,6 +198,15 @@ class TestSplitPrimeAndReport:
         assert code == 1 and out == ""
         assert err.strip() == f"cubesum: error: {psi_12} is not prime"
 
+    @pytest.mark.parametrize("command", ["split-prime", "report"])
+    def test_strong_pseudoprime_to_all_thirteen_bases(self, capsys, command):
+        # 1287836182261·2575672364521 passes Miller-Rabin to every base up
+        # to 41; the strong Lucas test rejects it
+        psi_13 = "3317044064679887385961981"
+        code, out, err = run(capsys, command, psi_13)
+        assert code == 1 and out == ""
+        assert err.strip() == f"cubesum: error: {psi_13} is not prime"
+
     def test_report_json(self, capsys):
         code, out, _ = run(capsys, "report", "61", "--json")
         doc = json.loads(out)

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -430,6 +431,102 @@ def test_lucas_scan_matches_one_modulus_oracle(targets, bound):
             assert got == _one_modulus_lucas_triple_search(m, bound), m
             found += got is not None
     assert found
+
+
+def _unsieved_lucas_triple_search(m: int, bound: int) -> tuple[int, int] | None:
+    """lucas_triple_search as it was before the per-target residue tables:
+    one _exact_icbrt call per candidate, kept as an oracle."""
+    if m == 0:
+        raise ValueError("target must be nonzero")
+    for s in range(2, 2 * bound + 1):
+        for abs_a in range(max(1, s - bound), min(s - 1, bound) + 1):
+            abs_b = s - abs_a
+            for a in (-abs_a, abs_a):
+                for b in (-abs_b, abs_b):
+                    c = -a - b
+                    if c == 0:
+                        continue
+                    if search._exact_icbrt(a * b * c * m * m) is not None:
+                        return a, b
+    return None
+
+
+_SIEVE_PRIMES = 7 * 13 * 19 * 37  # every prime of 819·703 but 3
+_LARGE_TARGETS = (10**12 + 39, -(10**12 + 1), 10**12 - 3 * 7 * 19)
+_BOUND_100_TARGETS = ((183, 219, 7, 15, 5)
+                      + tuple(k * _SIEVE_PRIMES for k in (1, 2, 3, -5, 9))
+                      + _LARGE_TARGETS)
+# cube residues, computed here apart from search's tables
+_CUBES_819 = {k**3 % 819 for k in range(819)}
+_CUBES_703 = {k**3 % 703 for k in range(703)}
+
+
+@pytest.mark.parametrize("targets, bound", [
+    (range(-1500, 1501), 1), (range(-1500, 1501), 3), (range(-1500, 1501), 7),
+    (range(-1500, 1501), 20), (_BOUND_100_TARGETS, 100),
+])
+def test_lucas_scan_matches_unsieved_oracle(targets, bound):
+    found = 0
+    for m in targets:
+        if m:
+            got = lucas_triple_search(m, bound)
+            assert got == _unsieved_lucas_triple_search(m, bound), m
+            found += got is not None
+    assert found
+
+
+def test_cube_sieve_matches_its_definition():
+    for m in (*range(-1500, 1501), *_BOUND_100_TARGETS):
+        t819 = search._cube_sieve(m * m, 819, search._CUBES_MOD_819)
+        t703 = search._cube_sieve(m * m, 703, search._CUBES_MOD_703)
+        assert t819 == bytes(t * m * m % 819 in _CUBES_819 for t in range(819)), m
+        assert t703 == bytes(t * m * m % 703 in _CUBES_703 for t in range(703)), m
+
+
+def test_scan_cubes_only_residue_survivors(monkeypatch):
+    # every candidate whose a·b·c·m² passes both residue tests reaches
+    # _exact_icbrt, and no other does
+    bound = 100
+    products = [a * b * (-a - b)
+                for s in range(2, 2 * bound + 1)
+                for abs_a in range(max(1, s - bound), min(s - 1, bound) + 1)
+                for a in (-abs_a, abs_a) for b in (-(s - abs_a), s - abs_a)
+                if a + b]
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return search._exact_icbrt(n)
+
+    monkeypatch.setattr(constructors, "_exact_icbrt", counting)
+    for m in range(1, 101):
+        survivors = 0
+        for p in products:
+            n = p * m * m
+            if n % 819 in _CUBES_819 and n % 703 in _CUBES_703:
+                survivors += 1
+                if search._icbrt(abs(n)) ** 3 == abs(n):
+                    break
+        calls.clear()
+        lucas_triple_search(m, bound)
+        assert len(calls) == survivors, m
+
+
+def test_exhausting_scan_allocates_little():
+    # the per-call tables are its only state: an exhausting scan peaks at a
+    # few KiB and leaves nothing behind, for one target or the next
+    before = dict(vars(constructors)), dict(vars(search))
+    tracemalloc.start()
+    try:
+        assert lucas_triple_search(5, 100) is None
+        held, peak = tracemalloc.get_traced_memory()
+        assert lucas_triple_search(4, 100) is None
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert held < 256 and after < 256
+    assert (dict(vars(constructors)), dict(vars(search))) == before
 
 
 @pytest.mark.parametrize("call, message", [

@@ -59,6 +59,49 @@ class TestIsPrime:
         assert is_prime(399165290221) and is_prime(798330580441)
         assert not is_prime(psi_12)
 
+    def test_strong_pseudoprime_to_the_bases_up_to_41(self):
+        # psi_13 passes Miller-Rabin to all thirteen bases; the strong
+        # Lucas test exposes it
+        psi_13 = factorization._PSI_13
+        assert psi_13 == 3317044064679887385961981 == 1287836182261 * 2575672364521
+        assert is_prime(1287836182261) and is_prime(2575672364521)
+        d, s = psi_13 - 1, 0
+        while d % 2 == 0:
+            d, s = d // 2, s + 1
+        for a in factorization._SMALL_PRIMES:
+            x = pow(a, d, psi_13)
+            assert x in (1, psi_13 - 1) or any(
+                pow(x, 2**r, psi_13) == psi_13 - 1 for r in range(1, s)), a
+        assert not factorization._strong_lucas(psi_13)
+        assert not is_prime(psi_13)
+
+    def test_beyond_psi_13(self):
+        # Mersenne numbers 2^k - 1 above psi_13: prime for k = 89, 107, 127,
+        # composite for k = 101, 103
+        for k in (89, 107, 127):
+            assert 2**k - 1 > factorization._PSI_13
+            assert is_prime(2**k - 1), k
+        for k in (101, 103):
+            assert not is_prime(2**k - 1), k
+        assert not is_prime((2**89 - 1) * (2**107 - 1))
+        assert not is_prime((2**89 - 1) ** 2)
+        assert not is_prime(3 * (2**89 - 1))
+
+
+# the strong Lucas pseudoprimes below 10^5 under Selfridge's parameters
+_STRONG_LUCAS_PSEUDOPRIMES = (5459, 5777, 10877, 16109, 18971, 22499, 24569,
+                              25199, 40309, 58519, 75077, 97439)
+
+
+def test_strong_lucas_against_trial_division():
+    def trial_prime(n):
+        return n > 1 and all(n % p for p in range(3, isqrt(n) + 1, 2))
+
+    disagree = [n for n in range(1, 10**5, 2)
+                if factorization._strong_lucas(n) != trial_prime(n)]
+    assert disagree == list(_STRONG_LUCAS_PSEUDOPRIMES)
+    assert not any(is_prime(n) for n in _STRONG_LUCAS_PSEUDOPRIMES)
+
 
 class TestFactorInt:
     def test_round_trip_soak(self):
