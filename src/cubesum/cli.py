@@ -37,7 +37,6 @@ from .constructors import (
 )
 from .criteria import (
     condition_I_table,
-    exceptional_A,
     exceptional_A_set,
     exceptional_B_set,
     first_exceptional_A_1mod9,

@@ -189,7 +189,7 @@ class EisensteinInt:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.a, self.b))
+        return hash(self.a) if self.b == 0 else hash((self.a, self.b))
 
     def __repr__(self) -> str:
         return f"EisensteinInt({self.a}, {self.b})"
@@ -475,7 +475,7 @@ class KElement:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
-        return hash((self.num, self.den))
+        return hash(self.num) if self.den == 1 else hash((self.num, self.den))
 
     def __repr__(self) -> str:
         return f"KElement({self.num!r}, {self.den})"

@@ -7,15 +7,16 @@ which cube_ap_exhaust reads off search_rational(2, bound).
 
   * search_rational: complete per denominator.  For x = a/d, y = b/d the
     sum a³ + b³ = M·d³ factors as (a+b)(a² - ab + b²), so a + b runs over
-    the divisors e of M·d³ with |e|³ <= 4|M|d³, each leaving one quadratic
-    in a whose discriminant is tested for squareness; the two factors share
-    no prime but 3 and those of gcd(a, b), which prunes e.  No numerator
-    box, so spread witnesses like 17 = (18/7)³ - (1/7)³ appear at tiny budgets.
-  * search_eisenstein: the same divisor search in Z[w], complete inside a
-    coordinate box per denominator; an empty result proves nothing.  For
-    f = M·d³/e the quadratic gives ξ = (e ± √((4f - e²)/3))/2, and since a
-    hit has 4f - e² = 3(ξ - η)², a divisor e is skipped unless 3 divides
-    both coordinates of 4f - e².
+    the divisors e of M·d³ in Z with |e|³ <= 4|M|d³, each leaving one
+    quadratic in a whose discriminant is tested for squareness; the two
+    factors share no prime but 3 and those of gcd(a, b), which prunes e.  No
+    numerator box, so spread witnesses like 17 = (18/7)³ - (1/7)³ appear at
+    tiny budgets.
+  * search_eisenstein: the same divisor search in Z[w], its divisors
+    listed by _divisors, complete inside a coordinate box per denominator;
+    an empty result proves nothing.  For f = M·d³/e the quadratic gives
+    ξ = (e ± √((4f - e²)/3))/2, and since a hit has 4f - e² = 3(ξ - η)², a
+    divisor e is skipped unless 3 divides both coordinates of 4f - e².
   * relation_search: first (r, s, t) with w·r³ + v·s³ + M·t³ = 0.
 
 search_eisenstein skips, by an exact norm window, what no box point can
@@ -197,31 +198,22 @@ def witness_sort_key(pair: tuple[KElement, KElement]):
     return (d, -x.num.a * sx, -x.num.b * sx, -y.num.a * sy, -y.num.b * sy)
 
 
-def _divisors(signs, target, denom, cap, primitive=False):
-    """The divisors u·∏ q^k of target·denom³ of norm at most cap, u = ±1 in
-    signs, each once by unique factorization, as int triples (a, b, N(a + b·w));
-    target and denom are (prime, exponent) pairs over Z or Z[w], denom d's
-    from the memo over Z.  Each caller takes cap from its equation; norms
-    only grow, so partial products stop there.
-
-    With primitive, for rational primes, only the e = a + b of a primitive
-    a³ + b³ = target·d³ are listed.  gcd(e, a² - ab + b²) divides 3·gcd(a, b)²,
-    so a prime q != 3 with v = v_q(target·d³) and j = v_q(gcd(a, b)) has
-    v_q(e) = j or v - 2j, 3j <= v; gcd(a, b, d) = 1 makes j = 0 when q | d."""
+def _divisors(target, denom, cap):
+    """The divisors ±∏ q^k of target·denom³ in Z[w] of norm at most cap, each
+    once by unique factorization, as int triples (a, b, N(a + b·w)); target
+    and denom are (prime, exponent) pairs over Z[w].  Norms only grow, so
+    partial products stop at the cap."""
     exponents = dict(target)
     for q, k in denom:
         exponents[q] = exponents.get(q, 0) + 3 * k
-    divs = [(u, 0, 1) for u in signs]
+    divs = [(1, 0, 1), (-1, 0, 1)]
     for q, top in exponents.items():
-        qa, qb = (q, 0) if isinstance(q, int) else (q.a, q.b)
+        qa, qb = q.a, q.b
         nq = qa * qa - qa * qb + qb * qb
         powers = [(1, 0, 1)]
         for _ in range(top):
             a, b, n = powers[-1]
             powers.append((a * qa - b * qb, a * qb + b * qa - b * qb, n * nq))
-        if primitive and q != 3:
-            js = (0,) if q in dict(denom) else range(top // 3 + 1)
-            powers = [powers[k] for k in sorted({k for j in js for k in (j, top - 2 * j)})]
         divs = [(a * pa - b * pb, a * pb + b * pa - b * pb, n * pn)
                 for a, b, n in divs for pa, pb, pn in powers
                 if n * pn <= cap]
@@ -234,21 +226,31 @@ def search_rational(m: int, denom_bound: int) -> list[tuple[KElement, KElement]]
     Complete for every denominator d <= denom_bound (tested against a naive
     double loop on small instances); an empty list is a valid result.
 
-    For e = a + b, f = a² - ab + b² = m·d³/e >= e²/4 gives |e|³ <= 4|m|d³,
-    the cap _divisors stops at, so 12f - 3e² >= 0 (else isqrt raises); its
-    root s = 3t with e² + 3t² = 4f, so e ≡ t mod 2 and 6 divides 3e ± s.
-    _divisors lists only the e that a hit with gcd(a, b, d) = 1 can have.
+    For e = a + b, f = a² - ab + b² = m·d³/e >= e²/4 gives |e|³ <= 4|m|d³:
+    e = sign(m)·∏ q^k runs over the divisors of m·d³ under that cap, as plain
+    ints, so 12f - 3e² >= 0 (else isqrt raises); its root s = 3t with
+    e² + 3t² = 4f, so e ≡ t mod 2 and 6 divides 3e ± s.  Only the e of a hit
+    with gcd(a, b, d) = 1 are listed: gcd(e, f) divides 3·gcd(a, b)², so a
+    prime q != 3 with v = v_q(m·d³) and j = v_q(gcd(a, b)) has v_q(e) = j or
+    v - 2j, 3j <= v, and j = 0 when q | d.
     """
     if m == 0:
         raise ValueError("target must be nonzero")
-    target = factor_int(m).items()
+    target = factor_int(m)
     # a² - ab + b² > 0, so a + b carries the sign of m
-    sign = (1 if m > 0 else -1,)
+    sign = 1 if m > 0 else -1
     hits: set[tuple[KElement, KElement]] = set()
     for d in range(1, denom_bound + 1):
-        n = m * d**3
-        # primitive = True: only the exponents a primitive a + b can have
-        for e, _, _ in _divisors(sign, target, _integer_factors(d), _icbrt(4 * abs(n)) ** 2, True):
+        n, cap = m * d**3, _icbrt(4 * abs(m) * d**3)
+        exponents = target | {q: target.get(q, 0) + 3 * k for q, k in _integer_factors(d)}
+        divs = [1]
+        for q, v in exponents.items():
+            js = range(v // 3 + 1) if d % q else (0,)
+            ks = range(v + 1) if q == 3 else {k for j in js for k in (j, v - 2 * j)}
+            powers = [q**k for k in ks]
+            divs = [g * p for g in divs for p in powers if g * p <= cap]
+        for g in divs:
+            e = sign * g
             disc = 12 * (n // e) - 3 * e * e
             s = isqrt(disc)
             if s * s != disc:
@@ -310,7 +312,7 @@ def search_eisenstein(
         ma, mb = m.a * d**3, m.b * d**3
         factors = [(irr, 2 * k if p == 3 else k)
                    for p, k in _integer_factors(d) for irr in _above(p)[1]]
-        for ea, eb, n in _divisors((1, -1), target, factors, cap):
+        for ea, eb, n in _divisors(target, factors, cap):
             if n * f_cap < nmd:
                 continue
             # f = m·d³/e = m·d³·conj(e)/N(e), as in eisenstein._exact_quotient

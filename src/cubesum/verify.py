@@ -19,7 +19,6 @@ from .constructors import (
     lucas_pair,
     lucas_witness,
     reduce_triple,
-    triple_from_solution,
     Triple,
     cube_triple_structure,
 )

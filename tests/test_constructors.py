@@ -433,6 +433,32 @@ def test_lucas_scan_matches_one_modulus_oracle(targets, bound):
     assert found
 
 
+def _one_sign_lucas_scan(m: int, bound: int) -> tuple[int, int] | None:
+    """The Lucas scan over one sign pattern, (-x, -(s - x)) with x <= s/2,
+    whose a·b·c = x·(s - x)·s: changing the signs of (a, b) or swapping them
+    only flips the sign of abc or reorders it, so no other pattern can hit
+    first."""
+    for s in range(2, 2 * bound + 1):
+        for x in range(max(1, s - bound), s // 2 + 1):
+            if search._exact_icbrt(x * (s - x) * s * m * m) is not None:
+                return -x, -(s - x)
+    return None
+
+
+@pytest.mark.parametrize("targets, bound", [
+    (range(-400, 401), 1), (range(-400, 401), 3), (range(-400, 401), 7),
+    (range(-400, 401), 20), ((183, 219, 7, 15, 5, 10**12 + 39), 100),
+])
+def test_lucas_scan_returns_the_one_sign_answer(targets, bound):
+    found = 0
+    for m in targets:
+        if m:
+            got = lucas_triple_search(m, bound)
+            assert got == _one_sign_lucas_scan(m, bound), m
+            found += got is not None
+    assert found
+
+
 def _unsieved_lucas_triple_search(m: int, bound: int) -> tuple[int, int] | None:
     """lucas_triple_search as it was before the per-target residue tables:
     one _exact_icbrt call per candidate, kept as an oracle."""

@@ -560,6 +560,22 @@ class TestKElement:
     def test_inverse_of_w(self):
         assert KElement(1) / KElement(W) == KElement(V)
 
+    def test_equal_values_hash_equal(self):
+        # an int, an EisensteinInt and a KElement can be equal, so they must
+        # hash equal, or sets and dicts keep equal keys apart
+        assert EisensteinInt(3, 0) == 3 and KElement(3) == EisensteinInt(3, 0)
+        assert len({3, EisensteinInt(3, 0), KElement(3)}) == 1
+        assert 3 in {EisensteinInt(3, 0)} and EisensteinInt(3, 0) in {KElement(3)}
+        assert {3: "int", E(1, 2): "w"}[KElement(E(6), 2)] == "int"
+        assert {3: "int", E(1, 2): "w"}[KElement(E(2, 4), 2)] == "w"
+        for a in range(-6, 7):
+            for b in range(-6, 7):
+                x = E(a, b)
+                assert KElement(x) == x and hash(KElement(x)) == hash(x), x
+                assert hash(KElement(x * 5, 5)) == hash(x), x
+                if b == 0:
+                    assert hash(x) == hash(a), x
+
 
 class TestParseFormat:
     @pytest.mark.parametrize(

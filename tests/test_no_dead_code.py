@@ -4,7 +4,8 @@ name the benchmark's tracer wraps (perfbench/tracer.py SPANNED, AGGREGATED).
 A use is a name or an attribute in some module's code; an import alone is
 not a use.  And no private plumbing through the public surface: no public
 function takes a parameter whose name starts with an underscore, no code
-reads a memo's __wrapped__, and every lru_cache has an integer maxsize."""
+reads a memo's __wrapped__, and every lru_cache has an integer maxsize.
+Every imported name is read in the module that imports it."""
 
 import ast
 from pathlib import Path
@@ -97,3 +98,38 @@ def _unbounded_memos() -> list[str]:
 
 def test_every_memo_is_bounded():
     assert _unbounded_memos() == []
+
+
+def _annotation_names(tree: ast.Module) -> set[str]:
+    """The names read by the quoted annotations in tree."""
+    annotations = [node.returns if isinstance(node, ast.FunctionDef) else node.annotation
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.arg, ast.AnnAssign))]
+    quoted = [node.value for annotation in annotations if annotation is not None
+              for node in ast.walk(annotation)
+              if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    return {node.id for text in quoted for node in ast.walk(ast.parse(text, mode="eval"))
+            if isinstance(node, ast.Name)}
+
+
+def _unused_imports() -> list[str]:
+    """Each name a module of src/cubesum other than __init__ imports and
+    never reads as a name, counting quoted annotations."""
+    out = []
+    for module, tree in _trees().items():
+        if module == "__init__":
+            continue
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        read |= _annotation_names(tree)
+        imported = [(node.lineno, alias.asname or alias.name.partition(".")[0])
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.Import)
+                    or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                    for alias in node.names]
+        out += [f"{module}.py:{line}: {name}" for line, name in imported if name not in read]
+    return out
+
+
+def test_every_import_is_used():
+    assert _unused_imports() == []

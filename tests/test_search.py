@@ -418,14 +418,16 @@ def naive_rational_search(m: int, denom_bound: int):
 
 def _unpruned_search_rational(m: int, denom_bound: int):
     """search_rational before its divisor list kept only the exponents a
-    primitive a + b can have, kept as an oracle: every divisor of m·d³
-    under the cap is tried."""
+    primitive a + b can have, kept as an oracle: every divisor of m·d³ over
+    Z, listed by _object_divisors, is tried under the cap."""
     target = factor_int(m).items()
     hits = set()
     for d in range(1, denom_bound + 1):
         n = m * d**3
-        cap = search._icbrt(4 * abs(n)) ** 2
-        for e, _, _ in _divisors((1 if m > 0 else -1,), target, factor_int(d).items(), cap):
+        cap = search._icbrt(4 * abs(n))
+        for e in _object_divisors((1 if m > 0 else -1,), target, factor_int(d).items()):
+            if abs(e) > cap:
+                continue
             disc = 12 * (n // e) - 3 * e * e
             s = isqrt(disc)
             if s * s == disc:
@@ -603,7 +605,7 @@ def _unwindowed_search_eisenstein(m, coord_bound, denom_bound, stop_at_first_den
     hits = []
     for d in range(1, denom_bound + 1):
         ma, mb = m.a * d**3, m.b * d**3
-        for ea, eb, n in _divisors((1, -1), target, factor(E(d)).factors, 12 * coord_bound**2):
+        for ea, eb, n in _divisors(target, factor(E(d)).factors, 12 * coord_bound**2):
             fa, ra = divmod(ma * (ea - eb) + mb * eb, n)
             fb, rb = divmod(mb * ea - ma * eb, n)
             assert not (ra or rb)
@@ -628,13 +630,16 @@ def _unwindowed_search_eisenstein(m, coord_bound, denom_bound, stop_at_first_den
 
 class TestDivisors:
     def test_matches_object_enumerator_over_z(self):
+        # a rational m·d³ factored in Z[w]: each of its divisors over Z is
+        # listed once up to the units 1, w, v, as ±1 times a product of
+        # irreducibles (3 = -beta², p = pi·pi_bar up to a unit)
         for m in (1, -1, 12, -30, 97, 360, 30030):
             for d in (1, 2, 6, 35):
-                for signs in ((1,), (-1,), (1, -1)):
-                    args = (factor_int(m).items(), factor_int(d).items())
-                    got = _divisors(signs, *args, (m * d**3) ** 2)
-                    assert all(b == 0 and n == a * a for a, b, n in got)
-                    assert Counter(a for a, _, _ in got) == Counter(_object_divisors(signs, *args))
+                got = _divisors(factor(E(m)).factors, factor(E(d)).factors, (m * d**3) ** 2)
+                rational = [e for a, b, _ in got for e in (E(a, b), W * E(a, b), V * E(a, b))
+                            if e.b == 0]
+                want = _object_divisors((1, -1), factor_int(m).items(), factor_int(d).items())
+                assert Counter(e.a for e in rational) == Counter(want), (m, d)
 
     def test_matches_object_enumerator_over_zw(self):
         pi, _ = split_prime(19)
@@ -642,7 +647,7 @@ class TestDivisors:
             for d in (1, 2, 6, 35):
                 args = (factor(m).factors, factor(E(d)).factors)
                 for cap in ((m * d**3).norm(), 1, 7, 300, 10800):
-                    got = _divisors((1, -1), *args, cap)
+                    got = _divisors(*args, cap)
                     assert all(E(a, b).norm() == n for a, b, n in got)
                     want = _object_divisors((E(1), E(-1)), *args, cap)
                     assert Counter(E(a, b) for a, b, _ in got) == Counter(want), (m, d, cap)
@@ -650,8 +655,8 @@ class TestDivisors:
     def test_cap_zero_is_a_cap(self, monkeypatch):
         # a test of `not cap` read 0 as no cap, listing all 768 divisors
         target = factor(E(2 * 3 * 5 * 7 * 11 * 13)).factors
-        assert len(_divisors((1, -1), target, (), 30030**2)) == 768
-        assert _divisors((1, -1), target, (), 0) == []
+        assert len(_divisors(target, (), 30030**2)) == 768
+        assert _divisors(target, (), 0) == []
         listed = []
 
         def listing(*args):
@@ -969,12 +974,14 @@ class _StopFactoring(Exception):
     pass
 
 
-@pytest.mark.parametrize("run", [lambda: search_rational(7, 10**12),
-                                 lambda: search_eisenstein(W, 4, 10**9)],
+@pytest.mark.parametrize("run, step", [(lambda: search_rational(7, 10**12), "isqrt"),
+                                       (lambda: search_eisenstein(W, 4, 10**9), "_divisors")],
                          ids=["rational", "eisenstein"])
-def test_denominators_factored_as_the_loop_reaches_them(monkeypatch, run):
-    # the target, then d = 1 and its divisors, then d = 2: each d is factored
-    # only when the loop reaches it, so a huge bound costs nothing up front
+def test_denominators_factored_as_the_loop_reaches_them(monkeypatch, run, step):
+    # the target, then d = 1 and a step on its divisors (the rational search
+    # has one, e = 1, and takes its discriminant's root; the box search lists
+    # them), then d = 2: each d is factored only when the loop reaches it,
+    # so a huge bound costs nothing up front
     log = []
 
     def logged(name, real):
@@ -987,11 +994,11 @@ def test_denominators_factored_as_the_loop_reaches_them(monkeypatch, run):
 
     for name in ("factor", "factor_int"):
         monkeypatch.setattr(search, name, logged("factor", getattr(search, name)))
-    monkeypatch.setattr(search, "_divisors", logged("divisors", _divisors))
+    monkeypatch.setattr(search, step, logged("step", getattr(search, step)))
     search._integer_factors.cache_clear()
     with pytest.raises(_StopFactoring):
         run()
-    assert log == ["factor", "factor", "divisors", "factor"]
+    assert log == ["factor", "factor", "step", "factor"]
 
 
 def test_window_tested_before_the_target_is_factored(monkeypatch):
@@ -1007,7 +1014,7 @@ def test_denominators_lifted_to_z_w(monkeypatch):
     # a unit target at bound 1000 keeps the loop open to d = 3000
     lifted = []
     monkeypatch.setattr(search, "_divisors",
-                        lambda signs, target, denom, cap: lifted.append(denom) or [])
+                        lambda target, denom, cap: lifted.append(denom) or [])
     assert search_eisenstein(E(1), 1000, 3000) == []
     assert len(lifted) == 3000
     for d, factors in enumerate(lifted, 1):
