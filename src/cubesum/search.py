@@ -8,10 +8,11 @@ which cube_ap_exhaust reads off search_rational(2, bound).
   * search_rational: complete per denominator.  For x = a/d, y = b/d the
     sum a³ + b³ = M·d³ factors as (a+b)(a² - ab + b²), so a + b runs over
     the divisors e of M·d³ in Z with |e|³ <= 4|M|d³, each leaving one
-    quadratic in a whose discriminant is tested for squareness; the two
-    factors share no prime but 3 and those of gcd(a, b), which prunes e.  No
-    numerator box, so spread witnesses like 17 = (18/7)³ - (1/7)³ appear at
-    tiny budgets.
+    quadratic in a whose discriminant is tested for squareness.  The primes
+    of Z[w] prune e: past gcd(a, b) the two factors share no prime but 3, an
+    inert q ≡ 2 mod 3 divides a² - ab + b² = N(a + b·w) only with a and b,
+    and beta = 1 - w fixes v_3(e).  No numerator box, so spread witnesses
+    like 17 = (18/7)³ - (1/7)³ appear at tiny budgets.
   * search_eisenstein: the same divisor search in Z[w], its divisors
     listed by _divisors, complete inside a coordinate box per denominator;
     an empty result proves nothing.  For f = M·d³/e the quadratic gives
@@ -230,9 +231,14 @@ def search_rational(m: int, denom_bound: int) -> list[tuple[KElement, KElement]]
     e = sign(m)·∏ q^k runs over the divisors of m·d³ under that cap, as plain
     ints, so 12f - 3e² >= 0 (else isqrt raises); its root s = 3t with
     e² + 3t² = 4f, so e ≡ t mod 2 and 6 divides 3e ± s.  Only the e of a hit
-    with gcd(a, b, d) = 1 are listed: gcd(e, f) divides 3·gcd(a, b)², so a
-    prime q != 3 with v = v_q(m·d³) and j = v_q(gcd(a, b)) has v_q(e) = j or
-    v - 2j, 3j <= v, and j = 0 when q | d.
+    with gcd(a, b, d) = 1 are listed.  For a prime q, v = v_q(m·d³) and
+    j = v_q(gcd(a, b)) have 3j <= v, and j = 0 when q | d; past q^j,
+    e' = e/q^j and f' = f/q^2j share no prime but 3, so v_q(e) is j or v - 2j.
+    An inert q ≡ 2 mod 3 divides f' = N(a' + b'·w) only with a' and b', so
+    v_q(e) = v - 2j.  For q = 3, 4f' - e'² = 3(a' - b')² puts 3 in f' exactly
+    when it is in e', and then once: v_3(e) = j when v = 3j, v - 2j - 1 when
+    v >= 3j + 2, and no j leaves v = 3j + 1.  So every listed e already has
+    e ≡ m·d³ mod 3, as x³ ≡ x mod 3 demands: q^k ≡ q^v mod 3 when q != 3.
     """
     if m == 0:
         raise ValueError("target must be nonzero")
@@ -246,9 +252,16 @@ def search_rational(m: int, denom_bound: int) -> list[tuple[KElement, KElement]]
         divs = [1]
         for q, v in exponents.items():
             js = range(v // 3 + 1) if d % q else (0,)
-            ks = range(v + 1) if q == 3 else {k for j in js for k in (j, v - 2 * j)}
+            if q == 3:
+                ks = {v - 2 * j - (v > 3 * j) for j in js if v - 3 * j != 1}
+            elif q % 3 == 1:
+                ks = {k for j in js for k in (j, v - 2 * j)}
+            else:
+                ks = {v - 2 * j for j in js}
             powers = [q**k for k in ks]
             divs = [g * p for g in divs for p in powers if g * p <= cap]
+            if not divs:
+                break
         for g in divs:
             e = sign * g
             disc = 12 * (n // e) - 3 * e * e

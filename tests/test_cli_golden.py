@@ -135,6 +135,18 @@ GOLDEN = [
         [["2", "-1"], ["-1", "2"], ["5/3", "4/3"], ["4/3", "5/3"]],
     ),
     (
+        # 56 = 4³ + (-2)³ has gcd(a, b) = 2: its hits sit on the j >= 1
+        # exponent of the inert prime 2
+        ("search", "56", "--budget-denom", "12"),
+        0,
+        [["4", "-2"], ["-2", "4"], ["10/3", "8/3"], ["8/3", "10/3"]],
+    ),
+    (
+        ("search", "-7", "--budget-denom", "9"),
+        0,
+        [["1", "-2"], ["-2", "1"], ["-4/3", "-5/3"], ["-5/3", "-4/3"]],
+    ),
+    (
         ("search", "18*w", "--budget-coord", "4", "--budget-denom", "1"),
         0,
         [
@@ -234,6 +246,7 @@ TEXT_GOLDEN = [
         [],
     ),
     (("report", "2"), 0, ["p = 2  (inert, 2 mod 9)"], []),
+    (("search", "6", "--budget-denom", "25"), 0, ["(37/21, 17/21)", "(17/21, 37/21)"], []),
     (
         ("solve", "5", "--method", "relation", "--budget-relation", "2"),
         2,

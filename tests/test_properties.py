@@ -4,6 +4,7 @@ parse layer."""
 
 import contextlib
 import io
+import math
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -27,7 +28,7 @@ from cubesum.eisenstein import (
     format_k,
 )
 from cubesum.factorization import factor, split_cubes
-from cubesum.search import cube_roots
+from cubesum.search import cube_roots, search_rational
 
 
 def eisenstein(max_coord: int = 200):
@@ -171,6 +172,27 @@ class TestCubeClass:
         # classify factors only the oriented target; canonicalize factors x
         for y in (x, -x, x.conj(), -x.conj()):
             assert classify(y, "K", None).canonical == canonicalize(y)
+
+
+# a common factor of the two numerators, so gcd(a, b) carries small primes
+shared_factor = st.lists(st.sampled_from((2, 3, 5, 7, 11)), max_size=4).map(math.prod)
+numerator = st.integers(-60, 60).filter(bool)
+
+
+class TestSearchRational:
+    @settings(max_examples=300, deadline=None)
+    @given(shared_factor, numerator, numerator)
+    def test_every_integer_pair_is_found(self, g, a, b):
+        # the divisor pruning keeps e = a + b whatever primes gcd(a, b) has
+        assume(a != -b)
+        a, b = g * a, g * b
+        assert (KElement(a), KElement(b)) in search_rational(a**3 + b**3, 1)
+
+    @pytest.mark.parametrize("m, x, y, d", [
+        (7, 4, 5, 3), (6, 37, 17, 21), (17, 18, -1, 7),
+    ])
+    def test_known_witnesses_at_their_denominator(self, m, x, y, d):
+        assert (KElement(x, d), KElement(y, d)) in search_rational(m, d)
 
 
 # texts over the characters the element grammar uses, and the space

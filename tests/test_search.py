@@ -472,12 +472,15 @@ class TestSearchRational:
     @pytest.mark.parametrize("targets, bound", [
         (range(-1500, 1501), 12),
         (range(-300, 301), 30),
-        ([k * c**3 for k in (1, 2, 3, 7, 9, 17, 19, 37, 65, 91) for c in (2, 3, 5, 6, 7, 10)], 12),
+        # c carries 2, 5 and 11, k has 3 ∥ k and 9 ∥ k, both signs, and the
+        # bound reaches d = 3, 6, 9, 12
+        ([s * k * c**3 for s in (1, -1) for k in (1, 2, 3, 6, 7, 9, 17, 18, 19, 37, 65, 91)
+          for c in (2, 3, 5, 6, 7, 10, 11, 22)], 12),
     ], ids=["1500-at-12", "300-at-30", "k-times-cubes"])
     def test_pruned_divisors_match_unpruned(self, targets, bound):
-        # the primitive exponents of a + b lose no hit: 3 keeps every
-        # exponent, and a prime of m alone takes j = v(gcd(a, b)) >= 1,
-        # as 56 = 4³ + (-2)³ does with e = 2
+        # the primitive exponents of a + b lose no hit: an inert prime takes
+        # v - 2j, 3 takes j or v - 2j - 1, and a prime of m alone takes
+        # j = v(gcd(a, b)) >= 1, as 56 = 4³ + (-2)³ does with e = 2
         found = 0
         for m in targets:
             if m:
@@ -485,6 +488,44 @@ class TestSearchRational:
                 assert got == _unpruned_search_rational(m, bound), m
                 found += bool(got)
         assert found > 10
+
+    def test_every_exponent_rule_is_taken_by_a_hit(self):
+        # v_q(a + b) for each prime q of m·d³ on the hits, against the rule
+        # for q: 56 = 4³ + (-2)³ takes the inert 2 with j = 1, 91 = 4³ + 3³
+        # both rules of a split prime (e = 7, f = 13), 189 = 6³ + (-3)³ the
+        # rule v = 3j of 3, and 9 = 2³ + 1³ its rule v - 2j - 1
+        def val(q, x):
+            return next(k for k in range(x.bit_length() + 1) if x % q ** (k + 1))
+
+        taken = set()
+        for m in (9, 56, 91, 189):
+            for x, y in search_rational(m, 3):
+                d = x.den * y.den // gcd(x.den, y.den)
+                a, b = x.num.a * d // x.den, y.num.a * d // y.den
+                for q, v in factor_int(m * d**3).items():
+                    j, k = val(q, gcd(a, b)), val(q, abs(a + b))
+                    if q == 3:
+                        assert k == (j if v == 3 * j else v - 2 * j - 1), (m, a, b, d)
+                        taken.add(("3", v == 3 * j))
+                    elif q % 3 == 2:
+                        assert k == v - 2 * j, (m, a, b, d)
+                        taken.add(("inert", j >= 1))
+                    else:
+                        assert k in (j, v - 2 * j), (m, a, b, d)
+                        taken.add(("split", k == j))
+        assert {("inert", True), ("split", True), ("split", False),
+                ("3", True), ("3", False)} <= taken
+
+    def test_exponent_rules_cut_the_discriminant_tests(self, monkeypatch):
+        # each listed e costs one isqrt: the rules leave 826 here, against
+        # 31482 when an inert prime took j too and 3 every exponent, 10170
+        # with only the first and 4408 with only the second of those
+        calls = []
+        monkeypatch.setattr(search, "isqrt", lambda x: calls.append(x) or isqrt(x))
+        for m in range(-300, 301):
+            if m:
+                search_rational(m, 12)
+        assert len(calls) <= 826
 
     def test_cap_edge_hits(self):
         # a = b gives e = 2a and f = a², so |e|³ = 4|m·d³| exactly: the hit
