@@ -11,13 +11,14 @@ which cube_ap_exhaust reads off search_rational(2, bound).
     quadratic in a whose discriminant is tested for squareness.  The primes
     of Z[w] prune e: past gcd(a, b) the two factors share no prime but 3, an
     inert q ≡ 2 mod 3 divides a² - ab + b² = N(a + b·w) only with a and b,
-    and beta = 1 - w fixes v_3(e).  No numerator box, so spread witnesses
-    like 17 = (18/7)³ - (1/7)³ appear at tiny budgets.
+    and beta = 1 - w fixes v_3(e); every e left gives a primitive pair.  No
+    numerator box: 17 = (18/7)³ - (1/7)³ appears at tiny budgets.
   * search_eisenstein: the same divisor search in Z[w], its divisors
     listed by _divisors, complete inside a coordinate box per denominator;
     an empty result proves nothing.  For f = M·d³/e the quadratic gives
-    ξ = (e ± √((4f - e²)/3))/2, and since a hit has 4f - e² = 3(ξ - η)², a
-    divisor e is skipped unless 3 divides both coordinates of 4f - e².
+    ξ = (e ± √((4f - e²)/3))/2, whose numerator is even as 2 is inert; since
+    a hit has 4f - e² = 3(ξ - η)², a divisor e is skipped unless 3 divides
+    both coordinates of 4f - e².
   * relation_search: first (r, s, t) with w·r³ + v·s³ + M·t³ = 0.
 
 search_eisenstein skips, by an exact norm window, what no box point can
@@ -239,6 +240,8 @@ def search_rational(m: int, denom_bound: int) -> list[tuple[KElement, KElement]]
     when it is in e', and then once: v_3(e) = j when v = 3j, v - 2j - 1 when
     v >= 3j + 2, and no j leaves v = 3j + 1.  So every listed e already has
     e ≡ m·d³ mod 3, as x³ ≡ x mod 3 demands: q^k ≡ q^v mod 3 when q != 3.
+    For q | d that leaves v_q(e) = 0 or v (v - 1 for q = 3), but q | a, b
+    puts q in e and q² in f = m·d³/e: each hit is primitive untested.
     """
     if m == 0:
         raise ValueError("target must be nonzero")
@@ -260,6 +263,7 @@ def search_rational(m: int, denom_bound: int) -> list[tuple[KElement, KElement]]
                 ks = {v - 2 * j for j in js}
             powers = [q**k for k in ks]
             divs = [g * p for g in divs for p in powers if g * p <= cap]
+            # divs empties here in most d steps; looping on would add ~25% to the search
             if not divs:
                 break
         for g in divs:
@@ -269,9 +273,7 @@ def search_rational(m: int, denom_bound: int) -> list[tuple[KElement, KElement]]
             if s * s != disc:
                 continue
             for a in ((3 * e + s) // 6, (3 * e - s) // 6):
-                b = e - a
-                if gcd(a, b, d) == 1:
-                    hits.add((KElement(a, d), KElement(b, d)))
+                hits.add((KElement(a, d), KElement(e - a, d)))
     return sorted((check_solution(p, m, "search hit") for p in hits), key=witness_sort_key)
 
 
@@ -289,6 +291,8 @@ def search_eisenstein(
     the naive double box scan, complete inside the box per denominator.
     A hit has 4f - e² = 3(xi - eta)², so a divisor e for which 3 does not
     divide both coordinates of 4f - e² is skipped before any square root.
+    Each root r gives xi = (e + r)/2 with no parity test: 2 is inert, so
+    Z[w]/2 is a field and (e + r)² ≡ e² + 3r² = 4f ≡ 0 mod 2 forces 2 | e + r.
 
     The quadratic is solved once per orbit {e, w·e, v·e}: e runs over the
     divisors times ±1 only, and each root (xi, eta) for e gives the roots
@@ -339,10 +343,7 @@ def search_eisenstein(
             if za % 3 or zb % 3:
                 continue
             for r in square_roots(EisensteinInt(za // 3, zb // 3)):
-                na, nb = ea + r.a, eb + r.b
-                if na % 2 or nb % 2:
-                    continue
-                ua, ub = na // 2, nb // 2
+                ua, ub = (ea + r.a) // 2, (eb + r.b) // 2
                 va, vb = ea - ua, eb - ub
                 if gcd(ua, ub, va, vb, d) != 1:
                     continue

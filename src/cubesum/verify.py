@@ -32,7 +32,7 @@ from .criteria import (
     first_exceptional_A_1mod9,
     split_primes_upto,
 )
-from .eisenstein import BETA, EisensteinInt, KElement, V, W, coordinate_box, mod9_class, ord_beta
+from .eisenstein import BETA, EisensteinInt, KElement, V, W, coordinate_box, mod9_class, ord_beta, parse_eisenstein
 from .factorization import factor
 from .search import (
     SearchBudget,
@@ -187,8 +187,6 @@ THEOREM_GRID = (
 
 
 def criterion_7_theorem_grid() -> str:
-    from .eisenstein import parse_eisenstein
-
     for text, scope, status, rule in THEOREM_GRID:
         m = parse_eisenstein(text)
         v = classify(m, scope, None)

@@ -487,9 +487,11 @@ _CUBES_819 = {k**3 % 819 for k in range(819)}
 _CUBES_703 = {k**3 % 703 for k in range(703)}
 
 
+# at bound 20, |m| <= 500 catches each scan and sieve mutation that
+# |m| <= 1500 catches, in a third of the time
 @pytest.mark.parametrize("targets, bound", [
     (range(-1500, 1501), 1), (range(-1500, 1501), 3), (range(-1500, 1501), 7),
-    (range(-1500, 1501), 20), (_BOUND_100_TARGETS, 100),
+    (range(-500, 501), 20), (_BOUND_100_TARGETS, 100),
 ])
 def test_lucas_scan_matches_unsieved_oracle(targets, bound):
     found = 0

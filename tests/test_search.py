@@ -527,6 +527,24 @@ class TestSearchRational:
                 search_rational(m, 12)
         assert len(calls) <= 826
 
+    def test_every_hit_is_primitive_untested(self, monkeypatch):
+        # for q | d the divisor list allows v_q(a + b) = 0 or v (v - 1 for
+        # q = 3), and q | a, b, d would put q in e and q² in f = m·d³/e: so
+        # search_rational hands KElement only numerators coprime to d
+        made = []
+        monkeypatch.setattr(search, "KElement",
+                            lambda num, den: made.append((num, den)) or KElement(num, den))
+        pairs = 0
+        for m in range(-300, 301):
+            if m:
+                made.clear()
+                search_rational(m, 12)
+                for (a, d), (b, d2) in zip(made[::2], made[1::2]):
+                    assert d == d2 and a**3 + b**3 == m * d**3, (m, a, b, d)
+                    assert gcd(a, b, d) == 1, (m, a, b, d)
+                    pairs += 1
+        assert pairs > 100
+
     def test_cap_edge_hits(self):
         # a = b gives e = 2a and f = a², so |e|³ = 4|m·d³| exactly: the hit
         # sits on the divisor cap, and a cap one too tight would miss it
@@ -817,6 +835,24 @@ class TestSearchEisenstein:
                 assert got == _six_unit_search(m, 12, 7, stop), (m, stop)
                 found += len(got)
         assert found > 50
+
+    def test_every_root_halves_exactly(self):
+        # 2 is inert, so Z[w]/2 is a field and (e + r)² ≡ e² + 3r² = 4f ≡ 0
+        # mod 2 forces 2 | e + r: the box search halves e + r untested
+        roots = 0
+        for m in [*_grid_k_sample(40, 7), E(0, 18), E(1, 9), E(9), E(7), BETA]:
+            target = factor(m).factors
+            for d in range(1, 7):
+                md3 = m * d**3
+                for ea, eb, _ in _divisors(target, factor(E(d)).factors, md3.norm()):
+                    e = E(ea, eb)
+                    z = 4 * (md3 / e) - e * e
+                    if z.a % 3 or z.b % 3:
+                        continue
+                    for r in square_roots(E(z.a // 3, z.b // 3)):
+                        assert (e + r).a % 2 == 0 and (e + r).b % 2 == 0, (m, d, e, r)
+                        roots += 1
+        assert roots > 200
 
     def test_one_quadratic_per_divisor_orbit(self, monkeypatch):
         # the six-unit loop made 624 square_roots calls here, and one
