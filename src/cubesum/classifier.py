@@ -268,8 +268,10 @@ def _beta_inert_25(c: _Case) -> Verdict:
 
 def _three_p(c: _Case) -> Verdict:
     p, e = c.n, c.e
-    cond, exc_a, exc_b = condition_I(p), exceptional_A(p)[0], exceptional_B(p)
-    if cond and not exc_a and not exc_b:
+    if not condition_I(p):  # cubic reciprocity says this cannot happen
+        raise ArithmeticError(f"condition (I) fails at {p}; Theorem 2.3 does not apply")
+    exc_a, exc_b = exceptional_A(p)[0], exceptional_B(p)
+    if not exc_a and not exc_b:
         return c.verdict(
             "NoSolutions", "Theorem 2.3",
             f"3·{p}^{e}: condition (I) holds and {p} is neither "

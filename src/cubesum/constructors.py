@@ -33,12 +33,6 @@ class DescentTerminal(Exception):
     """Descent has reached the units case and stops."""
 
 
-def is_cube(x: EisensteinInt) -> bool:
-    """Whether x is a nonzero cube in Z[w], by exact cube-root extraction
-    from the norm and the trace (no factoring)."""
-    return not x.is_zero() and bool(cube_roots(x))
-
-
 @dataclass(frozen=True)
 class Triple:
     """Descent state: A + B + C = 0 and A·B·C = target · (nonzero cube).
@@ -58,7 +52,7 @@ class Triple:
             raise ValueError("triple does not sum to zero")
         if self.target.is_zero():
             raise ValueError("triple target must be nonzero")
-        if not is_cube(self.A * self.B * self.C * self.target**2):
+        if not cube_roots(self.A * self.B * self.C * self.target**2):
             raise ValueError("product is not the target times a cube")
 
     def norm_product(self) -> int:
@@ -250,7 +244,8 @@ def descent_step(t: Triple) -> Triple:
     replaced by w·s or v·s without changing B; the first choice in the
     fixed order (s, w·s, v·s) making the non-cube part of C divide r + s
     is taken, else s itself.  The new triple is (w·r + v·s, v·r + w·s,
-    r + s), whose product is exactly -C.
+    r + s), whose product is exactly -C.  No new entry can vanish: the
+    three multiply to r³ + s³ = -C/i, and C is nonzero.
 
     No step divides the new entries through by beta: that would need C to
     be a cube too, i.e. r³ + s³ + c³ = 0 with r·s·c != 0 in Z[w], which
@@ -281,8 +276,6 @@ def descent_step(t: Triple) -> Triple:
             break
 
     a2, b2, c2 = W * r + V * s, V * r + W * s, r + s
-    if a2.is_zero() or b2.is_zero() or c2.is_zero():
-        raise TripleStructureError("descent step degenerates: r³ = s³ collision")
     if a2 * b2 * c2 != -c:
         raise ArithmeticError("product identity A'·B'·C' = -C failed")
     return Triple(a2, b2, c2, t.target)
@@ -340,7 +333,7 @@ def cube_triple_structure(
         raise ValueError("not a cube triple: zero entry")
     if not (a + b + c).is_zero():
         raise ValueError("not a cube triple: nonzero sum")
-    if not is_cube(a * b * c):
+    if not cube_roots(a * b * c):
         raise ValueError("not a cube triple: product is not a cube")
     i0 = next((i for i, e in enumerate(entries) if e.is_rational()), 0)
     d = entries[i0]

@@ -15,7 +15,6 @@ from typing import Callable
 from .classifier import classify
 from .constructors import (
     descent_step,
-    is_cube,
     lucas_pair,
     lucas_witness,
     reduce_triple,
@@ -37,6 +36,7 @@ from .factorization import factor
 from .search import (
     SearchBudget,
     cube_ap_exhaust,
+    cube_roots,
     flt3_exhaust,
     mordell_check,
     search_rational,
@@ -297,7 +297,7 @@ def criterion_10_property_soak() -> str:
             c = -a - b
             if b.is_zero() or c.is_zero():
                 continue
-            if not is_cube(a * b * c):
+            if not cube_roots(a * b * c):
                 continue
             cube_triple_structure(a, b, c)  # raises if not decomposable
             structured += 1

@@ -18,7 +18,6 @@ from cubesum.constructors import (
     cube_triple_structure,
     descent_step,
     descent_trace,
-    is_cube,
     lucas_pair,
     lucas_triple_search,
     lucas_witness,
@@ -42,7 +41,7 @@ from cubesum.eisenstein import (
     unit_inverse,
 )
 from cubesum.factorization import Factorization, factor, split_cubes
-from cubesum.search import search_eisenstein, search_rational
+from cubesum.search import cube_roots, search_eisenstein, search_rational
 
 
 def E(a, b=0):
@@ -211,6 +210,19 @@ class TestDescentParity:
                     c = E(a, b) ** 3 + s**3
                     if (a or b) and not c.is_zero():
                         assert split_cubes(factor(c))[1].factors, (a, b, s)
+
+    def test_step_entries_never_vanish(self):
+        # descent_step has no zero-entry test: its entries multiply to
+        # r³ + s³ = -C/i, which is nonzero since C is
+        box = [x for x in coordinate_box(5) if not x.is_zero()]
+        for r in box:
+            for s in box:
+                total = r.cube() + s.cube()
+                if total.is_zero():
+                    continue
+                a2, b2, c2 = W * r + V * s, V * r + W * s, r + s
+                assert not (a2.is_zero() or b2.is_zero() or c2.is_zero()), (r, s)
+                assert a2 * b2 * c2 == total, (r, s)
 
 
 def _c_in_target_class(t: Triple) -> bool:
@@ -459,9 +471,15 @@ def test_lucas_scan_returns_the_one_sign_answer(targets, bound):
     assert found
 
 
+# cube residues, computed here apart from search's tables
+_CUBES_819 = {k**3 % 819 for k in range(819)}
+_CUBES_703 = {k**3 % 703 for k in range(703)}
+
+
 def _unsieved_lucas_triple_search(m: int, bound: int) -> tuple[int, int] | None:
     """lucas_triple_search as it was before the per-target residue tables:
-    one _exact_icbrt call per candidate, kept as an oracle."""
+    the residue tests on n = a·b·c·m² itself, then _exact_icbrt(n), per
+    candidate, kept as an oracle."""
     if m == 0:
         raise ValueError("target must be nonzero")
     for s in range(2, 2 * bound + 1):
@@ -472,7 +490,9 @@ def _unsieved_lucas_triple_search(m: int, bound: int) -> tuple[int, int] | None:
                     c = -a - b
                     if c == 0:
                         continue
-                    if search._exact_icbrt(a * b * c * m * m) is not None:
+                    n = a * b * c * m * m
+                    if (n % 819 in _CUBES_819 and n % 703 in _CUBES_703
+                            and search._exact_icbrt(n) is not None):
                         return a, b
     return None
 
@@ -482,9 +502,6 @@ _LARGE_TARGETS = (10**12 + 39, -(10**12 + 1), 10**12 - 3 * 7 * 19)
 _BOUND_100_TARGETS = ((183, 219, 7, 15, 5)
                       + tuple(k * _SIEVE_PRIMES for k in (1, 2, 3, -5, 9))
                       + _LARGE_TARGETS)
-# cube residues, computed here apart from search's tables
-_CUBES_819 = {k**3 % 819 for k in range(819)}
-_CUBES_703 = {k**3 % 703 for k in range(703)}
 
 
 # at bound 20, |m| <= 500 catches each scan and sieve mutation that
@@ -721,7 +738,7 @@ def _k_quotient_is_cube(t_entries, target) -> bool:
     K-quotient x = A·B·C/target is a cube when num·den² is a cube of Z[w]."""
     a, b, c = t_entries
     x = KElement(a * b * c) / KElement(target)
-    return is_cube(x.num * x.den**2)
+    return bool(cube_roots(x.num * x.den**2))
 
 
 class TestTripleLifecycle:
@@ -778,7 +795,7 @@ def _cube_triple_structure_by_permutations(a, b, c):
         raise ValueError("not a cube triple: zero entry")
     if not (a + b + c).is_zero():
         raise ValueError("not a cube triple: nonzero sum")
-    if not is_cube(a * b * c):
+    if not cube_roots(a * b * c):
         raise ValueError("not a cube triple: product is not a cube")
     found = []
     for i0 in range(3):
@@ -848,12 +865,12 @@ class TestCubeTripleStructure:
             cube_triple_structure(E(1), W, W)
 
     def test_is_cube(self):
-        assert is_cube(E(8))
-        assert is_cube(E(-8))
-        assert is_cube(BETA**3)
-        assert not is_cube(W)
-        assert not is_cube(E(2))
-        assert not is_cube(E(0))
+        assert cube_roots(E(8))
+        assert cube_roots(E(-8))
+        assert cube_roots(BETA**3)
+        assert not cube_roots(W)
+        assert not cube_roots(E(2))
+        assert cube_roots(E(0)) == [E(0)]
 
     def test_is_cube_agrees_with_cube_split(self):
         # the factoring route: x is a cube when its cube class is trivial
@@ -867,7 +884,7 @@ class TestCubeTripleStructure:
                     continue
                 c = x.cube()
                 for y in (x, c, W * c, V * c):
-                    assert is_cube(y) == via_factoring(y), y
+                    assert bool(cube_roots(y)) == via_factoring(y), y
 
 
 def test_is_cube_of_large_cube_does_not_factor():
@@ -875,11 +892,11 @@ def test_is_cube_of_large_cube_does_not_factor():
     repeated large prime with Pollard rho.  Run apart so a hang fails."""
     code = (
         "import time\n"
-        "from cubesum.constructors import is_cube\n"
+        "from cubesum.search import cube_roots\n"
         "from cubesum.eisenstein import EisensteinInt, W\n"
         "x = EisensteinInt(10**10 + 3, 7) ** 3\n"
         "start = time.perf_counter()\n"
-        "answers = (is_cube(x), is_cube(W * x))\n"
+        "answers = (bool(cube_roots(x)), bool(cube_roots(W * x)))\n"
         "print(answers, time.perf_counter() - start < 1.0)\n"
     )
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -896,7 +913,8 @@ def test_witness_checks_survive_optimize():
     where assert statements are stripped: a wrong rational-search hit in
     classify, a wrong Lucas pair in lucas_witness, a wrong root from
     classify's cube split in the beta construction for classify(9, 'K'),
-    condition (I) failing under Theorem 2.2, a relation mapped back with a wrong Cramer
+    condition (I) failing under Theorem 2.2 and under Theorem 2.3 for 3·7,
+    a relation mapped back with a wrong Cramer
     determinant, and a tangent and a secant point computed with a division
     that is off by one."""
     code = (
@@ -923,6 +941,7 @@ def test_witness_checks_survive_optimize():
         "                      (lambda: constructors.lucas_witness(-3, -61, 183), 'does not sum to'),\n"
         "                      (lambda: classifier.classify(9, 'K'), 'beta witness'),\n"
         "                      (lambda: classifier.classify(EisensteinInt(0, 7), 'K'), 'condition (I)'),\n"
+        "                      (lambda: classifier.classify(21, 'Q'), 'condition (I)'),\n"
         "                      (lambda: constructors.solution_from_relation(2 * one, -one, -one, m),\n"
         "                       'constructed pair'),\n"
         "                      (lambda: corrupt(lambda: constructors.tangent_step(seven, p1)),\n"

@@ -11,7 +11,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from cubesum import cli
 from cubesum.classifier import canonicalize, classify
-from cubesum.constructors import is_cube
 from cubesum.eisenstein import (
     BETA,
     EisensteinInt,
@@ -122,7 +121,6 @@ class TestFactorization:
 
     @given(nonzero(200))
     def test_cube_detection(self, x):
-        assert is_cube(x**3)
         roots = cube_roots(x**3)
         assert x in roots and len(roots) == 3
 

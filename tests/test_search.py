@@ -113,20 +113,25 @@ class TestIcbrt:
             assert _exact_icbrt(n) == _oracle_icbrt(n), n
 
     def test_every_small_cube(self):
-        # the residue test must never turn a cube away
         for k in range(-3000, 3001):
             assert _exact_icbrt(k**3) == k
 
     def test_sieve_matches_plain_cube_test(self):
-        # the residue tests mod 819 and 703 must turn no cube away
+        # the residue tests mod 819 and 703, which cube_roots and the Lucas
+        # scan apply before _exact_icbrt, must turn no cube away
         def plain(n):
             k = search._icbrt(abs(n))
             return None if k**3 != abs(n) else k if n >= 0 else -k
 
+        def sieved(n):
+            if n % 819 not in search._CUBES_MOD_819 or n % 703 not in search._CUBES_MOD_703:
+                return None
+            return _exact_icbrt(n)
+
         ns = list(range(-10**5, 10**5 + 1)) + _around_cubes(range(10**4))
         ns += [s * (c + e) for c in (2**53, 10**30) for e in range(-500, 501) for s in (1, -1)]
         ns += _around_cubes((208063, 208064, 10**10 - 1, 10**10, 10**10 + 1))
-        assert [n for n in ns if _exact_icbrt(n) != plain(n)] == []
+        assert [n for n in ns if sieved(n) != plain(n)] == []
 
     def test_lucas_shaped(self):
         # n = a·b·c·m² as lucas_triple_search builds it, nonzero cubes among them
@@ -169,6 +174,23 @@ class TestCubeRoots:
             assert (u * pi * pi_bar**2).norm() == 7**3
             assert cube_roots(u * pi * pi_bar**2) == []
             assert cube_roots(u * pi**2 * pi_bar) == []
+
+    def test_cubes_only_norms_that_pass_the_residue_tests(self, monkeypatch):
+        # each norm is sieved once, by cube_roots: only a norm whose residues
+        # mod 819 and 703 are cube residues reaches _exact_icbrt
+        cubes_819 = {k**3 % 819 for k in range(819)}
+        cubes_703 = {k**3 % 703 for k in range(703)}
+        calls = []
+        monkeypatch.setattr(search, "_exact_icbrt", lambda n: calls.append(n) or _exact_icbrt(n))
+        pi, pi_bar = split_prime(7)
+        zs = [x for x in coordinate_box(12) if not x.is_zero()]
+        zs += [x.cube() for x in zs] + [u * pi * pi_bar**2 for u in UNITS]
+        for z in zs:
+            cube_roots(z)
+        survivors = [z.norm() for z in zs
+                     if z.norm() % 819 in cubes_819 and z.norm() % 703 in cubes_703]
+        assert calls == survivors
+        assert len(survivors) < len(zs)
 
     def test_soak(self):
         import random
