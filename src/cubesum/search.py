@@ -13,12 +13,12 @@ which cube_ap_exhaust reads off search_rational(2, bound).
     inert q ≡ 2 mod 3 divides a² - ab + b² = N(a + b·w) only with a and b,
     and beta = 1 - w fixes v_3(e); every e left gives a primitive pair.  No
     numerator box: 17 = (18/7)³ - (1/7)³ appears at tiny budgets.
-  * search_eisenstein: the same divisor search in Z[w], its divisors
-    listed by _divisors, complete inside a coordinate box per denominator;
-    an empty result proves nothing.  For f = M·d³/e the quadratic gives
-    ξ = (e ± √((4f - e²)/3))/2, whose numerator is even as 2 is inert; since
-    a hit has 4f - e² = 3(ξ - η)², a divisor e is skipped unless 3 divides
-    both coordinates of 4f - e².
+  * search_eisenstein: the same divisor search in Z[w] over _divisors,
+    complete inside a coordinate box per denominator; an empty result proves
+    nothing.  ξ = (e ± √((4f - e²)/3))/2 for f = M·d³/e needs no parity
+    test (2 is inert), and e is skipped unless 3 divides 4f - e² = 3(ξ - η)².
+    Hits are a set of reduced pairs with no primitivity test: a pair of
+    content g at d is found, reduced, at d/g as well.
   * relation_search: first (r, s, t) with w·r³ + v·s³ + M·t³ = 0.
 
 search_eisenstein skips, by an exact norm window, what no box point can
@@ -297,8 +297,7 @@ def search_eisenstein(
 
     The quadratic is solved once per orbit {e, w·e, v·e}: e runs over the
     divisors times ±1 only, and each root (xi, eta) for e gives the roots
-    (ζ·xi, ζ·eta) for ζ·e, which share its cubes and its content, so only
-    the box filter is applied to each rotation.
+    (ζ·xi, ζ·eta) for ζ·e, with the same cubes, tested only for the box.
 
     All of this runs on int coordinates, f = m·d³·conj(e)/N(e) by two
     integer divisions; square_roots verifies each root exactly.  m is
@@ -312,14 +311,16 @@ def search_eisenstein(
     d whose floor exceeds the cap 12·bound², as it does for every larger d.
     The test is kept multiplied out, so bound 0 needs no special case.
 
-    With stop_at_first_denominator the search returns after the smallest
-    denominator that yields hits; since the result order is denominator-
-    major, the leading hit is the same either way.
+    Hits are a set of reduced pairs, checked by check_solution at the end,
+    with no primitivity test: a root at d whose coordinates share g > 1
+    with d is, divided by g, a root at d/g, in the (symmetric, convex) box
+    wherever it is, so the set holds its pair once.  stop_at_first_denominator
+    returns after the first d with hits: the leading hit is the same either way.
     """
     if m.is_zero():
         raise ValueError("target must be nonzero")
     nm, cap, f_cap = m.norm(), 12 * coord_bound**2, 81 * coord_bound**4
-    hits: list[tuple[KElement, KElement]] = []
+    hits: set[tuple[KElement, KElement]] = set()
     for d in range(1, denom_bound + 1):
         # N(e)·N(f) = N(m·d³), and a hit has N(e) <= cap, N(f) <= f_cap
         nmd = nm * d**6
@@ -346,8 +347,6 @@ def search_eisenstein(
             for r in square_roots(EisensteinInt(za // 3, zb // 3)):
                 ua, ub = (ea + r.a) // 2, (eb + r.b) // 2
                 va, vb = ea - ua, eb - ub
-                if gcd(ua, ub, va, vb, d) != 1:
-                    continue
                 # rotations by 1, w and v; a + b·w is in the box when |a|, |b - a| <= bound
                 for xa, xb, ya, yb in ((ua, ub, va, vb),
                                        (-ub, ua - ub, -vb, va - vb),
@@ -355,10 +354,10 @@ def search_eisenstein(
                     if max(abs(xa), abs(xb - xa), abs(ya), abs(yb - ya)) > coord_bound:
                         continue
                     x, y = KElement(EisensteinInt(xa, xb), d), KElement(EisensteinInt(ya, yb), d)
-                    hits.append(check_solution((x, y), m, "search hit"))
+                    hits.add((x, y))
         if hits and stop_at_first_denominator:
             break
-    return sorted(hits, key=witness_sort_key)
+    return sorted((check_solution(p, m, "search hit") for p in hits), key=witness_sort_key)
 
 
 # A grid-q pass factors 36,300 d (grid-k 35,590), at 1.64 µs uncached, 0.09 µs

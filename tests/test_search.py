@@ -876,6 +876,36 @@ class TestSearchEisenstein:
                         roots += 1
         assert roots > 200
 
+    def test_every_root_with_content_is_listed_reduced(self):
+        # a root (xi, eta) at d with g = gcd(xi, eta, d) > 1 solves the
+        # quadratic at d/g once divided by g, and the box is symmetric and
+        # convex: the search lists the reduced pair at d/g, so a set of
+        # reduced pairs holds it once with no primitivity test
+        bound, reduced = 12, 0
+        for m in [*_grid_k_sample(40, 7), E(0, 18), E(1, 9), E(9), E(7), BETA]:
+            target = factor(m).factors
+            listed = {d: set(search_eisenstein(m, bound, d)) for d in range(1, 4)}
+            for d in range(2, 7):
+                md3 = m * d**3
+                for ea, eb, _ in _divisors(target, factor(E(d)).factors, md3.norm()):
+                    e = E(ea, eb)
+                    z = 4 * (md3 / e) - e * e
+                    if z.a % 3 or z.b % 3:
+                        continue
+                    for r in square_roots(E(z.a // 3, z.b // 3)):
+                        xi = E((e + r).a // 2, (e + r).b // 2)
+                        eta = e - xi
+                        g = gcd(xi.a, xi.b, eta.a, eta.b, d)
+                        if g == 1:
+                            continue
+                        for x, y in ((xi, eta), (W * xi, W * eta), (V * xi, V * eta)):
+                            if in_coordinate_box(x, bound) and in_coordinate_box(y, bound):
+                                pair = (K(E(x.a // g, x.b // g), d // g),
+                                        K(E(y.a // g, y.b // g), d // g))
+                                assert pair in listed[d // g], (m, d, x, y)
+                                reduced += 1
+        assert reduced > 300
+
     def test_one_quadratic_per_divisor_orbit(self, monkeypatch):
         # the six-unit loop made 624 square_roots calls here, and one
         # quadratic per orbit made 208 before the mod-3 test on 4f - e²
