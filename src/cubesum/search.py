@@ -16,7 +16,10 @@ which cube_ap_exhaust reads off search_rational(2, bound).
   * search_eisenstein: the same divisor search in Z[w] over _divisors,
     complete inside a coordinate box per denominator; an empty result proves
     nothing.  ξ = (e ± √((4f - e²)/3))/2 for f = M·d³/e needs no parity
-    test (2 is inert), and e is skipped unless 3 divides 4f - e² = 3(ξ - η)².
+    test (2 is inert).  4f - e² = 3(ξ - η)² makes M·d³ ≡ e³ mod 3, and a
+    cube prime to beta is ±1 mod 3: so for beta ∤ M·d³ one sign of e is
+    tried, e ≡ M·d³ mod beta (none if M·d³ ≢ ±1 mod 3), and only for
+    beta | M·d³ both, each skipped unless 3 divides 4f - e².
     Hits are a set of reduced pairs with no primitivity test: a pair of
     content g at d is found, reduced, at d/g as well.
   * relation_search: first (r, s, t) with w·r³ + v·s³ + M·t³ = 0.
@@ -202,14 +205,14 @@ def witness_sort_key(pair: tuple[KElement, KElement]):
 
 
 def _divisors(target, denom, cap):
-    """The divisors ±∏ q^k of target·denom³ in Z[w] of norm at most cap, each
-    once by unique factorization, as int triples (a, b, N(a + b·w)); target
-    and denom are (prime, exponent) pairs over Z[w].  Norms only grow, so
-    partial products stop at the cap."""
+    """The divisors ∏ q^k of target·denom³ in Z[w] of norm at most cap, one
+    per class of associates by unique factorization, as int triples
+    (a, b, N(a + b·w)); target and denom are (prime, exponent) pairs over
+    Z[w].  Norms only grow, so partial products stop at the cap."""
     exponents = dict(target)
     for q, k in denom:
         exponents[q] = exponents.get(q, 0) + 3 * k
-    divs = [(1, 0, 1), (-1, 0, 1)]
+    divs = [(1, 0, 1)]
     for q, top in exponents.items():
         qa, qb = q.a, q.b
         nq = qa * qa - qa * qb + qb * qb
@@ -290,20 +293,22 @@ def search_eisenstein(
     divisors of m·d³ of norm <= 12·bound² (box points have norm <= 3·bound²),
     f = m·d³/e and xi = (e ± √((4f - e²)/3))/2; filtered to the box, this is
     the naive double box scan, complete inside the box per denominator.
-    A hit has 4f - e² = 3(xi - eta)², so a divisor e for which 3 does not
-    divide both coordinates of 4f - e² is skipped before any square root.
+    A hit has 4f - e² = 3(xi - eta)², so N = m·d³ = e·f ≡ e³ mod 3, and for
+    beta ∤ e, e = ±1 + beta·k has e³ ≡ ±1 mod 3 (3 = -beta²).  So for beta ∤ N
+    a d with N ≢ ±1 mod 3 is skipped, and only the e ≡ N mod beta is tried,
+    which passes 3 | 4f - e²; for beta | N both signs go to that test.
     Each root r gives xi = (e + r)/2 with no parity test: 2 is inert, so
     Z[w]/2 is a field and (e + r)² ≡ e² + 3r² = 4f ≡ 0 mod 2 forces 2 | e + r.
 
     The quadratic is solved once per orbit {e, w·e, v·e}: e runs over the
-    divisors times ±1 only, and each root (xi, eta) for e gives the roots
-    (ζ·xi, ζ·eta) for ζ·e, with the same cubes, tested only for the box.
+    divisors with those signs only, and each root (xi, eta) for e gives the
+    roots (ζ·xi, ζ·eta) for ζ·e, with the same cubes, tested only for the box.
 
     All of this runs on int coordinates, f = m·d³·conj(e)/N(e) by two
     integer divisions; square_roots verifies each root exactly.  m is
-    factored once d = 1 passes the window below, so a target no box pair
-    can reach costs no factoring; each d, factored over Z when the loop
-    reaches it, is lifted by _above: 3 = -beta², p inert, p = pi·pi_bar.
+    factored at the first d listed, so a target no box pair can reach costs
+    no factoring; each d, factored over Z when the loop reaches it, is
+    lifted by _above: 3 = -beta², p inert, p = pi·pi_bar.
 
     A hit has |f| = |xi² - xi·eta + eta²| <= 9·bound², so N(f) <= 81·bound⁴
     and N(e) = N(m)·d⁶/N(f) >= N(m)·d⁶/(81·bound⁴): divisors below that
@@ -321,19 +326,28 @@ def search_eisenstein(
         raise ValueError("target must be nonzero")
     nm, cap, f_cap = m.norm(), 12 * coord_bound**2, 81 * coord_bound**4
     hits: set[tuple[KElement, KElement]] = set()
+    target = None
     for d in range(1, denom_bound + 1):
         # N(e)·N(f) = N(m·d³), and a hit has N(e) <= cap, N(f) <= f_cap
         nmd = nm * d**6
         if cap * f_cap < nmd:
             break
-        if d == 1:
-            target = factor(m).factors
         ma, mb = m.a * d**3, m.b * d**3
+        # N = m·d³ ≡ ma + mb mod beta (w ≡ 1): beta ∤ N needs N ≡ ±1 mod 3, e ≡ N
+        if (unit := (ma + mb) % 3) and mb % 3:
+            continue
+        if target is None:
+            target = factor(m).factors
         factors = [(irr, 2 * k if p == 3 else k)
                    for p, k in _integer_factors(d) for irr in _above(p)[1]]
-        for ea, eb, n in _divisors(target, factors, cap):
+        divs = _divisors(target, factors, cap)
+        if not unit:
+            divs += [(-ea, -eb, n) for ea, eb, n in divs]
+        for ea, eb, n in divs:
             if n * f_cap < nmd:
                 continue
+            if unit and (ea + eb) % 3 != unit:
+                ea, eb = -ea, -eb
             # f = m·d³/e = m·d³·conj(e)/N(e), as in eisenstein._exact_quotient
             fa, ra = divmod(ma * (ea - eb) + mb * eb, n)
             fb, rb = divmod(mb * ea - ma * eb, n)
@@ -342,7 +356,7 @@ def search_eisenstein(
             # a hit has 4f - e² = 3r² with r = xi - eta,
             # where e² = (ea² - eb²) + (2·ea - eb)·eb·w
             za, zb = 4 * fa - (ea * ea - eb * eb), 4 * fb - (2 * ea - eb) * eb
-            if za % 3 or zb % 3:
+            if not unit and (za % 3 or zb % 3):
                 continue
             for r in square_roots(EisensteinInt(za // 3, zb // 3)):
                 ua, ub = (ea + r.a) // 2, (eb + r.b) // 2
@@ -360,7 +374,7 @@ def search_eisenstein(
     return sorted((check_solution(p, m, "search hit") for p in hits), key=witness_sort_key)
 
 
-# A grid-q pass factors 36,300 d (grid-k 35,590), at 1.64 µs uncached, 0.09 µs
+# A grid-q pass factors 36,300 d (grid-k 25,306), at 1.64 µs uncached, 0.09 µs
 # a hit: unmemoised, grid-q's classify p50 went 0.79 -> 0.95 ms (2-core x86-64).
 @lru_cache(maxsize=1024)
 def _integer_factors(d: int) -> tuple[tuple[int, int], ...]:

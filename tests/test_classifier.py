@@ -600,10 +600,11 @@ def test_box_search_factors_each_denominator_once(factor_calls, factor_int_calls
 def test_public_box_search_factors_its_target(factor_calls, factor_int_calls):
     m = E(2, 5)
     first = search_eisenstein(m, 4, 3)
-    # factor runs on the target only; each d the loop reaches is factored
-    # over Z there, once
+    # factor runs on the target only; each d the loop lists is factored
+    # over Z there, once.  2 + 5w ≡ -1 - w mod 3 is prime to beta and not
+    # ±1 mod 3, so m·d³ can be a sum of two cubes only for 3 | d
     assert factor_calls == [("search", m)]
-    assert factor_int_calls == [1, 2, 3]
+    assert factor_int_calls == [3]
     factor_calls.clear()
     factor_int_calls.clear()
     assert search_eisenstein(m, 4, 3) == first
@@ -611,8 +612,9 @@ def test_public_box_search_factors_its_target(factor_calls, factor_int_calls):
     assert factor_int_calls == []
 
     # 12⁶ <= 12·4²·81·4⁴ < 13⁶: past d = 12 even a unit target fails the
-    # window, which stops the loop before d = 13 is factored; d <= 3 are memoised
+    # window, which stops the loop before d = 13 is factored; d = 3 is
+    # memoised, and w, like m, is listed only at 3 | d
     factor_calls.clear()
     search_eisenstein(W, 4, 50)
     assert factor_calls == [("search", W)]
-    assert factor_int_calls == list(range(4, 13))
+    assert factor_int_calls == [6, 9, 12]

@@ -681,12 +681,14 @@ def _object_search_eisenstein(m, coord_bound, denom_bound, stop_at_first_denomin
 
 def _unwindowed_search_eisenstein(m, coord_bound, denom_bound, stop_at_first_denominator=False):
     """search_eisenstein before its divisor norm window, kept as an oracle:
-    every divisor of norm <= 12·bound² goes to the quadratic, for every d."""
+    every divisor of norm <= 12·bound², with both signs, goes to the
+    quadratic, for every d."""
     target = factor(m).factors
     hits = []
     for d in range(1, denom_bound + 1):
         ma, mb = m.a * d**3, m.b * d**3
-        for ea, eb, n in _divisors(target, factor(E(d)).factors, 12 * coord_bound**2):
+        divs = _divisors(target, factor(E(d)).factors, 12 * coord_bound**2)
+        for ea, eb, n in [(s * a, s * b, n) for a, b, n in divs for s in (1, -1)]:
             fa, ra = divmod(ma * (ea - eb) + mb * eb, n)
             fb, rb = divmod(mb * ea - ma * eb, n)
             assert not (ra or rb)
@@ -712,15 +714,15 @@ def _unwindowed_search_eisenstein(m, coord_bound, denom_bound, stop_at_first_den
 class TestDivisors:
     def test_matches_object_enumerator_over_z(self):
         # a rational m·d³ factored in Z[w]: each of its divisors over Z is
-        # listed once up to the units 1, w, v, as ±1 times a product of
-        # irreducibles (3 = -beta², p = pi·pi_bar up to a unit)
+        # listed once up to the units ±1, w, v, as a product of irreducibles
+        # (3 = -beta², p = pi·pi_bar up to a unit)
         for m in (1, -1, 12, -30, 97, 360, 30030):
             for d in (1, 2, 6, 35):
                 got = _divisors(factor(E(m)).factors, factor(E(d)).factors, (m * d**3) ** 2)
                 rational = [e for a, b, _ in got for e in (E(a, b), W * E(a, b), V * E(a, b))
                             if e.b == 0]
-                want = _object_divisors((1, -1), factor_int(m).items(), factor_int(d).items())
-                assert Counter(e.a for e in rational) == Counter(want), (m, d)
+                want = _object_divisors((1,), factor_int(m).items(), factor_int(d).items())
+                assert Counter(abs(e.a) for e in rational) == Counter(want), (m, d)
 
     def test_matches_object_enumerator_over_zw(self):
         pi, _ = split_prime(19)
@@ -730,13 +732,13 @@ class TestDivisors:
                 for cap in ((m * d**3).norm(), 1, 7, 300, 10800):
                     got = _divisors(*args, cap)
                     assert all(E(a, b).norm() == n for a, b, n in got)
-                    want = _object_divisors((E(1), E(-1)), *args, cap)
+                    want = _object_divisors((E(1),), *args, cap)
                     assert Counter(E(a, b) for a, b, _ in got) == Counter(want), (m, d, cap)
 
     def test_cap_zero_is_a_cap(self, monkeypatch):
-        # a test of `not cap` read 0 as no cap, listing all 768 divisors
+        # a test of `not cap` read 0 as no cap, listing all 384 divisors
         target = factor(E(2 * 3 * 5 * 7 * 11 * 13)).factors
-        assert len(_divisors(target, (), 30030**2)) == 768
+        assert len(_divisors(target, (), 30030**2)) == 384
         assert _divisors(target, (), 0) == []
         listed = []
 
@@ -866,8 +868,8 @@ class TestSearchEisenstein:
             target = factor(m).factors
             for d in range(1, 7):
                 md3 = m * d**3
-                for ea, eb, _ in _divisors(target, factor(E(d)).factors, md3.norm()):
-                    e = E(ea, eb)
+                divs = _divisors(target, factor(E(d)).factors, md3.norm())
+                for e in (s * E(a, b) for a, b, _ in divs for s in (1, -1)):
                     z = 4 * (md3 / e) - e * e
                     if z.a % 3 or z.b % 3:
                         continue
@@ -875,6 +877,32 @@ class TestSearchEisenstein:
                         assert (e + r).a % 2 == 0 and (e + r).b % 2 == 0, (m, d, e, r)
                         roots += 1
         assert roots > 200
+
+    def test_one_sign_per_divisor_prime_to_beta(self):
+        # a hit has 4f - e² = 3(xi - eta)², so f ≡ e² and N = e·f ≡ e³ mod 3,
+        # and e ≡ ±1 mod beta gives e³ ≡ ±1 mod 3 (3 = -beta²): for beta ∤ N
+        # exactly one of ±e passes the mod-3 test, the one ≡ N mod beta, and
+        # none when N ≢ ±1 mod 3, so the box search tries no other
+        kept = skipped = 0
+        for m in [*_grid_k_sample(40, 7), E(0, 18), E(1, 9), E(7), BETA]:
+            target = factor(m).factors
+            for d in range(1, 7):
+                md3 = m * d**3
+                if BETA.divides(md3):
+                    continue
+                for a, b, _ in _divisors(target, factor(E(d)).factors, md3.norm()):
+                    passing = []
+                    for e in (E(a, b), -E(a, b)):
+                        z = 4 * (md3 / e) - e * e
+                        if z.a % 3 == z.b % 3 == 0:
+                            passing.append(e)
+                    if md3.b % 3:
+                        assert passing == [], (m, d, a, b)
+                        skipped += 1
+                    else:
+                        assert len(passing) == 1 and BETA.divides(passing[0] - md3), (m, d, a, b)
+                        kept += 1
+        assert kept > 400 and skipped > 800
 
     def test_every_root_with_content_is_listed_reduced(self):
         # a root (xi, eta) at d with g = gcd(xi, eta, d) > 1 solves the
@@ -887,8 +915,8 @@ class TestSearchEisenstein:
             listed = {d: set(search_eisenstein(m, bound, d)) for d in range(1, 4)}
             for d in range(2, 7):
                 md3 = m * d**3
-                for ea, eb, _ in _divisors(target, factor(E(d)).factors, md3.norm()):
-                    e = E(ea, eb)
+                divs = _divisors(target, factor(E(d)).factors, md3.norm())
+                for e in (s * E(a, b) for a, b, _ in divs for s in (1, -1)):
                     z = 4 * (md3 / e) - e * e
                     if z.a % 3 or z.b % 3:
                         continue
@@ -1108,8 +1136,10 @@ class _StopFactoring(Exception):
                          ids=["rational", "eisenstein"])
 def test_denominators_factored_as_the_loop_reaches_them(monkeypatch, run, step):
     # the target, then d = 1 and a step on its divisors (the rational search
-    # has one, e = 1, and takes its discriminant's root; the box search lists
-    # them), then d = 2: each d is factored only when the loop reaches it,
+    # has one, e = 1, and takes its discriminant's root), then d = 2; the box
+    # search skips each d prime to 3, where w·d³ ≡ ±w mod 3 is prime to beta
+    # and not ±1, so it factors the target at d = 3, lists its divisors and
+    # goes on to d = 6.  Each d is factored only when the loop reaches it,
     # so a huge bound costs nothing up front
     log = []
 
