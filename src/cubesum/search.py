@@ -11,7 +11,9 @@ which cube_ap_exhaust reads off search_rational(2, bound).
     quadratic in a whose discriminant is tested for squareness.  The primes
     of Z[w] prune e: past gcd(a, b) the two factors share no prime but 3, an
     inert q ≡ 2 mod 3 divides a² - ab + b² = N(a + b·w) only with a and b,
-    and beta = 1 - w fixes v_3(e); every e left gives a primitive pair.  No
+    and beta = 1 - w fixes v_3(e); every e left gives a primitive pair.  A d
+    is skipped before anything is listed when some prime allows e no power,
+    or when the product L of each prime's least power has L³ > 4|M|d³.  No
     numerator box: 17 = (18/7)³ - (1/7)³ appears at tiny budgets.
   * search_eisenstein: the same divisor search in Z[w] over _divisors,
     complete inside a coordinate box per denominator; an empty result proves
@@ -64,7 +66,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 from .eisenstein import (
     BETA,
@@ -122,8 +124,9 @@ def _cube_sieve(k: int, q: int, cubes: frozenset[int]) -> bytearray:
     t·k ≡ r (mod q) iff g | r and t ≡ (r/g)·(k/g)⁻¹ (mod q/g), g = gcd(k, q)."""
     g = gcd(k, q)
     table, inverse = bytearray(q // g), pow(k // g, -1, q // g)
-    for r in cubes.intersection(range(0, q, g)):
-        table[r // g * inverse % (q // g)] = 1
+    for r in cubes:
+        if r % g == 0:
+            table[r // g * inverse % (q // g)] = 1
     return table * g
 
 
@@ -246,30 +249,45 @@ def search_rational(m: int, denom_bound: int) -> list[tuple[KElement, KElement]]
     e ≡ m·d³ mod 3, as x³ ≡ x mod 3 demands: q^k ≡ q^v mod 3 when q != 3.
     For q | d that leaves v_q(e) = 0 or v (v - 1 for q = 3), but q | a, b
     puts q in e and q² in f = m·d³/e: each hit is primitive untested.
+
+    Each e takes one power per prime, so the least e listed is the product L
+    of each prime's least power.  The powers of a prime q ∤ d depend on m
+    alone and are built once per call; a prime of d takes 1 or q^v when
+    split, q^v when inert, 3^(v - 1) for 3.  A d is skipped before any
+    listing when a prime has no power (3 ∤ d with v_3(m) = 1) or when
+    L³ > 4|m|d³, which for an integer L is L > ⌊∛(4|m|d³)⌋: exactly the d
+    whose listing would be empty, most of them.
     """
     if m == 0:
         raise ValueError("target must be nonzero")
     target = factor_int(m)
+    # for q ∤ d the powers q^k that v_q(e) can take depend on m alone
+    own = {}
+    for q, v in target.items():
+        js = range(v // 3 + 1)
+        if q == 3:
+            ks = {v - 2 * j - (v > 3 * j) for j in js if v - 3 * j != 1}
+        elif q % 3 == 1:
+            ks = {k for j in js for k in (j, v - 2 * j)}
+        else:
+            ks = {v - 2 * j for j in js}
+        own[q] = [q**k for k in sorted(ks)]
     # a² - ab + b² > 0, so a + b carries the sign of m
     sign = 1 if m > 0 else -1
     hits: set[tuple[KElement, KElement]] = set()
     for d in range(1, denom_bound + 1):
-        n, cap = m * d**3, _icbrt(4 * abs(m) * d**3)
-        exponents = target | {q: target.get(q, 0) + 3 * k for q, k in _integer_factors(d)}
-        divs = [1]
-        for q, v in exponents.items():
-            js = range(v // 3 + 1) if d % q else (0,)
-            if q == 3:
-                ks = {v - 2 * j - (v > 3 * j) for j in js if v - 3 * j != 1}
-            elif q % 3 == 1:
-                ks = {k for j in js for k in (j, v - 2 * j)}
-            else:
-                ks = {v - 2 * j for j in js}
-            powers = [q**k for k in ks]
-            divs = [g * p for g in divs for p in powers if g * p <= cap]
-            # divs empties here in most d steps; looping on would add ~25% to the search
-            if not divs:
-                break
+        n = m * d**3
+        powers = own.copy()
+        for q, k in _integer_factors(d):
+            v = target.get(q, 0) + 3 * k
+            powers[q] = [1, q**v] if q % 3 == 1 else [q**v] if q != 3 else [3**(v - 1)]
+        # e takes one power per prime: a prime with none, or least powers
+        # whose product L has L³ > 4|n|, leaves nothing under the cap
+        if not all(powers.values()) or prod(p[0] for p in powers.values())**3 > 4 * abs(n):
+            continue
+        cap, divs = _icbrt(4 * abs(n)), [1]
+        for ps in powers.values():
+            divs = [g * p for g in divs for p in ps if g * p <= cap]
         for g in divs:
             e = sign * g
             disc = 12 * (n // e) - 3 * e * e

@@ -30,6 +30,7 @@ from cubesum.search import (
     SearchBudget,
     _divisors,
     _exact_icbrt,
+    _icbrt,
     cube_ap_exhaust,
     cube_roots,
     flt3_exhaust,
@@ -459,6 +460,42 @@ def _unpruned_search_rational(m: int, denom_bound: int):
     return sorted(hits, key=witness_sort_key)
 
 
+def _listing_per_prime(m: int, d: int) -> list[int]:
+    """search_rational's divisor listing at d before it skipped a d by its
+    least divisor, kept as an oracle: each prime of m·d³ multiplies in the
+    powers its rule allows, under the cap, from an exponent dict built at d."""
+    target = factor_int(m)
+    cap = _icbrt(4 * abs(m) * d**3)
+    exponents = target | {q: target.get(q, 0) + 3 * k for q, k in factor_int(d).items()}
+    divs = [1]
+    for q, v in exponents.items():
+        js = range(v // 3 + 1) if d % q else (0,)
+        if q == 3:
+            ks = {v - 2 * j - (v > 3 * j) for j in js if v - 3 * j != 1}
+        elif q % 3 == 1:
+            ks = {k for j in js for k in (j, v - 2 * j)}
+        else:
+            ks = {v - 2 * j for j in js}
+        divs = [g * p for g in divs for p in [q**k for k in ks] if g * p <= cap]
+    return divs
+
+
+# the k-times-cubes targets of test_pruned_divisors_match_unpruned
+_K_TIMES_CUBES = [s * k * c**3 for s in (1, -1) for k in (1, 2, 3, 6, 7, 9, 17, 18, 19, 37, 65, 91)
+                  for c in (2, 3, 5, 6, 7, 10, 11, 22)]
+
+
+def _listed_denominators(monkeypatch, m: int, bound: int) -> tuple[set[int], int]:
+    """The d at which search_rational(m, bound) lists divisors, read off its
+    one _icbrt call per listed d, and its number of discriminant tests."""
+    caps, roots = [], []
+    with monkeypatch.context() as patch:
+        patch.setattr(search, "_icbrt", lambda a: caps.append(a) or _icbrt(a))
+        patch.setattr(search, "isqrt", lambda x: roots.append(x) or isqrt(x))
+        search_rational(m, bound)
+    return {d for d in range(1, bound + 1) if 4 * abs(m) * d**3 in caps}, len(roots)
+
+
 class TestSearchRational:
     def test_seven(self):
         hits = {(str(x), str(y)) for x, y in search_rational(7, 5)}
@@ -548,6 +585,39 @@ class TestSearchRational:
             if m:
                 search_rational(m, 12)
         assert len(calls) <= 826
+
+    def test_least_divisor_skip_is_exactly_an_empty_listing(self, monkeypatch):
+        # a d is listed iff the per-prime listing at d is not empty, and a
+        # listed d lists exactly as that listing did: one discriminant test
+        # per divisor.  The corpus takes each rule of a prime of d both ways
+        # (3 ∤ d with v_3(m) = 1 always skips)
+        cases = set()
+        for m in [m for m in range(-300, 301) if m] + _K_TIMES_CUBES:
+            listings = {d: _listing_per_prime(m, d) for d in range(1, 13)}
+            listed, tests = _listed_denominators(monkeypatch, m, 12)
+            assert listed == {d for d, divs in listings.items() if divs}, m
+            assert tests == sum(map(len, listings.values())), m
+            target = factor_int(m)
+            for d, divs in listings.items():
+                primes = factor_int(d)
+                if target.get(3) == 1 and d % 3:
+                    cases.add(("3 ∤ d, v_3(m) = 1", bool(divs)))
+                if 3 in primes:
+                    cases.add(("3 | d", bool(divs)))
+                if any(q % 3 == 2 and q in target for q in primes):
+                    cases.add(("inert q | m, d", bool(divs)))
+                if any(q % 3 == 1 for q in primes):
+                    cases.add(("split q | d", bool(divs)))
+        assert cases == {("3 ∤ d, v_3(m) = 1", False), ("3 | d", False), ("3 | d", True),
+                         ("inert q | m, d", False), ("inert q | m, d", True),
+                         ("split q | d", False), ("split q | d", True)}
+
+    def test_least_divisor_skip_cuts_the_listed_denominators(self, monkeypatch):
+        # of the 7200 d steps here, which all built a listing before the
+        # skip, 788 reach it
+        listed = sum(len(_listed_denominators(monkeypatch, m, 12)[0])
+                     for m in range(-300, 301) if m)
+        assert listed <= 788
 
     def test_every_hit_is_primitive_untested(self, monkeypatch):
         # for q | d the divisor list allows v_q(a + b) = 0 or v (v - 1 for
