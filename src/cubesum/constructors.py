@@ -18,7 +18,7 @@ from old ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import lcm
 
 from .eisenstein import BETA, ONE, EisensteinInt, KElement, V, W, eis_gcd, unit_inverse
 from .factorization import factor, split_cubes
@@ -121,25 +121,23 @@ def lucas_triple_search(m: int, bound: int) -> tuple[int, int] | None:
     """Smallest integer pair (a, b), by |a| + |b| then |a|, with
     a·b·(-a-b)/m a nonzero rational cube; None if the bound is exhausted.
 
-    Within one magnitude class the negative candidate is scanned first.
-    abc/m = abc·m²/m³ is a rational cube exactly when abc·m² is an integer cube.
-    Only a p = abc that passes both residue tests in _cube_sieve(m²) is cubed.
+    Candidates run by s = |a| + |b|, x = |a|, a = -x before x, then
+    b = x - s before s - x.  abc/m = abc·m²/m³ is a rational cube exactly
+    when abc·m² is an integer cube.  a, b ≠ 0, so p = abc is 0 only when c
+    is; a nonzero p passing both residue tests in _cube_sieve(m²) is cubed.
     """
     if m == 0:
         raise ValueError("target must be nonzero")
-    sieve_819 = _cube_sieve(m * m, 819, _CUBES_MOD_819)
-    sieve_703 = _cube_sieve(m * m, 703, _CUBES_MOD_703)
+    mm = m * m
+    sieve_819 = _cube_sieve(mm, 819, _CUBES_MOD_819)
+    sieve_703 = _cube_sieve(mm, 703, _CUBES_MOD_703)
     for s in range(2, 2 * bound + 1):
-        for abs_a in range(max(1, s - bound), min(s - 1, bound) + 1):
-            abs_b = s - abs_a
-            for a in (-abs_a, abs_a):
-                for b in (-abs_b, abs_b):
-                    c = -a - b
-                    if c == 0:
-                        continue
-                    p = a * b * c
-                    if (sieve_819[p % 819] and sieve_703[p % 703]
-                            and _exact_icbrt(p * m * m) is not None):
+        for x in range(max(1, s - bound), min(s - 1, bound) + 1):
+            for a in (-x, x):
+                for b in (x - s, s - x):
+                    p = -a * b * (a + b)
+                    if (p and sieve_819[p % 819] and sieve_703[p % 703]
+                            and _exact_icbrt(p * mm) is not None):
                         return a, b
     return None
 
@@ -203,7 +201,7 @@ def triple_from_solution(x: KElement, y: KElement, m: EisensteinInt) -> Triple:
         raise ValueError("not a solution of x³ + y³ = m")
     if x3 == y3:
         raise ValueError("degenerate solution: x³ = y³")
-    d = x3.den * y3.den // gcd(x3.den, y3.den)
+    d = lcm(x3.den, y3.den)
     return Triple(x3.num * (d // x3.den), y3.num * (d // y3.den), -m * d, m)
 
 

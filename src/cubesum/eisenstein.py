@@ -400,7 +400,7 @@ class KElement:
             raise ZeroDivisionError("division by zero")
         if den < 0:
             num, den = -num, -den
-        g = gcd(gcd(abs(num.a), abs(num.b)), den)
+        g = gcd(num.a, num.b, den)
         if g > 1:
             num = EisensteinInt(num.a // g, num.b // g)
             den //= g

@@ -170,10 +170,10 @@ def factor_int(n: int) -> dict[int, int]:
 
     Trial division by the primes below 1000, then Pollard rho (Brent's
     variant), which takes about √q steps to split off a prime q: the limit
-    is the second-largest prime factor, not the size of n.  Two 13-digit
-    primes, (10¹²+39)·(2·10¹²+3), take 0.45 s (2-core x86-64); two
-    16-digit ones, or a repeated large prime, do not finish; factor meets
-    the latter for rational x, as N(x) = x²: (10⁴⁰+1)² stalls.
+    is the second-largest prime factor, not the size of n.  Prime pairs
+    (10¹²+39)·(2·10¹²+3) took 0.73 s, (10¹⁵+37)·(10¹⁵+91) 12.0 s (once each,
+    2-core x86-64).  A repeated large prime does not finish; factor meets
+    it for rational x, as N(x) = x²: (10⁴⁰+1)² stalls.
     """
     if n == 0:
         raise ValueError("cannot factor zero")

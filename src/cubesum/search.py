@@ -1,6 +1,7 @@
 """Brute-force witness searches at desk scale.
 
-Three searches feed the classifier.  Of the three classical corollaries,
+Four searches feed the classifier: the three below and the Lucas scan,
+constructors.lucas_triple_search.  Of the three classical corollaries,
 two are scans of their own (flt3_exhaust, mordell_check); the third, no
 three distinct cubes in arithmetic progression, is Euler's M = 2 case,
 which cube_ap_exhaust reads off search_rational(2, bound).
@@ -66,7 +67,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, lcm, prod
 
 from .eisenstein import (
     BETA,
@@ -202,7 +203,7 @@ def witness_sort_key(pair: tuple[KElement, KElement]):
     rather than its swap, and (3+2w, 1) among the unit twists.
     """
     x, y = pair
-    d = x.den * y.den // gcd(x.den, y.den)
+    d = lcm(x.den, y.den)
     sx, sy = d // x.den, d // y.den
     return (d, -x.num.a * sx, -x.num.b * sx, -y.num.a * sy, -y.num.b * sy)
 
@@ -536,7 +537,7 @@ def mordell_check(coord_bound: int, denom_bound: int) -> MordellReport:
     field_hits: list[tuple[KElement, KElement]] = []
     for d in range(1, denom_bound + 1):
         for xi in coordinate_box(coord_bound):
-            if gcd(gcd(abs(xi.a), abs(xi.b)), d) != 1:
+            if gcd(xi.a, xi.b, d) != 1:
                 continue
             x = KElement(xi, d)
             w = x**3 + 1
