@@ -21,6 +21,7 @@ from .eisenstein import (
     V,
     W,
     EisensteinInt,
+    IntegrityError,
     KElement,
     canonical_associate,
     eis_gcd,
@@ -94,6 +95,7 @@ __all__ = [
     "V",
     "W",
     "EisensteinInt",
+    "IntegrityError",
     "KElement",
     "canonical_associate",
     "eis_gcd",

@@ -2,12 +2,13 @@
 
 Solvability depends on M only up to nonzero cube factors (-1 is a cube),
 so M is reduced to a canonical form, a unit in {1, w, v} times exponents
-1 or 2, read off one factorization of its oriented representative; the
-input's own form follows from it by conjugation.  Each rule is a row of a
-fixed table keyed by the shape of that form: its kind (unit, beta, beta²,
-p, beta·p, pi, pair, 3·pair or other), n mod 9 for n = p or N(pi), and
-whether its unit is 1; a test shows that exactly one row matches each key
-of this finite space.  Each verdict carries the tag of the deciding theorem:
+1 or 2, read off one factorization of its oriented representative, all on
+int coordinates; the input's own form follows by conjugation.  Each rule
+is a row of a fixed table keyed by the shape of that form: its kind (unit,
+beta, beta², p, beta·p, pi, pair, 3·pair or other), n mod 9 for n = p or
+N(pi), and whether its unit is 1; a test shows that exactly one row
+matches each key of this finite space, so a dict finds it.  Each verdict
+carries the tag of the deciding theorem:
 
   1.3  inert p = 2, 5 mod 9 (Pépin/Sylvester/Lucas; Euler/Legendre for 2, 4)
   1.4  split irreducible of norm = 4, 7 mod 9
@@ -35,21 +36,13 @@ Kriz) are reported as LiteratureSolvable and never claim a witness.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 from .criteria import condition_I, exceptional_A, exceptional_B
 from .constructors import lucas_triple_search, lucas_witness, solution_from_relation
 from .eisenstein import (
-    BETA,
-    EisensteinInt,
-    KElement,
-    ONE,
-    V,
-    W,
-    format_eisenstein,
-    format_k,
-)
+    BETA, EisensteinInt, IntegrityError, KElement, ONE, V, W, format_eisenstein, format_k)
 from .factorization import Factorization, _factor_order, factor, split_cubes
 from .search import (
     SearchBudget,
@@ -172,7 +165,8 @@ def _shape(canon: CanonicalM) -> tuple[str, int, int]:
 @dataclass(frozen=True)
 class _Case:
     """What a rule handler decides on: the oriented target, the root g with
-    rep = g³·canon.value(), its form, n and e."""
+    rep = g³·canon.value(), its form, n and e; and the input target with
+    the (sign, conj) of _orient, which carry the verdict back to it."""
 
     rep: EisensteinInt
     root: EisensteinInt
@@ -181,9 +175,30 @@ class _Case:
     e: int
     scope: str
     budget: SearchBudget | None
+    target: EisensteinInt | KElement | int
+    orient: tuple[int, bool]
 
-    def verdict(self, status: str, tag: str, reason: str, **data) -> Verdict:
-        return Verdict(status, tag, reason, self.canon, self.scope, **data)
+    def verdict(self, status: str, tag: str, reason: str, witness: Pair | None = None,
+                trivial_solutions: tuple[Pair, ...] | None = None,
+                citation: str | None = None) -> Verdict:
+        """The verdict on the input target, built once: rep's pairs carried back
+        (those within the scope), its cube class read off rep's (-1 is a cube)."""
+        if witness is not None:
+            witness = self.back(witness)
+        if trivial_solutions is not None:
+            trivial_solutions = tuple(self.back(p) for p in trivial_solutions if self.scope == "K"
+                                      or p[0].is_rational() and p[1].is_rational())
+        canon = _conj_class(self.canon) if self.orient[1] else self.canon
+        return Verdict(status, tag, reason, canon, self.scope, witness, trivial_solutions, citation)
+
+    def back(self, pair: Pair) -> Pair:
+        """A solution for rep as one for the target, checked: conjugation if
+        conj, then the sign over the denominator (solutions of n·d² are d
+        times those of n/d)."""
+        sign, conj = self.orient
+        scale = KElement(sign, self.target.den if isinstance(self.target, KElement) else 1)
+        x, y = (pair[0].conj(), pair[1].conj()) if conj else pair
+        return check_solution((x * scale, y * scale), self.target, "witness")
 
     def search(self, reason: str, first: Callable[[_Case], Hit | None] | None = None) -> Verdict:
         """Unknown with this reason, upgraded to HasSolutions by the first
@@ -251,7 +266,7 @@ def _rational_split_47(c: _Case) -> Verdict:
 def _rational_split_47_twist(c: _Case) -> Verdict:
     p = c.n
     if not condition_I(p):  # cubic reciprocity says this cannot happen
-        raise ArithmeticError(f"condition (I) fails at {p}; Theorem 2.2 does not apply")
+        raise IntegrityError(f"condition (I) fails at {p}; Theorem 2.2 does not apply")
     return c.verdict(
         "NoSolutions", "Theorem 2.2",
         f"u·{p} and u·{p}² are not sums of two cubes (condition (I) verified)",
@@ -269,7 +284,7 @@ def _beta_inert_25(c: _Case) -> Verdict:
 def _three_p(c: _Case) -> Verdict:
     p, e = c.n, c.e
     if not condition_I(p):  # cubic reciprocity says this cannot happen
-        raise ArithmeticError(f"condition (I) fails at {p}; Theorem 2.3 does not apply")
+        raise IntegrityError(f"condition (I) fails at {p}; Theorem 2.3 does not apply")
     exc_a, exc_b = exceptional_A(p)[0], exceptional_B(p)
     if not exc_a and not exc_b:
         return c.verdict(
@@ -346,11 +361,13 @@ _RULES = (
     ("three-p-twist", "3·pair", _ANY_N, _TWISTED, _no_theorem),
     ("no-theorem", "other", _ANY_N, _ANY_UNIT, _no_theorem),
 )
+# each key (kind, n mod 9, unit) of that finite space to its one row
+_RULE_OF = {(row[1], n, unit): row for row in _RULES for n in row[2] for unit in row[3]}
 
 
 def _rule(kind: str, n: int, unit: EisensteinInt) -> tuple:
-    """The first row of _RULES matching the key (kind, n mod 9, unit)."""
-    return next(row for row in _RULES if row[1] == kind and n % 9 in row[2] and unit in row[3])
+    """The row of _RULES matching the key (kind, n mod 9, unit), from _RULE_OF."""
+    return _RULE_OF[kind, n % 9, unit]
 
 
 def match_rule(canon: CanonicalM) -> str:
@@ -371,11 +388,10 @@ def _orient(m: EisensteinInt) -> tuple[EisensteinInt, tuple[int, bool]]:
     conj, then multiply by sign.  Preference on ties: identity, negation,
     conjugation, both.
     """
-    candidates = [(s * (m.conj() if conj else m), (s, conj))
-                  for conj in (False, True) for s in (1, -1)]
-    # min keeps the first of equal candidates, i.e. the earliest transform
-    return min(((x, t) for x, t in candidates if (x.a, x.b) > (0, 0)),
-               key=lambda xt: (xt[0].a, xt[0].b))
+    a, b = m.a, m.b
+    pairs = ((a, b), (-a, -b), (a - b, -b), (b - a, b))  # m, -m, conj(m), -conj(m)
+    i = pairs.index(min(p for p in pairs if p > (0, 0)))  # index: the first on a tie
+    return EisensteinInt(*pairs[i]), (1 - 2 * (i % 2), i >= 2)
 
 
 def _conj_class(canon: CanonicalM) -> CanonicalM:
@@ -435,33 +451,14 @@ def classify(
     """
     if scope not in ("Q", "K"):
         raise ValueError("scope must be 'Q' or 'K'")
-    denominator = m.den if isinstance(m, KElement) else 1
     m_int = _integral_target(m)
     if scope == "Q" and not m_int.is_rational():
         raise ValueError("scope Q requires a rational target")
-
-    rep, (sign, conj) = _orient(m_int)
+    rep, orient = _orient(m_int)
     root, canon_rep = split_cubes(factor(rep))
     kind, n, e = _shape(canon_rep)
     handler = _rule(kind, n, canon_rep.unit)[-1]
-    verdict = handler(_Case(rep, root, canon_rep, n, e, scope, budget))
-
-    def back(pair: Pair) -> Pair:
-        """A solution for rep as one for m, checked: conjugation if conj,
-        the sign, then division by the denominator (solutions of n·d² are
-        d times those of n/d)."""
-        x, y = (pair[0].conj(), pair[1].conj()) if conj else pair
-        return check_solution((x * sign / denominator, y * sign / denominator), m, "witness")
-
-    witness = verdict.witness
-    if witness is not None:
-        witness = back(witness)
-    trivial = verdict.trivial_solutions
-    if trivial is not None:
-        trivial = tuple(p for p in map(back, trivial)
-                        if scope == "K" or (p[0].is_rational() and p[1].is_rational()))
-    canonical = _conj_class(canon_rep) if conj else canon_rep  # -1 is a cube
-    return replace(verdict, canonical=canonical, witness=witness, trivial_solutions=trivial)
+    return handler(_Case(rep, root, canon_rep, n, e, scope, budget, m, orient))
 
 
 # -- the witness searches -----------------------------------------------------

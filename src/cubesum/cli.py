@@ -13,7 +13,8 @@
     cubesum verify [quick|full] [--json]
 
 Exit codes: 0 for any definite outcome, 2 for Unknown / nothing found,
-1 for usage or input errors.  All numeric I/O is exact (no floating
+1 for usage or input errors, 3 when an integrity check fails (one
+IntegrityError line on stderr).  All numeric I/O is exact (no floating
 point); elements parse in either the "a+b*w" or "a*u+b*v" spelling and
 print on the {1, w} basis.  Each budget flag defaults to its
 SearchBudget field, and a subcommand takes only the flags it reads.
@@ -42,11 +43,11 @@ from .criteria import (
     first_exceptional_A_1mod9,
     prime_report,
 )
-from .eisenstein import format_eisenstein, format_k, parse_eisenstein, parse_k
+from .eisenstein import IntegrityError, format_eisenstein, format_k, parse_eisenstein, parse_k
 from .factorization import classify_rational_prime, factor
 from .search import SearchBudget, relation_search, search_eisenstein, search_rational
 
-EXIT_OK, EXIT_ERROR, EXIT_UNKNOWN = 0, 1, 2
+EXIT_OK, EXIT_ERROR, EXIT_UNKNOWN, EXIT_INTEGRITY = 0, 1, 2, 3
 
 
 class _Parser(argparse.ArgumentParser):
@@ -135,6 +136,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"cubesum: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except IntegrityError as exc:
+        print(f"cubesum: integrity check failed: {exc}", file=sys.stderr)
+        return EXIT_INTEGRITY
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .eisenstein import BETA, ONE, EisensteinInt, KElement, V, W, eis_gcd, unit_inverse
+from .eisenstein import BETA, ONE, EisensteinInt, IntegrityError, KElement, V, W, eis_gcd, unit_inverse
 from .factorization import factor, split_cubes
 from .search import _CUBES_MOD_703, _CUBES_MOD_819, _cube_sieve, _exact_icbrt, check_solution, cube_roots
 
@@ -87,7 +87,7 @@ def solution_from_relation(
 def lucas_pair(a: int, b: int) -> tuple[int, int]:
     """The Lucas polynomials x = a³ - b³ + 6a²b + 3ab², y = b³ - a³ + 3a²b + 6ab².
 
-    Both classical identities are checked exactly (ArithmeticError otherwise):
+    Both classical identities are checked exactly (IntegrityError otherwise):
         x + y = 9ab(a + b)     and     x² - xy + y² = 3(a² + ab + b²)³,
     whence x³ + y³ = -27·a·b·c·(a² + ab + b²)³ with c = -a - b.
     """
@@ -95,7 +95,7 @@ def lucas_pair(a: int, b: int) -> tuple[int, int]:
     y = b**3 - a**3 + 3 * a * a * b + 6 * a * b * b
     if (x + y != 9 * a * b * (a + b)
             or x * x - x * y + y * y != 3 * (a * a + a * b + b * b) ** 3):
-        raise ArithmeticError(f"Lucas identities fail at (a, b) = ({a}, {b})")
+        raise IntegrityError(f"Lucas identities fail at (a, b) = ({a}, {b})")
     return x, y
 
 
@@ -275,7 +275,7 @@ def descent_step(t: Triple) -> Triple:
 
     a2, b2, c2 = W * r + V * s, V * r + W * s, r + s
     if a2 * b2 * c2 != -c:
-        raise ArithmeticError("product identity A'·B'·C' = -C failed")
+        raise IntegrityError("product identity A'·B'·C' = -C failed")
     return Triple(a2, b2, c2, t.target)
 
 
@@ -295,7 +295,7 @@ def descent_trace(x: KElement, y: KElement, m: EisensteinInt) -> DescentTrace:
 
     The trace records whether it stopped at the units case or at structure
     absence (with the obstruction message).  It needs no step cap: each
-    pass returns, or raises ArithmeticError unless the norm product, a
+    pass returns, or raises IntegrityError unless the norm product, a
     positive integer, strictly shrinks.
     """
     t = reduce_triple(triple_from_solution(x, y, m))
@@ -308,7 +308,7 @@ def descent_trace(x: KElement, y: KElement, m: EisensteinInt) -> DescentTrace:
         except TripleStructureError as stop:
             return DescentTrace(tuple(steps), f"structure-absent: {stop}")
         if nxt.norm_product() >= t.norm_product():
-            raise ArithmeticError("descent failed to shrink the norm product")
+            raise IntegrityError("descent failed to shrink the norm product")
         t = reduce_triple(nxt)
         steps.append(t)
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .eisenstein import EisensteinInt, format_eisenstein
+from .eisenstein import EisensteinInt, IntegrityError, format_eisenstein
 from .factorization import _cubic_char, classify_rational_prime, is_prime, split_prime
 
 
@@ -43,14 +43,14 @@ def exceptional_A(p: int) -> tuple[bool, tuple[int, int] | None]:
     pi has 3 | b, while ±w·pi and ±v·pi have b = ±1 mod 3, so only ±pi
     can: the test is 9 | pi.b.  The witness is read off pi: 4·N(a + b·w) =
     (2a - b)² + 3b², so x = |2a - b| and y = |b|/9.  The witness equation
-    is re-checked exactly (ArithmeticError otherwise, also under python -O).
+    is re-checked exactly (IntegrityError otherwise, also under python -O).
     """
     pi, _ = split_prime(p)  # ValueError unless p is a split prime
     if pi.b % 9:
         return False, None
     x, y = abs(2 * pi.a - pi.b), abs(pi.b) // 9
     if x * x + 243 * y * y != 4 * p:
-        raise ArithmeticError(f"Exceptional A witness ({x}, {y}) fails 4·{p} = x² + 243y²")
+        raise IntegrityError(f"Exceptional A witness ({x}, {y}) fails 4·{p} = x² + 243y²")
     return True, (x, y)
 
 

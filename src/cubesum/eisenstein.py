@@ -20,6 +20,10 @@ from math import gcd
 from typing import Iterator
 
 
+class IntegrityError(ArithmeticError):
+    """An exact re-check of a computed result failed (raised, so also under python -O)."""
+
+
 class EisensteinInt:
     """An element a + b·w of Z[w], with arbitrary-precision coordinates.
 
@@ -155,7 +159,7 @@ class EisensteinInt:
                     best = (nr, da, db, ra, rb)
         nr, da, db, ra, rb = best
         if 3 * nr > n:
-            raise ArithmeticError("Euclidean bound violated")
+            raise IntegrityError("Euclidean bound violated")
         return EisensteinInt(qa0 + da, qb0 + db), EisensteinInt(ra, rb)
 
     def __floordiv__(self, other: "EisensteinInt | int") -> "EisensteinInt":
@@ -298,13 +302,13 @@ def canonical_associate(x: EisensteinInt) -> tuple[EisensteinInt, EisensteinInt]
         if is_primary(y0):
             break
     else:
-        raise ArithmeticError(f"no primary associate of {y}")
+        raise IntegrityError(f"no primary associate of {y}")
     if y0.b == 0:
         y0 = EisensteinInt(abs(y0.a), 0)
     x0 = BETA**k * y0
     unit = x / x0
     if not unit.is_unit():
-        raise ArithmeticError(f"quotient {unit} of {x} by {x0} is not a unit")
+        raise IntegrityError(f"quotient {unit} of {x} by {x0} is not a unit")
     return unit, x0
 
 

@@ -10,8 +10,9 @@ A rational prime p behaves in one of three ways:
 The prime above a split p is gcd(p, w - c) for a cube root of unity c mod p,
 found by the Euclidean algorithm of Z[w].  factor() reduces everything to
 rational integer factoring: factor the norm over Z, by trial division and
-Pollard rho (Brent's variant), then divide x by each irreducible above
-each prime of the norm as often as it goes (valuation).
+Pollard rho (Brent's variant), then divide x, on plain int coordinates,
+by the powers of the irreducibles above each prime that its exponent in
+the norm allows.
 """
 
 from __future__ import annotations
@@ -21,18 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
 
-from .eisenstein import (
-    BETA,
-    EisensteinInt,
-    ONE,
-    V,
-    W,
-    _exact_quotient,
-    eis_gcd,
-    format_eisenstein,
-    is_primary,
-    valuation,
-)
+from .eisenstein import BETA, EisensteinInt, IntegrityError, W, eis_gcd, format_eisenstein, is_primary
 
 # The first thirteen primes: trial divisors, then Miller-Rabin witnesses,
 # exact below ψ₁₃ = 3317044064679887385961981 ≈ 3.3·10²⁴ (the bases up to 37
@@ -162,7 +152,7 @@ def _pollard_rho(n: int) -> int:
                 d = gcd(x - start, n)
         if d != n:
             return d
-    raise ArithmeticError(f"rho failed on {n}")  # unreachable at desk scale
+    raise IntegrityError(f"rho failed on {n}")  # unreachable at desk scale
 
 
 def factor_int(n: int) -> dict[int, int]:
@@ -234,12 +224,12 @@ def split_prime(p: int) -> tuple[EisensteinInt, EisensteinInt]:
         g += 1
     pi = eis_gcd(EisensteinInt(p, 0), EisensteinInt(-c, 1))
     if pi.norm() != p:
-        raise ArithmeticError(f"{pi} does not have norm {p}")
+        raise IntegrityError(f"{pi} does not have norm {p}")
     pi_conj = pi.conj()
     if pi.b < 0:
         pi, pi_conj = pi_conj, pi
     if not (pi.b > 0 and is_primary(pi) and is_primary(pi_conj)):
-        raise ArithmeticError(f"split factors {pi}, {pi_conj} are not primary with pi.b > 0")
+        raise IntegrityError(f"split factors {pi}, {pi_conj} are not primary with pi.b > 0")
     return pi, pi_conj
 
 
@@ -278,10 +268,10 @@ class Factorization:
     factors: tuple[tuple[EisensteinInt, int], ...]
 
     def value(self) -> EisensteinInt:
-        out = self.unit
+        a, b = self.unit.a, self.unit.b
         for irr, e in self.factors:
-            out = out * irr**e
-        return out
+            a, b = _times(a, b, irr.a, irr.b, e)
+        return EisensteinInt(a, b)
 
     def __str__(self) -> str:
         parts = [format_eisenstein(self.unit)]
@@ -303,31 +293,50 @@ class Factorization:
         )
 
 
+def _times(a: int, b: int, c: int, d: int, e: int) -> tuple[int, int]:
+    """The coordinates of (a + b·w)·(c + d·w)^e, by e products of ints."""
+    for _ in range(e):
+        a, b = a * c - b * d, a * d + b * c - b * d
+    return a, b
+
+
+def _quotient(a: int, b: int, irr: EisensteinInt, e: int) -> tuple[int, int] | None:
+    """The coordinates of (a + b·w)/irr^e, or None when irr^e does not
+    divide: the product with conj(irr)^e, over N(irr)^e."""
+    a, b = _times(a, b, irr.a - irr.b, -irr.b, e)
+    n = irr.norm() ** e
+    return None if a % n or b % n else (a // n, b // n)
+
+
 def factor(x: EisensteinInt) -> Factorization:
     """Canonical factorization of a nonzero element of Z[w].
 
     Method: factor N(x) over Z; the exponent k of each prime p of the norm
     fixes the powers above p: beta^k, p^(k/2) for inert p, pi^j·pi_bar^(k-j)
-    for split p with j by valuation.  Each power leaves x by one checked
-    exact quotient; the unit left over is recorded.
+    for split p, pi tried at most k times.  On int coordinates, each pi and
+    each whole power of beta, p or pi_bar leaves x by one checked exact
+    quotient; the unit left over and the product back to x are checked.
     """
     if x.is_zero():
         raise ValueError("cannot factor zero")
+    a, b = x.a, x.b
     factors: list[tuple[EisensteinInt, int]] = []
-    rest = x
     for p, k in factor_int(x.norm()).items():
         tag, irrs = _above(p)
-        j, rest = valuation(rest, irrs[0]) if tag == "split" else (0, rest)
+        j = 0
+        while tag == "split" and j < k and (q := _quotient(a, b, irrs[0], 1)):
+            (a, b), j = q, j + 1
         k = k // 2 if tag == "inert" else k - j  # N(p) = p², N(beta) = 3, N(pi) = p
-        if (rest := _exact_quotient(rest, irrs[-1] ** k)) is None:
-            raise ArithmeticError(f"{irrs[-1]}^{k} does not divide the cofactor of {x}")
+        if (q := _quotient(a, b, irrs[-1], k)) is None:
+            raise IntegrityError(f"{irrs[-1]}^{k} does not divide the cofactor of {x}")
+        a, b = q
         factors += [(irr, e) for irr, e in ((irrs[0], j), (irrs[-1], k)) if e]
-    if not rest.is_unit():
-        raise ArithmeticError(f"leftover {rest} is not a unit")
+    if a * a - a * b + b * b != 1:
+        raise IntegrityError(f"leftover {EisensteinInt(a, b)} is not a unit")
     factors.sort(key=_factor_order)
-    f = Factorization(rest, tuple(factors))
+    f = Factorization(EisensteinInt(a, b), tuple(factors))
     if f.value() != x:
-        raise ArithmeticError(f"factorization {f} does not multiply back to {x}")
+        raise IntegrityError(f"factorization {f} does not multiply back to {x}")
     return f
 
 
@@ -335,14 +344,13 @@ def split_cubes(f: Factorization) -> tuple[EisensteinInt, Factorization]:
     """(root, rest) with f.value() = root³ · rest.value(), rest the cube class:
     its unit in {1, w, v} (-1 is a cube, so a sign moves into the root), its
     exponents 1 or 2, and Factorization(1, ()) exactly for a cube of Z[w]."""
-    root = ONE
+    a, b = 1, 0
     for irr, e in f.factors:
-        if e >= 3:
-            root = root * irr ** (e // 3)
+        a, b = _times(a, b, irr.a, irr.b, e // 3)
     unit = f.unit
-    if unit in (-ONE, -W, -V):
-        unit, root = -unit, -root
-    return root, Factorization(unit, tuple((irr, e % 3) for irr, e in f.factors if e % 3))
+    if (unit.a, unit.b) in ((-1, 0), (0, -1), (1, 1)):  # -1, -w and -v = 1 + w
+        unit, a, b = -unit, -a, -b
+    return EisensteinInt(a, b), Factorization(unit, tuple((irr, e % 3) for irr, e in f.factors if e % 3))
 
 
 def residue_split(x: EisensteinInt, pi: EisensteinInt) -> int:
@@ -377,7 +385,7 @@ def _cubic_char(x: EisensteinInt | int, pi: EisensteinInt) -> int:
     roots = (1, c, c * c % p)
     e = pow(r, (p - 1) // 3, p)
     if e not in roots:
-        raise ArithmeticError(f"{x}^((p-1)/3) mod {pi} is not a cube root of unity")
+        raise IntegrityError(f"{x}^((p-1)/3) mod {pi} is not a cube root of unity")
     return roots.index(e)
 
 

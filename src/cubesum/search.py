@@ -72,6 +72,7 @@ from math import gcd, isqrt, lcm, prod
 from .eisenstein import (
     BETA,
     EisensteinInt,
+    IntegrityError,
     KElement,
     V,
     W,
@@ -188,11 +189,11 @@ def square_roots(z: EisensteinInt) -> list[EisensteinInt]:
 
 
 def check_solution(pair: tuple[KElement, KElement], m, source: str) -> tuple[KElement, KElement]:
-    """The pair, once x³ + y³ = m holds exactly; else ArithmeticError
+    """The pair, once x³ + y³ = m holds exactly; else IntegrityError
     naming the source.  An explicit raise, so it also runs under python -O."""
     x, y = pair
     if x**3 + y**3 != m:
-        raise ArithmeticError(f"{source} ({x}, {y}) does not sum to {m}")
+        raise IntegrityError(f"{source} ({x}, {y}) does not sum to {m}")
     return pair
 
 
@@ -371,7 +372,7 @@ def search_eisenstein(
             fa, ra = divmod(ma * (ea - eb) + mb * eb, n)
             fb, rb = divmod(mb * ea - ma * eb, n)
             if ra or rb:
-                raise ArithmeticError(f"{EisensteinInt(ea, eb)} does not divide {m}·{d}³")
+                raise IntegrityError(f"{EisensteinInt(ea, eb)} does not divide {m}·{d}³")
             # a hit has 4f - e² = 3r² with r = xi - eta,
             # where e² = (ea² - eb²) + (2·ea - eb)·eb·w
             za, zb = 4 * fa - (ea * ea - eb * eb), 4 * fb - (2 * ea - eb) * eb
@@ -456,7 +457,7 @@ def relation_search(
                 continue
             r, s, t = EisensteinInt(ra, rb), EisensteinInt(*s), EisensteinInt(t, 0)
             if not (W * r**3 + V * s**3 + m * t**3).is_zero():
-                raise ArithmeticError(f"relation ({r}, {s}, {t}) fails for {m}")
+                raise IntegrityError(f"relation ({r}, {s}, {t}) fails for {m}")
             return r, s, t
     return None
 
@@ -532,7 +533,7 @@ def mordell_check(coord_bound: int, denom_bound: int) -> MordellReport:
     |a| <= coord_bound, so the rational hits are the hits with both
     coordinates rational.  Each root from square_roots must square back to
     x³ + 1, which leaves x³ the one condition to test; either failure
-    raises ArithmeticError, also under python -O.
+    raises IntegrityError, also under python -O.
     """
     field_hits: list[tuple[KElement, KElement]] = []
     for d in range(1, denom_bound + 1):
@@ -544,9 +545,9 @@ def mordell_check(coord_bound: int, denom_bound: int) -> MordellReport:
             for root in square_roots(w.num * w.den):
                 y = KElement(root, w.den)
                 if y**2 != w:
-                    raise ArithmeticError(f"root {y} of {w} does not square back")
+                    raise IntegrityError(f"root {y} of {w} does not square back")
                 if x**3 not in _MORDELL_X3:
-                    raise ArithmeticError(f"counterexample to y² = x³ + 1 over K: ({x}, {y})")
+                    raise IntegrityError(f"counterexample to y² = x³ + 1 over K: ({x}, {y})")
                 field_hits.append((x, y))
     field_hits.sort(key=witness_sort_key)
     rational = tuple(p for p in field_hits if p[0].is_rational() and p[1].is_rational())

@@ -1,12 +1,13 @@
 """Canonical cube-class forms and the theorem dispatch."""
 
+import dataclasses
 import json
 import random
 from collections import Counter
 
 import pytest
 
-from cubesum import classifier, constructors, factorization, search
+from cubesum import classifier, constructors, factorization, search, verify
 from cubesum.classifier import canonicalize, classify, match_rule
 from cubesum.eisenstein import BETA, EisensteinInt, KElement, ONE, V, W
 from cubesum.factorization import Factorization, factor, split_cubes
@@ -114,7 +115,7 @@ class TestRuleTable:
         # the other kinds any n; the unit is 1, w or v
         residues = {"p": (2, 5, 8), "beta·p": (2, 5, 8), "pi": (1, 4, 7), "pair": (1, 4, 7)}
         kinds = ("unit", "beta", "beta²", "p", "beta·p", "pi", "pair", "3·pair", "other")
-        matched = set()
+        matched, keys = set(), set()
         for kind in kinds:
             for n in residues.get(kind, range(9)):
                 for unit in (ONE, W, V):
@@ -122,7 +123,10 @@ class TestRuleTable:
                             if k == kind and n in ns and unit in units]
                     assert len(rows) == 1, (kind, n, unit, rows)
                     matched.update(rows)
+                    keys.add((kind, n, unit))
         assert matched == set(range(len(classifier._RULES)))
+        # _rule's lookup holds exactly these keys
+        assert set(classifier._RULE_OF) == keys
 
     @pytest.mark.parametrize(
         "target,rule",
@@ -442,7 +446,7 @@ ATTEMPT_ORDER = {
 def test_search_attempt_order(search_log, target, scope):
     rep = EisensteinInt(target) if isinstance(target, int) else target
     root, canon = split_cubes(factor(rep))
-    case = classifier._Case(rep, root, canon, 1, 1, scope, SearchBudget())
+    case = classifier._Case(rep, root, canon, 1, 1, scope, SearchBudget(), rep, (1, False))
     for first, expected in ATTEMPT_ORDER[(target, scope)].items():
         search_log.clear()
         verdict = case.search("reason", first and getattr(classifier, f"_try_{first}"))
@@ -618,3 +622,78 @@ def test_public_box_search_factors_its_target(factor_calls, factor_int_calls):
     search_eisenstein(W, 4, 50)
     assert factor_calls == [("search", W)]
     assert factor_int_calls == [6, 9, 12]
+
+
+# -- the fixed path against the object-based code it replaced -----------------
+
+
+def _object_orient(m):
+    """The _orient that the int-pair one replaced, kept as an oracle: the
+    four transforms as EisensteinInt values, the least by (a, b) > (0, 0)."""
+    candidates = [(s * (m.conj() if conj else m), (s, conj))
+                  for conj in (False, True) for s in (1, -1)]
+    # min keeps the first of equal candidates, i.e. the earliest transform
+    return min(((x, t) for x, t in candidates if (x.a, x.b) > (0, 0)),
+               key=lambda xt: (xt[0].a, xt[0].b))
+
+
+def _scan_rule(kind, n, unit):
+    """The linear scan that _rule's lookup replaced, kept as an oracle."""
+    return next(row for row in classifier._RULES
+                if row[1] == kind and n % 9 in row[2] and unit in row[3])
+
+
+def _fixed_path_corpus(criterion_10_corpus, large_prime_forms):
+    """Every a + bw with |a|, |b| <= 40, criterion 10's classify targets,
+    and the large p², 3p² and pi."""
+    grid = [E(a, b) for a in range(-40, 41) for b in range(-40, 41) if a or b]
+    return grid + [args[0] for args in criterion_10_corpus[0]] + large_prime_forms
+
+
+def test_orient_matches_object_oracle(criterion_10_corpus, large_prime_forms):
+    for x in _fixed_path_corpus(criterion_10_corpus, large_prime_forms):
+        rep, (sign, conj) = classifier._orient(x)
+        assert (rep, (sign, conj)) == _object_orient(x), x
+        assert type(rep) is EisensteinInt and type(conj) is bool
+
+
+def test_rule_matches_linear_scan(criterion_10_corpus, large_prime_forms):
+    for x in _fixed_path_corpus(criterion_10_corpus, large_prime_forms):
+        canon = canonicalize(x)
+        key = (*classifier._shape(canon)[:2], canon.unit)
+        assert classifier._rule(*key) is _scan_rule(*key), x
+    for kind, n, unit in classifier._RULE_OF:
+        for n_big in (n, n + 9 * 10**8):  # n itself, not its residue
+            assert classifier._rule(kind, n_big, unit) is _scan_rule(kind, n_big, unit)
+
+
+def test_fixed_path_counts(monkeypatch):
+    # criterion 10's 800 classify calls, searches off, build at most 7,000
+    # EisensteinInt values (25,772 with the object-based path) and one
+    # Verdict each: no dataclasses.replace, which built a second (800)
+    counts, inside = Counter(), []
+
+    def counted(name, real):
+        def spy(*args, **kwargs):
+            counts[name] += bool(inside)
+            return real(*args, **kwargs)
+        return spy
+
+    def classify_spy(*args):
+        inside.append(args)
+        try:
+            return classify(*args)
+        finally:
+            counts["classify"] += 1
+            inside.pop()
+
+    monkeypatch.setattr(EisensteinInt, "__init__", counted("eis", EisensteinInt.__init__))
+    monkeypatch.setattr(classifier.Verdict, "__init__",
+                        counted("verdict", classifier.Verdict.__init__))
+    replace = counted("replace", dataclasses.replace)
+    monkeypatch.setattr(dataclasses, "replace", replace)
+    monkeypatch.setattr(classifier, "replace", replace, raising=False)  # a from-import's name
+    monkeypatch.setattr(verify, "classify", classify_spy)
+    verify.criterion_10_property_soak()
+    assert (counts["classify"], counts["verdict"], counts["replace"]) == (800, 800, 0)
+    assert counts["eis"] <= 7000, counts["eis"]  # 6,929 with the int-coordinate path

@@ -42,6 +42,30 @@ class TestClassify:
         assert code == 2
         assert out.startswith("Unknown")
 
+    def test_integrity_exit_code_under_optimize(self):
+        # with asserts stripped, a forged search hit still fails its exact
+        # check with IntegrityError, which the CLI maps to its own exit code
+        # and one stderr line
+        code = (
+            "import sys\n"
+            "from cubesum import IntegrityError, KElement, classifier, classify, cli\n"
+            "assert False, 'asserts must be stripped'\n"
+            "classifier.search_rational = lambda m, denom: [(KElement(1), KElement(1))]\n"
+            "try:\n"
+            "    classify(6, 'Q')\n"
+            "except IntegrityError as err:\n"
+            "    print(err)\n"
+            "sys.exit(cli.main(['classify', '6', '--scope', 'Q']))\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        out = subprocess.run([sys.executable, "-O", "-c", code],
+                             env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, timeout=60)
+        message = "witness (1, 1) does not sum to 6"
+        assert (out.returncode, cli.EXIT_INTEGRITY) == (3, 3)
+        assert out.stdout == message + "\n"
+        assert out.stderr == f"cubesum: integrity check failed: {message}\n"
+
     def test_paper_basis_input(self, capsys):
         code, out, _ = run(capsys, "classify", "5*u+2*v", "--scope", "K", "--json")
         assert code == 0

@@ -11,8 +11,10 @@ from math import gcd, isqrt
 import pytest
 
 from cubesum import factorization
-from cubesum.eisenstein import BETA, EisensteinInt, ONE, UNITS, W, canonical_associate, is_primary
+from cubesum.eisenstein import (
+    BETA, EisensteinInt, ONE, UNITS, W, canonical_associate, is_primary, valuation)
 from cubesum.factorization import (
+    Factorization,
     _pollard_rho,
     classify_rational_prime,
     factor,
@@ -344,6 +346,58 @@ class TestFactor:
         assert all(set(f) == {"irr", "exp"} for f in doc["factors"])
 
 
+def object_factor(x):
+    """The factor that the int-coordinate one replaced, kept as an oracle:
+    EisensteinInt values throughout, pi's exponent by valuation, one exact
+    quotient by the power of the last irreducible above p."""
+    rest, factors = x, []
+    for p, k in factor_int(x.norm()).items():
+        tag, irrs = factorization._above(p)
+        j, rest = valuation(rest, irrs[0]) if tag == "split" else (0, rest)
+        k = k // 2 if tag == "inert" else k - j
+        rest = rest / irrs[-1] ** k
+        factors += [(irr, e) for irr, e in ((irrs[0], j), (irrs[-1], k)) if e]
+    assert rest.is_unit()
+    factors.sort(key=lambda entry: (entry[0].norm(), entry[0].a, entry[0].b))
+    return Factorization(rest, tuple(factors))
+
+
+def _factor_parity_corpus(criterion_10_corpus, large_prime_forms):
+    """Every a + bw with |a|, |b| <= 40, criterion 10's classify targets
+    and factor soak, and the large p², 3p² and pi."""
+    classified, factored = criterion_10_corpus
+    grid = [E(a, b) for a in range(-40, 41) for b in range(-40, 41) if a or b]
+    return grid + [args[0] for args in classified] + factored + large_prime_forms
+
+
+def test_factor_matches_object_oracle(criterion_10_corpus, large_prime_forms):
+    for x in _factor_parity_corpus(criterion_10_corpus, large_prime_forms):
+        f = factor(x)
+        assert f == object_factor(x), x
+        assert type(f.unit) is EisensteinInt and f.value() == x
+
+
+def test_factor_tries_at_most_k_quotients_per_prime(monkeypatch, criterion_10_corpus,
+                                                     large_prime_forms):
+    # pi is tried at most k times for p^k || N(x), and the power of beta, p
+    # or pi_bar is one quotient: for split p, never k + 1 tries of pi
+    calls = []
+    monkeypatch.setattr(factorization, "_quotient",
+                        lambda a, b, irr, e, real=factorization._quotient:
+                        calls.append((irr, e)) or real(a, b, irr, e))
+    for x in _factor_parity_corpus(criterion_10_corpus, large_prime_forms):
+        calls.clear()
+        factor(x)
+        expected = 0
+        for p, k in factor_int(x.norm()).items():
+            tag, irrs = factorization._above(p)
+            tries = calls.count((irrs[0], 1)) if tag == "split" else 0
+            last = [e for irr, e in calls if irr == irrs[-1]]
+            assert tries <= k and len(last) == 1, (x, p, calls)
+            expected += tries + 1
+        assert len(calls) == expected, x
+
+
 class TestResidueSplit:
     def test_w_image_mod_7(self):
         c = residue_split(W, E(1, 3))
@@ -468,18 +522,19 @@ class TestInertResidueField:
 
 def test_factor_checks_survive_optimize():
     """The checks in factor and split_prime still raise under python -O,
-    where assert statements are stripped: a norm factorization that misses
-    the prime 7 leaves 7 unfactored, a valuation that divides nothing out
-    leaves pi_bar² to divide 7, a gcd that returns w times the prime
-    above 7 gives the associate 3 + w, which is not primary, and a forged
-    prime above 61 of norm 73 gives Exceptional A a witness for 4·73, not
-    4·61; the cubic character mod 1 + 5w, of composite norm 21, is not a
-    cube root of unity."""
+    where assert statements are stripped, and raise IntegrityError: a norm
+    factorization that misses the prime 7 leaves 7 unfactored, an _above
+    that hands back the inert 5 for the prime 7 of N(7) = 49 leaves 5 to
+    divide 7, a gcd that returns w times the prime above 7 gives the
+    associate 3 + w, which is not primary, and a forged prime above 61 of
+    norm 73 gives Exceptional A a witness for 4·73, not 4·61; the cubic
+    character mod 1 + 5w, of composite norm 21, is not a cube root of
+    unity."""
     code = (
         "from cubesum import criteria, factorization\n"
-        "from cubesum.eisenstein import W, EisensteinInt, eis_gcd\n"
+        "from cubesum.eisenstein import W, EisensteinInt, IntegrityError, eis_gcd\n"
         "assert False, 'asserts must be stripped'\n"
-        "factor_int, valuation = factorization.factor_int, factorization.valuation\n"
+        "factor_int, above = factorization.factor_int, factorization._above\n"
         "def leftover():\n"
         "    factorization.factor_int = lambda n: {}\n"
         "    try:\n"
@@ -487,11 +542,11 @@ def test_factor_checks_survive_optimize():
         "    finally:\n"
         "        factorization.factor_int = factor_int\n"
         "def not_exact():\n"
-        "    factorization.valuation = lambda x, d: (0, x)\n"
+        "    factorization._above = lambda p: ('inert', (EisensteinInt(5),))\n"
         "    try:\n"
         "        factorization.factor(EisensteinInt(7))\n"
         "    finally:\n"
-        "        factorization.valuation = valuation\n"
+        "        factorization._above = above\n"
         "def not_primary():\n"
         "    factorization.eis_gcd = lambda l, m: W * eis_gcd(l, m)\n"
         "    factorization.split_prime.cache_clear()\n"
@@ -511,7 +566,7 @@ def test_factor_checks_survive_optimize():
         "                       'is not a cube root of unity')):\n"
         "    try:\n"
         "        call()\n"
-        "    except ArithmeticError as err:\n"
+        "    except IntegrityError as err:\n"
         "        if message in str(err):\n"
         "            continue\n"
         "    raise SystemExit('unchecked factorization')\n"
